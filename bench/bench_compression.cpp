@@ -80,8 +80,7 @@ struct CodecResult {
 template <typename Gen>
 CodecResult RunCodecPhase(const CodecSpec& spec, int world,
                           std::size_t elems, int iters, Gen gen) {
-  aiacc::transport::InProcTransport tr(
-      world, aiacc::transport::WakeMode::kTargeted);
+  aiacc::transport::InProcTransport tr(world);
   BufferPool pool;
   std::vector<float> rank0_result(elems);
   std::barrier<> gate(static_cast<std::ptrdiff_t>(world) + 1);

@@ -154,6 +154,11 @@ ArmResult RunArm(const ScaledModel& model, float urgent_fraction,
   ArmResult result;
   std::vector<double> iter_seconds;
   std::atomic<bool> failed{false};
+  // Bound optimizers must outlive the engine: its MPI-process loop calls
+  // BeginIteration for the next iteration as soon as one closes.
+  std::vector<core::SgdOptimizer> optimizers(
+      static_cast<std::size_t>(cfg.world),
+      core::SgdOptimizer(/*momentum=*/0.9));
   {
     core::ThreadedAiaccEngine engine(cfg.world, config);
     std::vector<std::thread> threads;
@@ -161,7 +166,7 @@ ArmResult RunArm(const ScaledModel& model, float urgent_fraction,
     for (int r = 0; r < cfg.world; ++r) {
       threads.emplace_back([&, r] {
         auto& worker = engine.worker(r);
-        core::SgdOptimizer sgd(/*momentum=*/0.9);
+        core::SgdOptimizer& sgd = optimizers[static_cast<std::size_t>(r)];
         std::vector<std::vector<float>> grads(n);
         std::vector<std::vector<float>> params(n);
         for (std::size_t g = 0; g < n; ++g) {

@@ -1,23 +1,19 @@
-// Hot-path microbench: quantifies the three zero-allocation optimizations
-// against the legacy behaviour, in one binary, on identical workloads:
+// Hot-path microbench for the zero-allocation collective path: the pooled
+// ring all-reduce over per-slot-CV wakeups, and MultiChannelAllReduce on
+// the persistent process-wide worker pool (thread count reported to show
+// reuse).
 //
-//   * payload pooling   — Comm.pool = BufferPool vs nullptr (alloc+copy);
-//   * targeted wakeups  — WakeMode::kTargeted (per-slot CVs) vs kSharedHerd
-//                         (one CV per mailbox, notify_all per send);
-//   * persistent rings  — MultiChannelAllReduce on the process-wide worker
-//                         pool (thread count reported to show reuse).
-//
-// Reported: ring all-reduce msgs/sec (baseline vs optimized), multi-channel
-// all-reduce GB/s, steady-state payload allocations per iteration, and
-// futile wakeups per 1k messages. `--json` prints a machine-readable
+// Reported: ring all-reduce msgs/sec, multi-channel all-reduce GB/s,
+// steady-state payload allocations (pool misses) per iteration, and futile
+// wakeups per 1k messages. `--json` prints a machine-readable
 // summary; `--smoke` runs a small configuration and exits non-zero unless
 // the pooled steady state performed *zero* payload allocations AND the
 // depth-4 pipelined ring moves at least as many msgs/s as depth 1 on a
 // large-payload round (wired into ctest). `--pipeline-sweep` replaces the
 // standard phases with a Comm::pipeline_depth sweep over {1, 2, 4, 8} on
-// the pooled/targeted ring, reporting per-depth msgs/s, per-all-reduce
-// latency, and the latency speedup against depth 1 (the checked-in
-// BENCH_hotpath.json baseline comes from this mode under `release-bench`).
+// the ring, reporting per-depth msgs/s, per-all-reduce latency, and the
+// latency speedup against depth 1 (the checked-in BENCH_hotpath.json
+// baseline comes from this mode under `release-bench`).
 // Read the two metrics together: a depth-d round intentionally moves d
 // times as many (d-times-smaller) messages for the same reduction, so
 // msgs/s scales with depth by construction — the latency column is the
@@ -79,23 +75,12 @@ struct PhaseResult {
   }
 };
 
-/// Payload allocations in the measured window: the legacy (pool-less) path
-/// counts through the registry's `hotpath.payload_allocs` counter; the
-/// pooled path's only allocations are pool misses.
-std::uint64_t PayloadAllocs(const BufferPool* pool) {
-  std::uint64_t n = MetricsRegistry::Global()
-                        .GetCounter("hotpath.payload_allocs")
-                        .Value();
-  if (pool != nullptr) n += pool->stats().misses;
-  return n;
-}
-
 /// Drive `world` rank threads through `iters` timed rounds of `op` after
 /// `warmup` untimed rounds; counters are sampled on the start and finish
 /// lines so the deltas cover exactly the measured window.
 template <typename RankOp>
 PhaseResult TimeRanks(aiacc::transport::InProcTransport& tr,
-                      const BufferPool* pool, int world, int warmup,
+                      const BufferPool& pool, int world, int warmup,
                       int iters, RankOp op) {
   std::barrier<> gate(static_cast<std::ptrdiff_t>(world) + 1);
   std::vector<std::thread> threads;
@@ -110,7 +95,7 @@ PhaseResult TimeRanks(aiacc::transport::InProcTransport& tr,
     });
   }
   gate.arrive_and_wait();
-  const std::uint64_t allocs0 = PayloadAllocs(pool);
+  const std::uint64_t allocs0 = pool.stats().misses;
   const std::uint64_t msgs0 = tr.TotalMessages();
   const std::uint64_t wire0 = tr.TotalPayloadBytes();
   const auto wake0 = tr.wake_counters();
@@ -124,22 +109,22 @@ PhaseResult TimeRanks(aiacc::transport::InProcTransport& tr,
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
   result.messages = tr.TotalMessages() - msgs0;
   result.wire_bytes = tr.TotalPayloadBytes() - wire0;
-  result.payload_allocs = PayloadAllocs(pool) - allocs0;
+  result.payload_allocs = pool.stats().misses - allocs0;
   const auto wake1 = tr.wake_counters();
   result.wakeups = wake1.wakeups - wake0.wakeups;
   result.futile_wakeups = wake1.futile_wakeups - wake0.futile_wakeups;
   return result;
 }
 
-PhaseResult RunRing(aiacc::transport::WakeMode mode, BufferPool* pool,
-                    const BenchConfig& cfg, int pipeline_depth = 1) {
-  aiacc::transport::InProcTransport tr(cfg.world, mode);
+PhaseResult RunRing(BufferPool& pool, const BenchConfig& cfg,
+                    int pipeline_depth = 1) {
+  aiacc::transport::InProcTransport tr(cfg.world);
   return TimeRanks(
       tr, pool, cfg.world, cfg.ring_warmup, cfg.ring_iters, [&](int r) {
         thread_local std::vector<float> data;
         data.assign(cfg.ring_elems, static_cast<float>(r + 1));
-        aiacc::collective::Comm comm{&tr,  r, cfg.world, /*tag_base=*/1,
-                                     /*timeout_ms=*/0, pool,
+        aiacc::collective::Comm comm{&tr,   r, cfg.world, /*tag_base=*/1,
+                                     /*timeout_ms=*/0, &pool,
                                      pipeline_depth};
         const aiacc::Status st = aiacc::collective::RingAllReduce(
             comm, data, aiacc::collective::ReduceOp::kSum);
@@ -156,26 +141,24 @@ struct DepthResult {
   PhaseResult phase;
 };
 
-/// Pooled/targeted ring at every pipeline depth, identical workload.
-std::vector<DepthResult> RunPipelineSweep(BufferPool* pool,
+/// The ring at every pipeline depth, identical workload.
+std::vector<DepthResult> RunPipelineSweep(BufferPool& pool,
                                           const BenchConfig& cfg) {
   std::vector<DepthResult> out;
   for (int depth : {1, 2, 4, 8}) {
-    out.push_back({depth, RunRing(aiacc::transport::WakeMode::kTargeted,
-                                  pool, cfg, depth)});
+    out.push_back({depth, RunRing(pool, cfg, depth)});
   }
   return out;
 }
 
-PhaseResult RunMultiChannel(BufferPool* pool, const BenchConfig& cfg) {
-  aiacc::transport::InProcTransport tr(
-      cfg.world, aiacc::transport::WakeMode::kTargeted);
+PhaseResult RunMultiChannel(BufferPool& pool, const BenchConfig& cfg) {
+  aiacc::transport::InProcTransport tr(cfg.world);
   return TimeRanks(
       tr, pool, cfg.world, /*warmup=*/2, cfg.mc_iters, [&](int r) {
         thread_local std::vector<float> data;
         data.assign(cfg.mc_elems, static_cast<float>(r + 1));
-        aiacc::collective::Comm comm{&tr,  r, cfg.world, /*tag_base=*/1,
-                                     /*timeout_ms=*/0, pool};
+        aiacc::collective::Comm comm{&tr,   r, cfg.world, /*tag_base=*/1,
+                                     /*timeout_ms=*/0, &pool};
         const aiacc::Status st = aiacc::collective::MultiChannelAllReduce(
             comm, data, aiacc::collective::ReduceOp::kAvg, cfg.mc_channels);
         if (!st.ok()) {
@@ -412,10 +395,9 @@ int main(int argc, char** argv) {
   BufferPool pool;
 
   std::vector<DepthResult> sweep;
-  PhaseResult baseline;
   PhaseResult pooled;
   if (pipeline_sweep) {
-    sweep = RunPipelineSweep(&pool, cfg);
+    sweep = RunPipelineSweep(pool, cfg);
     const double lat1_us =
         1e6 * sweep.front().phase.seconds / cfg.ring_iters;
     if (json) {
@@ -436,8 +418,7 @@ int main(int argc, char** argv) {
       }
       std::printf(" ]}\n");
     } else {
-      std::printf("pipeline-depth sweep: %d ranks, %zu floats, %d iters "
-                  "(pooled, targeted wakeups)\n",
+      std::printf("pipeline-depth sweep: %d ranks, %zu floats, %d iters\n",
                   cfg.world, cfg.ring_elems, cfg.ring_iters);
       for (const DepthResult& r : sweep) {
         const double lat_us = 1e6 * r.phase.seconds / cfg.ring_iters;
@@ -448,63 +429,38 @@ int main(int argc, char** argv) {
       }
     }
   } else {
-    // Baseline = the pre-optimization hot path: shared-CV herd wakeups and
-    // a fresh heap allocation + copy per ring step.
-    baseline = RunRing(aiacc::transport::WakeMode::kSharedHerd, nullptr, cfg);
-    pooled = RunRing(aiacc::transport::WakeMode::kTargeted, &pool, cfg);
+    pooled = RunRing(pool, cfg);
 
-    const PhaseResult mc = RunMultiChannel(&pool, cfg);
+    const PhaseResult mc = RunMultiChannel(pool, cfg);
     const double mc_gb_per_sec =
         mc.seconds > 0
             ? static_cast<double>(cfg.mc_iters) *
                   static_cast<double>(cfg.mc_elems) * sizeof(float) /
                   mc.seconds / 1e9
             : 0.0;
-
-    const double speedup = baseline.MsgsPerSec() > 0
-                               ? pooled.MsgsPerSec() / baseline.MsgsPerSec()
-                               : 0.0;
     const double allocs_per_iter =
         static_cast<double>(pooled.payload_allocs) / cfg.ring_iters;
 
     if (json) {
       std::printf(
           "{\"world\": %d, \"ring_elems\": %zu, \"ring_iters\": %d,\n"
-          " \"baseline_msgs_per_sec\": %.0f, \"pooled_msgs_per_sec\": %.0f,\n"
-          " \"speedup\": %.2f,\n"
-          " \"baseline_allocs_per_iter\": %.1f, \"pooled_allocs_per_iter\": "
+          " \"pooled_msgs_per_sec\": %.0f, \"pooled_allocs_per_iter\": "
           "%.1f,\n"
-          " \"baseline_futile_wakeups_per_1k_msgs\": %.1f, "
-          "\"pooled_futile_wakeups_per_1k_msgs\": %.1f,\n"
-          " \"baseline_wire_bytes\": %llu, \"pooled_wire_bytes\": %llu,\n"
+          " \"pooled_futile_wakeups_per_1k_msgs\": %.1f, "
+          "\"pooled_wire_bytes\": %llu,\n"
           " \"multichannel_gb_per_sec\": %.3f, "
           "\"multichannel_workers\": %d}\n",
-          cfg.world, cfg.ring_elems, cfg.ring_iters, baseline.MsgsPerSec(),
-          pooled.MsgsPerSec(), speedup,
-          static_cast<double>(baseline.payload_allocs) / cfg.ring_iters,
-          allocs_per_iter, baseline.FutilePerKiloMsg(),
-          pooled.FutilePerKiloMsg(),
-          static_cast<unsigned long long>(baseline.wire_bytes),
+          cfg.world, cfg.ring_elems, cfg.ring_iters, pooled.MsgsPerSec(),
+          allocs_per_iter, pooled.FutilePerKiloMsg(),
           static_cast<unsigned long long>(pooled.wire_bytes), mc_gb_per_sec,
           aiacc::collective::MultiChannelWorkerCount());
     } else {
       std::printf("hot path bench: %d ranks, %zu floats, %d iters\n",
                   cfg.world, cfg.ring_elems, cfg.ring_iters);
-      std::printf("  ring all-reduce, baseline (herd CV, alloc+copy): %10.0f "
-                  "msgs/s  (%.1f allocs/iter, %.1f futile wakes/1k msgs)\n",
-                  baseline.MsgsPerSec(),
-                  static_cast<double>(baseline.payload_allocs) /
-                      cfg.ring_iters,
-                  baseline.FutilePerKiloMsg());
-      std::printf("  ring all-reduce, optimized (slot CV, pooled):     "
-                  "%10.0f msgs/s  (%.1f allocs/iter, %.1f futile wakes/1k "
-                  "msgs)\n",
+      std::printf("  ring all-reduce: %10.0f msgs/s  (%.1f allocs/iter, "
+                  "%.1f futile wakes/1k msgs, %llu wire bytes)\n",
                   pooled.MsgsPerSec(), allocs_per_iter,
-                  pooled.FutilePerKiloMsg());
-      std::printf("  speedup: %.2fx\n", speedup);
-      std::printf("  wire bytes (measured window): baseline %llu, pooled "
-                  "%llu\n",
-                  static_cast<unsigned long long>(baseline.wire_bytes),
+                  pooled.FutilePerKiloMsg(),
                   static_cast<unsigned long long>(pooled.wire_bytes));
       std::printf("  multi-channel all-reduce (%d channels): %.3f GB/s on %d "
                   "persistent workers\n",
@@ -568,8 +524,8 @@ int main(int argc, char** argv) {
           if (r.depth == 4) d4 = r.phase;
         }
       } else {
-        d1 = RunRing(aiacc::transport::WakeMode::kTargeted, &pool, big, 1);
-        d4 = RunRing(aiacc::transport::WakeMode::kTargeted, &pool, big, 4);
+        d1 = RunRing(pool, big, 1);
+        d4 = RunRing(pool, big, 4);
       }
       depth_ok = d4.MsgsPerSec() >= d1.MsgsPerSec();
     }

@@ -37,37 +37,19 @@ inline constexpr int kChannelTagStride = 16;
 inline constexpr int kUnitTagBase = 1024;
 inline constexpr int kUnitTagStride = 4;
 
-/// Retry namespaces (the in-band-recovery tiers never reuse a dirty tag
-/// channel: a failed attempt can leave stale half-ring messages in its
-/// mailboxes, and a later collective on the same tags would silently reduce
-/// over them — fresh tags per attempt make stale messages unreachable).
-///
-/// Engine unit retries: when the engine retries all-reduce unit `u` after a
-/// failed attempt, the unit's channel moves permanently to epoch e >= 1 at
-/// UnitEpochTagBase(u, e). Epochs are per-unit failure counts, so every
-/// rank that observes the same (symmetric) failure sequence derives the
-/// same tags without extra coordination.
+/// Unit retry namespace. The engine never reuses a dirty tag channel: a
+/// failed attempt can leave stale half-ring messages in its mailboxes, and
+/// a later collective on the same tags would silently reduce over them, so
+/// fresh tags per attempt make stale messages unreachable. When the engine
+/// retries all-reduce unit `u` after a failed attempt, the unit's channel
+/// moves permanently to epoch e >= 1 at UnitEpochTagBase(u, e). Epochs are
+/// per-unit failure counts, so every rank that observes the same
+/// (symmetric) failure sequence derives the same tags without extra
+/// coordination.
 inline constexpr int kUnitRetryTagBase = 1048576;  // 2^20
-/// Max retry epochs per unit; a unit failing this often is a tier-3
-/// (checkpoint recovery) problem, not a retry problem.
+/// Max retry epochs per unit; a unit failing this often is a checkpoint
+/// recovery problem, not a retry problem.
 inline constexpr int kUnitRetryEpochs = 32;
-
-/// Channel-health retry rings: when MultiChannelAllReduce re-runs a failed
-/// channel's chunk, the retry ring gets a never-before-used namespace at
-/// RetryRingTagBase(id) — ids are agreed during the tracker's aggregation
-/// round and increase monotonically for the tracker's lifetime.
-inline constexpr int kChannelRetryTagBase = 8388608;  // 2^23
-
-/// Channel home-namespace epochs: a multi-channel channel whose ring fails
-/// abandons its current namespace for good (the abort strands half-ring
-/// wire state there) and all *subsequent* plans place it at
-/// ChannelEpochTagBase(channel, e) with e = its agreed failure count.
-/// Epochs are deterministic per channel — unlike the one-shot retry-ring
-/// ids — so fault models that follow a physical channel (a bad NIC queue)
-/// can cover a channel's tags across every epoch it may occupy.
-inline constexpr int kChannelEpochTagBase = 16777216;  // 2^24
-/// Channel count ceiling for the epoch layout (epoch-major blocks).
-inline constexpr int kMaxTrackedChannels = 64;
 
 [[nodiscard]] constexpr int UnitEpochTagBase(std::uint64_t unit_id,
                                              int epoch) noexcept {
@@ -77,20 +59,6 @@ inline constexpr int kMaxTrackedChannels = 64;
                    (static_cast<int>(unit_id) * kUnitRetryEpochs +
                     (epoch - 1)) *
                        kUnitTagStride;
-}
-
-[[nodiscard]] constexpr int RetryRingTagBase(std::uint64_t retry_id) noexcept {
-  return kChannelRetryTagBase +
-         static_cast<int>(retry_id) * kUnitTagStride;
-}
-
-/// Home namespace of channel `channel` at failure epoch `epoch` (>= 1;
-/// epoch 0 is the channel's ChannelTagBase home inside its caller's
-/// namespace).
-[[nodiscard]] constexpr int ChannelEpochTagBase(int channel,
-                                                int epoch) noexcept {
-  return kChannelEpochTagBase +
-         ((epoch - 1) * kMaxTrackedChannels + channel) * kChannelTagStride;
 }
 
 /// Tag base of channel `channel` (0-based) inside a multi-channel
@@ -114,15 +82,9 @@ static_assert(kUnitTagBase > kSyncTag + kTagsPerCollective,
               "unit channels must not overlap the sync namespace");
 static_assert(kUnitRetryTagBase > kUnitTagBase,
               "unit retry epochs must sit above the primary unit namespace");
-static_assert(kChannelRetryTagBase > kUnitRetryTagBase,
-              "channel retry rings must sit above the unit retry namespace");
 static_assert(UnitEpochTagBase(0, 1) == kUnitRetryTagBase &&
                   UnitEpochTagBase(0, 0) == kUnitTagBase,
               "epoch 0 is the unit's primary namespace; epoch 1 the first "
               "retry namespace");
-static_assert(kChannelEpochTagBase > kChannelRetryTagBase,
-              "channel epoch homes must sit above the retry-ring namespace");
-static_assert(ChannelEpochTagBase(0, 1) == kChannelEpochTagBase,
-              "epoch 1 is the first relocated channel home");
 
 }  // namespace aiacc::collective

@@ -4,12 +4,9 @@
 #include <array>
 #include <chrono>
 
-#include "collective/channel_health.h"
-
 #include "common/logging.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
 
@@ -18,12 +15,10 @@ namespace {
 
 using compress::CodecKind;
 
-/// Registry counter for legacy-path (unpooled) payload allocations. Cached
-/// so the hot path pays one static-init guard check, not a registry lookup.
-telemetry::Counter& LegacyAllocCounter() {
-  static telemetry::Counter& counter =
-      telemetry::MetricsRegistry::Global().GetCounter("hotpath.payload_allocs");
-  return counter;
+/// The Comm's payload pool; every collective requires one.
+common::BufferPool& PoolOf(const Comm& comm) {
+  AIACC_CHECK(comm.pool != nullptr);
+  return *comm.pool;
 }
 
 /// Receive honouring the Comm deadline (<= 0 blocks forever).
@@ -45,63 +40,50 @@ Status CheckSize(const transport::Payload& received, std::size_t expected) {
   return Status::Ok();
 }
 
-/// Copy `src` into a send buffer. Pooled mode (`pool` set) first recycles
-/// `reuse` — typically the payload received on the previous ring step —
-/// falling back to the pool when its capacity is too small; legacy mode
-/// heap-allocates a fresh copy every call (the pre-pool behaviour, kept for
-/// bit-exact A/B comparison and as the bench baseline).
-transport::Payload FillSendBuffer(common::BufferPool* pool,
-                                  transport::Payload reuse,
-                                  std::span<const float> src) {
-  if (pool == nullptr) {
-    LegacyAllocCounter().Add();
-    return transport::Payload(src.begin(), src.end());
+/// A send buffer of `n` floats: recycles `reuse` — typically the payload
+/// received on the previous ring step — and falls back to the pool when its
+/// capacity is too small.
+transport::Payload SendBuffer(common::BufferPool& pool,
+                              transport::Payload reuse, std::size_t n) {
+  if (reuse.capacity() >= n) {
+    reuse.resize(n);
+    return reuse;
   }
-  if (reuse.capacity() >= src.size()) {
-    reuse.resize(src.size());
-  } else {
-    if (reuse.capacity() > 0) pool->Release(std::move(reuse));
-    reuse = pool->Acquire(src.size());
-  }
-  std::copy(src.begin(), src.end(), reuse.begin());
-  return reuse;
+  if (reuse.capacity() > 0) pool.Release(std::move(reuse));
+  return pool.Acquire(n);
 }
 
-/// Hand a finished payload back to the pool (no-op on the legacy path).
-void ReleasePayload(common::BufferPool* pool, transport::Payload&& payload) {
-  if (pool != nullptr && payload.capacity() > 0) {
-    pool->Release(std::move(payload));
-  }
+/// Copy `src` into a send buffer (see SendBuffer).
+transport::Payload FillSendBuffer(common::BufferPool& pool,
+                                  transport::Payload reuse,
+                                  std::span<const float> src) {
+  transport::Payload out = SendBuffer(pool, std::move(reuse), src.size());
+  std::copy(src.begin(), src.end(), out.begin());
+  return out;
+}
+
+/// Hand a finished payload back to the pool.
+void ReleasePayload(common::BufferPool& pool, transport::Payload&& payload) {
+  if (payload.capacity() > 0) pool.Release(std::move(payload));
 }
 
 /// Cast-encode `src` into a send buffer of CastWireFloats(src.size()) wire
-/// words — the codec twin of FillSendBuffer, with the same reuse-then-pool
-/// buffer discipline (legacy mode heap-allocates and counts it).
-transport::Payload FillSendEncoded(common::BufferPool* pool,
+/// words — the codec twin of FillSendBuffer.
+transport::Payload FillSendEncoded(common::BufferPool& pool,
                                    transport::Payload reuse,
                                    std::span<const float> src,
                                    CodecKind wire) {
-  const std::size_t wn = compress::CastWireFloats(src.size());
-  if (pool == nullptr) {
-    LegacyAllocCounter().Add();
-    transport::Payload out(wn);
-    compress::CastEncode(wire, src, out);
-    return out;
-  }
-  if (reuse.capacity() >= wn) {
-    reuse.resize(wn);
-  } else {
-    if (reuse.capacity() > 0) pool->Release(std::move(reuse));
-    reuse = pool->Acquire(wn);
-  }
-  compress::CastEncode(wire, src, reuse);
-  return reuse;
+  transport::Payload out = SendBuffer(pool, std::move(reuse),
+                                      compress::CastWireFloats(src.size()));
+  compress::CastEncode(wire, src, out);
+  return out;
 }
 
 /// Gauge of slice messages currently in flight across every pipelined ring
-/// in the process (sender +1 on Send, receiver -1 on delivery). Cached like
-/// LegacyAllocCounter; only touched when the effective depth exceeds 1 so
-/// the depth-1 hot path pays no shared-cacheline traffic for it.
+/// in the process (sender +1 on Send, receiver -1 on delivery). Cached so the
+/// hot path pays one static-init guard check, not a registry lookup; only
+/// touched when the effective depth exceeds 1 so the depth-1 hot path pays
+/// no shared-cacheline traffic for it.
 telemetry::Gauge& InflightSlicesGauge() {
   static telemetry::Gauge& gauge =
       telemetry::MetricsRegistry::Global().GetGauge("hotpath.inflight_slices");
@@ -113,7 +95,7 @@ telemetry::Gauge& InflightSlicesGauge() {
 /// allocates for its bookkeeping (default-constructed Payloads own nothing).
 using SliceWindow = std::array<transport::Payload, kMaxPipelineDepth>;
 
-void ReleaseWindow(common::BufferPool* pool, SliceWindow& window) {
+void ReleaseWindow(common::BufferPool& pool, SliceWindow& window) {
   for (transport::Payload& p : window) ReleasePayload(pool, std::move(p));
 }
 
@@ -147,10 +129,10 @@ std::span<float> SliceOf(std::span<float> chunk, int d, int k) {
 /// preserved at any depth, and slicing never changes which step an element
 /// reduces in — results are bit-identical to d = 1.
 ///
-/// Buffer lifecycle in pooled mode: the payload received for slice k is
-/// refilled with the next step's slice k (its contents were already folded
-/// into `data`) and resent; the last step's payloads are parked in
-/// `carry[k]` for the all-gather prologue to reuse. Callers must ensure
+/// Buffer lifecycle: the payload received for slice k is refilled with the
+/// next step's slice k (its contents were already folded into `data`) and
+/// resent; the last step's payloads are parked in `carry[k]` for the
+/// all-gather prologue to reuse. Callers must ensure
 /// n > 1 and that d came from EffectivePipelineDepth (no empty slices).
 ///
 /// With a cast codec (`wire` != kNone) every hop ships packed 16-bit lanes:
@@ -164,7 +146,7 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
                                    int prev, int n, ChunkFn&& chunk, int start,
                                    ReduceOp op, int tag,
                                    std::int64_t timeout_ms,
-                                   common::BufferPool* pool, int d,
+                                   common::BufferPool& pool, int d,
                                    SliceWindow& carry, CodecKind wire,
                                    std::span<float> scratch,
                                    void (*yield)(void*) = nullptr,
@@ -215,7 +197,7 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
                     ? FillSendEncoded(pool, std::move(*received), slice, wire)
                     : FillSendBuffer(pool, std::move(*received), slice));
         if (pipelined) InflightSlicesGauge().Add(1);
-      } else if (pool != nullptr) {
+      } else {
         carry[static_cast<std::size_t>(k)] = std::move(*received);
       }
     }
@@ -225,10 +207,10 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
 
 /// All-gather phase of a ring, sliced `d` deep: step s sends chunk(start - s)
 /// and fills chunk(start - s - 1) from the wire, forwarding each slice the
-/// moment it lands instead of waiting for the whole chunk. In pooled mode
-/// the prologue refills `carry` from `data` (the reduce-scatter results live
-/// in `data`, not in the parked buffers) and every later step forwards the
-/// received payload unmodified — its contents are exactly the slice the next
+/// moment it lands instead of waiting for the whole chunk. The prologue
+/// refills `carry` from `data` (the reduce-scatter results live in `data`,
+/// not in the parked buffers) and every later step forwards the received
+/// payload unmodified — its contents are exactly the slice the next
 /// step sends. Same send-order/bit-exactness guarantees as the reduce-
 /// scatter phase; callers must ensure n > 1 and d from
 /// EffectivePipelineDepth.
@@ -243,7 +225,7 @@ template <typename ChunkFn>
 Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
                                int prev, int n, ChunkFn&& chunk, int start,
                                int tag, std::int64_t timeout_ms,
-                               common::BufferPool* pool, int d,
+                               common::BufferPool& pool, int d,
                                SliceWindow& carry, CodecKind wire,
                                void (*yield)(void*) = nullptr,
                                void* yield_ctx = nullptr) {
@@ -287,17 +269,9 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
       }
       if (s + 1 < n - 1) {
         AIACC_TRACE_SPAN_V("comm.step", "send");
-        if (pool != nullptr) {
-          tr.Send(me, next, tag, std::move(*received));
-        } else {
-          // Legacy mode forwards a verbatim copy of the wire words — the
-          // payload already holds exactly what the next hop expects.
-          tr.Send(me, next, tag,
-                  FillSendBuffer(pool, {},
-                                 std::span<const float>(*received)));
-        }
+        tr.Send(me, next, tag, std::move(*received));
         if (pipelined) InflightSlicesGauge().Add(1);
-      } else if (pool != nullptr) {
+      } else {
         carry[static_cast<std::size_t>(k)] = std::move(*received);
       }
     }
@@ -310,11 +284,11 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
 /// hierarchical composition divides exactly once). `pipeline_depth` slices
 /// each per-step chunk (see Comm::pipeline_depth); the reduce-scatter
 /// phase's parked buffers seed the all-gather prologue, so at any depth the
-/// steady state performs zero payload allocations in pooled mode.
+/// steady state performs zero payload allocations.
 Status RingAllReduceOnRing(transport::Transport& tr,
                            const std::vector<int>& ring, int my_pos,
                            std::span<float> data, ReduceOp op, int tag,
-                           std::int64_t timeout_ms, common::BufferPool* pool,
+                           std::int64_t timeout_ms, common::BufferPool& pool,
                            int pipeline_depth, CodecKind wire,
                            void (*yield)(void*) = nullptr,
                            void* yield_ctx = nullptr) {
@@ -336,21 +310,12 @@ Status RingAllReduceOnRing(transport::Transport& tr,
 
   const int d = EffectivePipelineDepth(len, n, pipeline_depth);
   // Decode scratch for the cast codec: one chunk is the largest unit any
-  // slice decode needs, acquired once per collective (pooled mode stays
-  // allocation-free in steady state).
-  common::BufferPool::Buffer scratch_buf;
-  std::vector<float> legacy_scratch;
-  std::span<float> scratch{};
+  // slice decode needs, acquired once per collective (allocation-free in
+  // steady state).
+  common::BufferPool::Buffer scratch;
   if (wire != CodecKind::kNone) {
-    const std::size_t max_chunk = (len + static_cast<std::size_t>(n) - 1) /
-                                  static_cast<std::size_t>(n);
-    if (pool != nullptr) {
-      scratch_buf = pool->Acquire(max_chunk);
-      scratch = scratch_buf;
-    } else {
-      legacy_scratch.resize(max_chunk);
-      scratch = legacy_scratch;
-    }
+    scratch = pool.Acquire((len + static_cast<std::size_t>(n) - 1) /
+                           static_cast<std::size_t>(n));
   }
   SliceWindow carry;
   Status status = PipelinedReduceScatterPhase(tr, me, next, prev, n, chunk,
@@ -365,16 +330,14 @@ Status RingAllReduceOnRing(transport::Transport& tr,
                                      yield, yield_ctx);
   }
   ReleaseWindow(pool, carry);
-  if (pool != nullptr && scratch_buf.capacity() > 0) {
-    pool->Release(std::move(scratch_buf));
-  }
+  ReleasePayload(pool, std::move(scratch));
   return status;
 }
 
 Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
                        int my_pos, int root_pos, std::span<float> data,
                        int tag, std::int64_t timeout_ms,
-                       common::BufferPool* pool,
+                       common::BufferPool& pool,
                        CodecKind wire = CodecKind::kNone) {
   const int n = static_cast<int>(ring.size());
   if (n <= 1) return Status::Ok();
@@ -397,13 +360,10 @@ Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
     }
     if (next_is_root) {
       ReleasePayload(pool, std::move(*received));  // end of the pipeline
-    } else if (pool != nullptr) {
+    } else {
       // Forward the received payload unmodified (its contents are exactly
       // what the next hop expects, encoded or raw).
       tr.Send(me, next, tag, std::move(*received));
-    } else {
-      tr.Send(me, next, tag,
-              FillSendBuffer(pool, {}, std::span<const float>(*received)));
     }
     return Status::Ok();
   }
@@ -462,7 +422,7 @@ Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
   const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
   AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, ring, comm.rank,
                                             data, inner, comm.tag_base,
-                                            comm.timeout_ms, comm.pool,
+                                            comm.timeout_ms, PoolOf(comm),
                                             comm.pipeline_depth,
                                             comm.codec.kind, comm.slice_yield,
                                             comm.slice_yield_ctx));
@@ -479,16 +439,8 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   AIACC_TRACE_SPAN("comm", "compressed-all-reduce");
   const int n = comm.world_size;
   const std::size_t len = data.size();
-  common::BufferPool* pool = comm.pool;
-  common::BufferPool& scratch_pool =
-      pool != nullptr ? *pool : common::BufferPool::Global();
+  common::BufferPool& pool = PoolOf(comm);
   const bool has_ef = !residual.empty();
-
-  auto acquire = [&](std::size_t sz) -> transport::Payload {
-    if (pool != nullptr) return pool->Acquire(sz);
-    LegacyAllocCounter().Add();
-    return transport::Payload(sz);
-  };
 
   // 1. Error-feedback compensation: fold the residual the codec dropped on
   //    previous steps into this step's gradient before encoding.
@@ -497,8 +449,9 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   }
 
   // 2. Encode the compensated gradient once (per collective, not per hop).
-  transport::Payload own = acquire(compress::MaxWireFloats(comm.codec, len));
-  own.resize(compress::SparseEncode(comm.codec, data, own, scratch_pool));
+  transport::Payload own =
+      pool.Acquire(compress::MaxWireFloats(comm.codec, len));
+  own.resize(compress::SparseEncode(comm.codec, data, own, pool));
   compress::RecordWireFootprint(len, own.size());
 
   // 3. residual = compensated - decode(own record), computed locally so EF
@@ -506,7 +459,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   //    abort mid-collective leaves residuals consistent with what was sent
   //    (callers that retry re-gather residuals from their persistent copy).
   if (has_ef) {
-    transport::Payload decoded = acquire(len);
+    transport::Payload decoded = pool.Acquire(len);
     std::fill(decoded.begin(), decoded.end(), 0.0f);
     const Status self = compress::SparseDecodeAccumulate(comm.codec, own,
                                                          decoded);
@@ -587,9 +540,10 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
   for (int g = 0; g < gpus_per_host; ++g) {
     group[static_cast<std::size_t>(g)] = host * gpus_per_host + g;
   }
+  common::BufferPool& pool = PoolOf(comm);
   AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, group, local,
                                             data, inner, comm.tag_base,
-                                            comm.timeout_ms, comm.pool,
+                                            comm.timeout_ms, pool,
                                             comm.pipeline_depth,
                                             comm.codec.kind, comm.slice_yield,
                                             comm.slice_yield_ctx));
@@ -604,7 +558,7 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
       AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, leaders,
                                                 host, data, inner,
                                                 comm.tag_base + 1,
-                                                comm.timeout_ms, comm.pool,
+                                                comm.timeout_ms, pool,
                                                 comm.pipeline_depth,
                                                 comm.codec.kind,
                                                 comm.slice_yield,
@@ -614,7 +568,7 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
     AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,
                                           /*root_pos=*/0, data,
                                           comm.tag_base + 2,
-                                          comm.timeout_ms, comm.pool,
+                                          comm.timeout_ms, pool,
                                           comm.codec.kind));
   }
   FinalizeAvg(data, comm.world_size, op);
@@ -633,7 +587,7 @@ Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
   const int next = (me + 1) % n;
   const int prev = (me + n - 1) % n;
   const std::size_t len = data.size();
-  common::BufferPool* pool = comm.pool;
+  common::BufferPool& pool = PoolOf(comm);
   auto chunk = [&](int c) -> std::span<float> {
     const int cc = ((c % n) + n) % n;
     const std::size_t b = ChunkBegin(len, n, cc);
@@ -670,7 +624,7 @@ Status AllGather(const Comm& comm, std::span<float> data) {
   const int next = (me + 1) % n;
   const int prev = (me + n - 1) % n;
   const std::size_t len = data.size();
-  common::BufferPool* pool = comm.pool;
+  common::BufferPool& pool = PoolOf(comm);
   auto chunk = [&](int c) -> std::span<float> {
     const int cc = ((c % n) + n) % n;
     const std::size_t b = ChunkBegin(len, n, cc);
@@ -690,7 +644,7 @@ Status Broadcast(const Comm& comm, int root, std::span<float> data) {
   std::vector<int> ring(static_cast<std::size_t>(comm.world_size));
   for (int r = 0; r < comm.world_size; ++r) ring[static_cast<std::size_t>(r)] = r;
   return BroadcastOnRing(*comm.transport, ring, comm.rank, root, data,
-                         comm.tag_base, comm.timeout_ms, comm.pool);
+                         comm.tag_base, comm.timeout_ms, PoolOf(comm));
 }
 
 Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
@@ -707,9 +661,10 @@ Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
   const int position = (me - root - 1 + n) % n;  // 0 = chain head
   const int next = (me + 1) % n;
   const int prev = (me + n - 1) % n;
+  common::BufferPool& pool = PoolOf(comm);
   if (position == 0) {
     comm.transport->Send(me, next, comm.tag_base,
-                         FillSendBuffer(comm.pool, {}, data));
+                         FillSendBuffer(pool, {}, data));
     return Status::Ok();
   }
   auto received =
@@ -717,7 +672,7 @@ Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
   if (!received.ok()) return received.status();
   if (me == root) {
     AIACC_RETURN_IF_ERROR(RecvReduce(data, *received, inner));
-    ReleasePayload(comm.pool, std::move(*received));
+    ReleasePayload(pool, std::move(*received));
     FinalizeAvg(data, n, op);
     return Status::Ok();
   }
@@ -734,7 +689,7 @@ Status Gather(const Comm& comm, int root, std::span<const float> contribution,
               std::span<float> gathered) {
   AIACC_CHECK(comm.transport != nullptr);
   const int n = comm.world_size;
-  common::BufferPool* pool = comm.pool;
+  common::BufferPool& pool = PoolOf(comm);
   if (comm.rank != root) {
     comm.transport->Send(comm.rank, root, comm.tag_base,
                          FillSendBuffer(pool, {}, contribution));
@@ -820,6 +775,7 @@ Status Gather(const Comm& comm, int root, std::span<const float> contribution,
 Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
                std::span<float> chunk) {
   AIACC_CHECK(comm.transport != nullptr);
+  common::BufferPool& pool = PoolOf(comm);
   const int n = comm.world_size;
   if (comm.rank == root) {
     AIACC_CHECK(scattered.size() == chunk.size() * static_cast<std::size_t>(n));
@@ -830,7 +786,7 @@ Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
         std::copy(block.begin(), block.end(), chunk.begin());
       } else {
         comm.transport->Send(root, r, comm.tag_base,
-                             FillSendBuffer(comm.pool, {}, block));
+                             FillSendBuffer(pool, {}, block));
       }
     }
   } else {
@@ -839,7 +795,7 @@ Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
     if (!received.ok()) return received.status();
     AIACC_RETURN_IF_ERROR(CheckSize(*received, chunk.size()));
     std::copy(received->begin(), received->end(), chunk.begin());
-    ReleasePayload(comm.pool, std::move(*received));
+    ReleasePayload(pool, std::move(*received));
   }
   return Status::Ok();
 }
@@ -847,6 +803,7 @@ Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
 Status AllToAll(const Comm& comm, std::span<const float> send,
                 std::span<float> recv) {
   AIACC_CHECK(comm.transport != nullptr);
+  common::BufferPool& pool = PoolOf(comm);
   const int n = comm.world_size;
   AIACC_CHECK(send.size() == recv.size());
   AIACC_CHECK(send.size() % static_cast<std::size_t>(n) == 0);
@@ -860,7 +817,7 @@ Status AllToAll(const Comm& comm, std::span<const float> send,
                                    static_cast<std::ptrdiff_t>(block));
     } else {
       comm.transport->Send(comm.rank, d, comm.tag_base,
-                           FillSendBuffer(comm.pool, {}, out));
+                           FillSendBuffer(pool, {}, out));
     }
   }
   for (int s = 0; s < n; ++s) {
@@ -873,7 +830,7 @@ Status AllToAll(const Comm& comm, std::span<const float> send,
     std::copy(received->begin(), received->end(),
               recv.begin() + static_cast<std::ptrdiff_t>(s) *
                                  static_cast<std::ptrdiff_t>(block));
-    ReleasePayload(comm.pool, std::move(*received));
+    ReleasePayload(pool, std::move(*received));
   }
   return Status::Ok();
 }
@@ -953,143 +910,6 @@ Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
   for (const Status& st : channel_status) {
     if (!st.ok()) return st;
   }
-  return Status::Ok();
-}
-
-Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
-                             ReduceOp op, int num_channels,
-                             ChannelHealthTracker* health) {
-  if (health == nullptr) {
-    return MultiChannelAllReduce(comm, data, op, num_channels);
-  }
-  AIACC_CHECK(num_channels >= 1);
-  AIACC_CHECK(health->options().world_size == comm.world_size);
-  // Same small-payload fallback condition as the plain overload — it only
-  // depends on values identical across ranks, so either every rank takes
-  // it (and skips the tracker round entirely) or none does.
-  const std::size_t depth = static_cast<std::size_t>(
-      std::clamp(comm.pipeline_depth, 1, kMaxPipelineDepth));
-  if (num_channels == 1 ||
-      data.size() < static_cast<std::size_t>(num_channels) *
-                        static_cast<std::size_t>(comm.world_size) * depth) {
-    return RingAllReduce(comm, data, op);
-  }
-
-  std::uint64_t inv = 0;
-  std::vector<int> plan_tags;
-  const std::vector<int> plan =
-      health->PlanFor(comm.rank, num_channels, &inv, &plan_tags);
-  const int m = static_cast<int>(plan.size());
-
-  // Snapshot the input: a failed channel leaves its chunk range partially
-  // reduced, and the in-call retry ring must start from the original local
-  // contribution on *every* rank (a channel can fail on one rank after
-  // completing on another).
-  std::vector<float> snapshot = comm.pool != nullptr
-                                    ? comm.pool->Acquire(data.size())
-                                    : std::vector<float>(data.size());
-  std::copy(data.begin(), data.end(), snapshot.begin());
-  const auto release_snapshot = [&] {
-    if (comm.pool != nullptr) comm.pool->Release(std::move(snapshot));
-  };
-
-  ChannelWorkers& workers = GlobalChannelWorkers();
-  const std::size_t extra = static_cast<std::size_t>(m - 1);
-  {
-    common::MutexLock lock(workers.mu);
-    workers.reserved += extra;
-    workers.pool.EnsureWorkers(workers.reserved);
-  }
-  struct Completion {
-    common::Mutex mu{"mc-completion"};
-    common::CondVar cv;
-    int remaining GUARDED_BY(mu) = 0;
-  } done;
-  {
-    common::MutexLock lock(done.mu);
-    done.remaining = static_cast<int>(extra);
-  }
-  std::vector<Status> channel_status(static_cast<std::size_t>(m));
-  // Plan position j owns chunk j of m (the rebalancing: fewer active
-  // channels = wider chunks) and runs on the *channel's* agreed home
-  // namespace — its epoch-0 tags inside the caller's namespace until its
-  // first failure, a fresh agreed epoch home afterwards (a failed ring
-  // strands stale messages on the old tags forever).
-  auto run_channel = [&comm, data, op, m, &plan, &plan_tags](int j) -> Status {
-    const std::size_t b = ChunkBegin(data.size(), m, j);
-    const std::size_t e = ChunkBegin(data.size(), m, j + 1);
-    Comm sub = comm;
-    const int agreed = plan_tags[static_cast<std::size_t>(j)];
-    sub.tag_base =
-        agreed >= 0
-            ? agreed
-            : ChannelTagBase(comm.tag_base, plan[static_cast<std::size_t>(j)]);
-    AIACC_TRACE_SPAN_IDX("comm.channel", "channel",
-                         plan[static_cast<std::size_t>(j)]);
-    return RingAllReduce(sub, data.subspan(b, e - b), op);
-  };
-  for (int j = 1; j < m; ++j) {
-    Status* slot = &channel_status[static_cast<std::size_t>(j)];
-    workers.pool.Submit([run_channel, slot, &done, j] {
-      *slot = run_channel(j);
-      common::MutexLock lock(done.mu);
-      if (--done.remaining == 0) done.cv.NotifyAll();
-    });
-  }
-  channel_status[0] = run_channel(0);
-  {
-    common::MutexLock lock(done.mu);
-    while (done.remaining != 0) done.cv.Wait(lock);
-  }
-  {
-    common::MutexLock lock(workers.mu);
-    workers.reserved -= extra;
-  }
-
-  // Every rank reports — even on shutdown — or its peers block out their
-  // full agreement timeout waiting for this invocation.
-  std::vector<char> ok(static_cast<std::size_t>(m), 1);
-  for (int j = 0; j < m; ++j) {
-    if (!channel_status[static_cast<std::size_t>(j)].ok()) {
-      ok[static_cast<std::size_t>(j)] = 0;
-    }
-  }
-  Result<std::vector<ChannelHealthTracker::RetrySlot>> agreed =
-      health->ReportAndAgree(inv, comm.rank, ok);
-  if (!agreed.ok()) {
-    release_snapshot();
-    return agreed.status();
-  }
-  for (const ChannelHealthTracker::RetrySlot& slot : *agreed) {
-    const auto j = static_cast<std::size_t>(
-        std::find(plan.begin(), plan.end(), slot.channel) - plan.begin());
-    AIACC_CHECK(j < plan.size());
-    const std::size_t b = ChunkBegin(data.size(), m, static_cast<int>(j));
-    const std::size_t e = ChunkBegin(data.size(), m, static_cast<int>(j) + 1);
-    std::copy(snapshot.begin() + static_cast<std::ptrdiff_t>(b),
-              snapshot.begin() + static_cast<std::ptrdiff_t>(e),
-              data.begin() + static_cast<std::ptrdiff_t>(b));
-    Comm sub = comm;
-    sub.tag_base = slot.tag_base;
-    sub.pipeline_depth = 1;  // degraded retry: minimal in-flight state
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightSeverity::kWarn, "collective.channel", "retry",
-        comm.rank, slot.channel, slot.tag_base);
-    AIACC_TRACE_SPAN_IDX("comm.channel", "retry", slot.channel);
-    const Status retried = RingAllReduce(sub, data.subspan(b, e - b), op);
-    if (!retried.ok()) {
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightSeverity::kError, "collective.channel",
-          "retry-failed", comm.rank, slot.channel, slot.tag_base,
-          /*detail0=*/static_cast<std::int64_t>(retried.code()));
-      // Best effort: the dump itself logs on failure.
-      (void)telemetry::FlightRecorder::Global().DumpToEnvDir(
-          "channel-failure");
-      release_snapshot();
-      return retried;
-    }
-  }
-  release_snapshot();
   return Status::Ok();
 }
 

@@ -41,9 +41,8 @@ struct Comm {
   /// (the pre-fault-tolerance behaviour).
   std::int64_t timeout_ms = 0;
   /// Payload-buffer recycler for the hot path (see common/buffer_pool.h).
-  /// nullptr selects the legacy allocate-and-copy path — kept selectable so
-  /// tests can prove the pooled path bit-identical and benches can measure
-  /// the allocation cost it removes.
+  /// Must be non-null; a pointer so tests can pass a private pool and count
+  /// its misses.
   common::BufferPool* pool = &common::BufferPool::Global();
   /// Ring pipeline depth: each per-step ring chunk is split into this many
   /// slices kept concurrently in flight on the same tag channel, so the
@@ -151,25 +150,6 @@ Status AllToAll(const Comm& comm, std::span<const float> send,
 /// call). Returns the first non-OK channel status.
 Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
                              ReduceOp op, int num_channels);
-
-class ChannelHealthTracker;
-
-/// Health-tracked variant (tier 2 of the fault story — see
-/// collective/channel_health.h): the active channel set comes from the
-/// tracker's agreed plan (quarantined channels are excluded and their chunk
-/// ranges rebalance onto the survivors), per-channel outcomes feed the
-/// tracker's hysteresis scoring, and a channel that failed on any rank this
-/// invocation is retried in-call — every rank restores the failed chunk
-/// range from a pre-call snapshot and re-runs it as a single degraded
-/// (depth-1) ring on a fresh, never-reused retry tag namespace, so a stale
-/// half-ring message from the failed attempt can never be mistaken for
-/// retry traffic. All ranks must share `health` (like the transport) and
-/// call with the same num_channels; one tracker serves one logical sequence
-/// of collectives (concurrent collectives need separate trackers).
-/// `health == nullptr` is exactly the plain overload.
-Status MultiChannelAllReduce(const Comm& comm, std::span<float> data,
-                             ReduceOp op, int num_channels,
-                             ChannelHealthTracker* health);
 
 /// Current size of the persistent multi-channel worker pool (0 until the
 /// first multi-channel call). Exposed so tests can assert that repeated

@@ -3,9 +3,8 @@
 // handle every edge case without undefined behaviour: subnormals round
 // correctly, overflow saturates to infinity, and NaNs keep their sign and
 // gain a quiet bit so a payload that truncates to zero can never turn into
-// an infinity. The fp16 implementation is the canonical one for the whole
-// repo — core/compression.h forwards to it so the legacy Perseus fp16 wire
-// path and the codec layer quantize identically.
+// an infinity. This is the repo's only fp16 implementation: the cast
+// codecs, the Perseus fp16 all-reduce and the tests all quantize through it.
 #pragma once
 
 #include <cstdint>

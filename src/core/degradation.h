@@ -1,4 +1,4 @@
-// Engine-level degradation policy (tier 2.5 of the fault story): under
+// Engine-level degradation policy (tier 2 of the fault story): under
 // sustained fault pressure the engine shrinks its own aggressiveness —
 // effective pipeline depth and concurrent communication streams — before
 // escalating to tier 3 (abort + checkpoint recovery). The controller is a

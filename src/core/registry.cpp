@@ -13,10 +13,8 @@ Status GradientRegistry::Register(const std::string& name, std::size_t bytes) {
   if (bytes == 0) {
     return InvalidArgument("gradient '" + name + "' has zero size");
   }
-  for (const RegisteredGradient& g : gradients_) {
-    if (g.name == name) {
-      return AlreadyExists("gradient '" + name + "' already registered");
-    }
+  if (!names_.insert(name).second) {
+    return AlreadyExists("gradient '" + name + "' already registered");
   }
   gradients_.push_back(RegisteredGradient{0, name, bytes});
   total_bytes_ += bytes;
@@ -33,6 +31,7 @@ void GradientRegistry::Finalize() {
   for (std::size_t i = 0; i < gradients_.size(); ++i) {
     gradients_[i].id = static_cast<int>(i);
   }
+  names_ = {};
   finalized_ = true;
 }
 
@@ -48,9 +47,13 @@ GradientRegistry GradientRegistry::FromModel(const dnn::ModelDescriptor& model,
 }
 
 Result<int> GradientRegistry::IdOf(const std::string& name) const {
-  for (const RegisteredGradient& g : gradients_) {
-    if (g.name == name) return g.id;
-  }
+  AIACC_CHECK(finalized_);
+  const auto it = std::lower_bound(
+      gradients_.begin(), gradients_.end(), name,
+      [](const RegisteredGradient& g, const std::string& n) {
+        return g.name < n;
+      });
+  if (it != gradients_.end() && it->name == name) return it->id;
   return NotFound("gradient '" + name + "' not registered");
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -46,6 +47,8 @@ class GradientRegistry {
   [[nodiscard]] const std::vector<RegisteredGradient>& All() const noexcept {
     return gradients_;
   }
+  /// Id of `name` by binary search over the name-sorted gradients; the
+  /// registry must be finalized.
   [[nodiscard]] Result<int> IdOf(const std::string& name) const;
 
   [[nodiscard]] std::size_t TotalBytes() const noexcept { return total_bytes_; }
@@ -58,6 +61,7 @@ class GradientRegistry {
 
  private:
   std::vector<RegisteredGradient> gradients_;
+  std::unordered_set<std::string> names_;  // duplicate check until Finalize
   std::size_t total_bytes_ = 0;
   bool finalized_ = false;
 };

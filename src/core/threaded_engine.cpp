@@ -275,12 +275,8 @@ void ThreadedAiaccEngine::HandleCollectiveFailure(int rank,
 Status ThreadedAiaccEngine::Worker::Register(const std::string& name,
                                              std::span<float> tensor) {
   RankState& state = *engine_->ranks_[static_cast<std::size_t>(rank_)];
-  if (state.registry.finalized()) {
-    return FailedPrecondition("registration already finalized");
-  }
-  for (const auto& [existing, span] : state.pending_reg) {
-    if (existing == name) return AlreadyExists("gradient '" + name + "'");
-  }
+  AIACC_RETURN_IF_ERROR(
+      state.registry.Register(name, tensor.size() * sizeof(float)));
   state.pending_reg.emplace_back(name, tensor);
   return Status::Ok();
 }
@@ -288,11 +284,6 @@ Status ThreadedAiaccEngine::Worker::Register(const std::string& name,
 void ThreadedAiaccEngine::Worker::Finalize() {
   RankState& state = *engine_->ranks_[static_cast<std::size_t>(rank_)];
   AIACC_CHECK(!state.pending_reg.empty());
-  for (const auto& [name, span] : state.pending_reg) {
-    const Status st =
-        state.registry.Register(name, span.size() * sizeof(float));
-    AIACC_CHECK(st.ok());
-  }
   state.registry.Finalize();
   // Tensor lookup by registry id (name-sorted order, identical on every
   // rank — the paper's sorted registration).
@@ -313,6 +304,7 @@ void ThreadedAiaccEngine::Worker::Finalize() {
     common::MutexLock lock(state.mu);
     state.reduced_bytes.assign(
         static_cast<std::size_t>(state.registry.size()), 0);
+    state.gradients_remaining = state.registry.size();
   }
   // Fix the urgent-priority cutoff now that the gradient-id space is known
   // (ids are name-sorted and identical on every rank, so every rank derives
@@ -538,10 +530,9 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   Worker& worker = *workers_[static_cast<std::size_t>(rank)];
   const int n = state.registry.size();
 
-  // Fresh iteration state. reduced_bytes was zeroed at the end of the
-  // previous iteration (not here) so a WaitGradient caller racing ahead of
-  // this protocol round never reads a stale full count.
-  state.gradients_remaining.store(n, std::memory_order_release);
+  // Fresh iteration state (reduced_bytes, gradients_remaining) was reset
+  // when the previous iteration closed (not here) so a WaitGradient caller
+  // racing ahead of this protocol round never reads a stale full count.
   // Advance iteration-wide optimizer state (Adam's timestep) before any
   // unit can be pushed: every StepTensor this iteration happens-after this
   // call via the scheduler handoff.
@@ -666,7 +657,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   // All units are in flight; wait for the stream pool to finish them.
   {
     common::MutexLock lock(state.mu);
-    while (state.gradients_remaining.load(std::memory_order_acquire) != 0 &&
+    while (state.gradients_remaining != 0 &&
            !shutdown_.load(std::memory_order_acquire) &&
            !aborted_.load(std::memory_order_acquire)) {
       state.cv.Wait(lock);
@@ -680,6 +671,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     // reads "nothing reduced yet" for the next iteration (WaitGradient
     // relies on this ordering).
     std::fill(state.reduced_bytes.begin(), state.reduced_bytes.end(), 0);
+    state.gradients_remaining = n;
     state.iteration_done = true;
   }
   state.cv.NotifyAll();
@@ -755,7 +747,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       residual_staging = buffer_pool.Acquire(bytes / sizeof(float));
     }
 
-    // Attempt loop (tier 2.5): a failed all-reduce is retried in-band on a
+    // Attempt loop (tier 2): a failed all-reduce is retried in-band on a
     // fresh tag epoch at depth 1 instead of aborting outright. Collective
     // failures are symmetric (every rank of the wedged ring times out), so
     // per-rank epoch counters advance in lockstep and all ranks meet again
@@ -945,6 +937,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
           }
         }
       }
+      state.gradients_remaining -= completed;
       worker.units_reduced_->Add();
       worker.bytes_reduced_->Add(bytes);
     }
@@ -958,8 +951,6 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       // Notify on *every* batch of completed gradients (not only the last):
       // WaitGradient callers sleep on the same condvar as the protocol's
       // end-of-iteration wait.
-      state.gradients_remaining.fetch_sub(completed,
-                                          std::memory_order_acq_rel);
       state.cv.NotifyAll();
     }
   }

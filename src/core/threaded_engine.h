@@ -81,7 +81,7 @@ struct FailureConfig {
   bool reliable_transport = false;
   transport::ReliableOptions reliable_options;
 
-  /// Tier 2.5: on a failed unit all-reduce, retry the unit in-band (on a
+  /// Tier 2: on a failed unit all-reduce, retry the unit in-band (on a
   /// fresh tag epoch, at degraded depth) and shrink effective pipeline
   /// depth / stream count under sustained fault pressure, instead of
   /// aborting straight to checkpoint recovery. Symmetric by construction:
@@ -301,11 +301,14 @@ class ThreadedAiaccEngine {
     // old FIFO unit queue; core/scheduler.h has the dispatch rules and the
     // cross-rank deadlock-freedom argument).
     std::unique_ptr<ReadySetScheduler> scheduler;  // NOLOCK(set in ctor; internally synchronized)
-    // Units completed this iteration (MPI process aggregates).
-    std::atomic<int> gradients_remaining{0};
+    // Gradients not yet fully reduced this iteration; re-armed when the
+    // iteration closes. Decremented under mu in the same critical section
+    // as the scatter-back, so the MPI process's end-of-iteration wait
+    // (which tests it under mu) can never miss the last decrement's notify.
+    int gradients_remaining GUARDED_BY(mu) = 0;
     std::vector<std::size_t> reduced_bytes GUARDED_BY(mu);
 
-    // Tag-epoch per unit id (tier 2.5 retries): bumped on every failed
+    // Tag-epoch per unit id (tier 2 retries): bumped on every failed
     // attempt so a retry never reuses a tag channel that may still hold
     // stale half-ring messages from the failed attempt. Persistent across
     // iterations for the same reason (unit ids recur each iteration).

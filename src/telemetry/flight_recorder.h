@@ -1,5 +1,5 @@
 // Always-on flight recorder: a fixed ring of recent high-severity runtime
-// events (faults, quarantines, retransmit exhaustion, degradation ladder
+// events (faults, unit retries, retransmit exhaustion, degradation ladder
 // moves, abort reasons) that turns "collective aborted with non-OK status"
 // into a causal story (DESIGN.md §7).
 //
@@ -11,18 +11,17 @@
 // `capacity` events.
 //
 // Severity taxonomy (DESIGN.md §7 documents the mapping per component):
-//   kInfo   state transitions that are part of healing (probation entry,
-//           channel readmission, degradation *restore*)
+//   kInfo   state transitions that are part of healing (degradation
+//           *restore*)
 //   kWarn   in-band repair work (unit retry, degradation ladder *down*,
 //           CRC discard) — the run is still healthy but paying for faults
-//   kError  a layer gave up locally (retransmit exhaustion, channel
-//           quarantine, collective failure on one rank)
+//   kError  a layer gave up locally (retransmit exhaustion, unit failure,
+//           collective failure on one rank)
 //   kFatal  the run is over (engine abort, injected rank crash)
 //
 // Dumping: DumpToEnvDir writes the ring as JSON to $AIACC_FLIGHT_DIR —
-// called automatically on engine abort and on agreed channel failure (the
-// two places a run turns into a post-mortem), and only for the first such
-// fault per process (later faults are echoes of the first). The analyzer
+// called automatically on engine abort (where a run turns into a
+// post-mortem), and only for the first such fault per process (later faults are echoes of the first). The analyzer
 // (tools/trace_analyze.py --flight) merges the dump into its report.
 //
 // Torn slots: Record never blocks, so a reader racing a wrapping writer
@@ -53,7 +52,7 @@ struct FlightEvent {
   std::int64_t mono_ns = 0;    // steady-clock ns since recorder creation
   FlightSeverity severity = FlightSeverity::kInfo;
   const char* component = "";  // "engine", "transport.reliable", ...
-  const char* what = "";       // "abort", "quarantine", ...
+  const char* what = "";       // "abort", "unit-retry", ...
   int rank = -1;
   int channel = -1;
   int tag = -1;

@@ -42,9 +42,6 @@ FaultyTransport::FaultyTransport(Transport& inner, FaultSpec spec)
 
 const LinkFaults& FaultyTransport::FaultsFor(int src, int dst,
                                              int tag) const {
-  for (const TagFaults& w : dynamic_per_tag_) {
-    if (tag >= w.tag_lo && tag <= w.tag_hi) return w.faults;
-  }
   for (const TagFaults& w : spec_.per_tag) {
     if (tag >= w.tag_lo && tag <= w.tag_hi) return w.faults;
   }
@@ -89,12 +86,6 @@ void FaultyTransport::RecordDelivery() {
     ++stats_.delivered;
   }
   AIACC_TRACE_INSTANT_V("transport", "recv");
-}
-
-void FaultyTransport::SetDynamicTagFaults(std::vector<TagFaults> windows) {
-  for (const TagFaults& w : windows) AIACC_CHECK(w.tag_lo <= w.tag_hi);
-  common::MutexLock lock(mu_);
-  dynamic_per_tag_ = std::move(windows);
 }
 
 void FaultyTransport::Send(int src, int dst, int tag, Payload payload) {

@@ -154,15 +154,6 @@ class FaultyTransport final : public Transport {
   void CrashRank(int rank);
   [[nodiscard]] bool IsCrashed(int rank) const;
 
-  /// Replace the *dynamic* per-tag fault windows at runtime (consulted
-  /// before the spec's own per_tag). This is how chaos-soak tests make a
-  /// healthy channel go bad mid-run and later heal it — the quarantine /
-  /// probation / re-admission cycle needs faults that change over time.
-  /// Takes effect for messages sent after the call; in-flight messages
-  /// keep the decision made at send time.
-  void SetDynamicTagFaults(std::vector<TagFaults> windows);
-  void ClearDynamicTagFaults() { SetDynamicTagFaults({}); }
-
   [[nodiscard]] FaultStats stats() const;
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
 
@@ -201,7 +192,6 @@ class FaultyTransport final : public Transport {
   mutable common::Mutex mu_{"faulty-transport", common::lock_rank::kTransport};
   std::map<ChannelKey, SendChannel> send_channels_ GUARDED_BY(mu_);  // (src, dst, tag)
   std::map<ChannelKey, RecvChannel> recv_channels_ GUARDED_BY(mu_);  // (rank, src, tag)
-  std::vector<TagFaults> dynamic_per_tag_ GUARDED_BY(mu_);
   std::vector<char> crashed_ GUARDED_BY(mu_);
   std::vector<std::uint64_t> sends_by_rank_ GUARDED_BY(mu_);
   FaultStats stats_ GUARDED_BY(mu_);

@@ -5,9 +5,8 @@
 
 namespace aiacc::transport {
 
-InProcTransport::InProcTransport(int world_size, WakeMode wake_mode)
+InProcTransport::InProcTransport(int world_size)
     : world_size_(world_size),
-      wake_mode_(wake_mode),
       mailboxes_(static_cast<std::size_t>(world_size)) {
   AIACC_CHECK(world_size >= 1);
 }
@@ -32,14 +31,8 @@ void InProcTransport::Send(int src, int dst, int tag, Payload payload) {
   total_payload_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   notifies_.fetch_add(1, std::memory_order_relaxed);
   AIACC_TRACE_INSTANT_V("transport", "send");
-  // Wake-targeted delivery: only the (src, tag) consumer is signalled. The
-  // herd mode reproduces the old behaviour — every receiver blocked on this
-  // mailbox wakes, rechecks its slot, and all but one go back to sleep.
-  if (wake_mode_ == WakeMode::kTargeted) {
-    slot->cv.NotifyOne();
-  } else {
-    box.shared_cv.NotifyAll();
-  }
+  // Wake-targeted delivery: only the (src, tag) consumer is signalled.
+  slot->cv.NotifyOne();
 }
 
 Result<Payload> InProcTransport::Recv(int rank, int src, int tag) {
@@ -54,7 +47,6 @@ Result<Payload> InProcTransport::RecvFor(int rank, int src, int tag,
   Mailbox& box = mailboxes_[static_cast<std::size_t>(rank)];
   common::MutexLock lock(box.mu);
   Slot& slot = SlotFor(box, src, tag);
-  common::CondVar& cv = WaitCv(box, slot);
   while (true) {
     if (!slot.fifo.empty()) {
       Payload payload = std::move(slot.fifo.front());
@@ -67,7 +59,7 @@ Result<Payload> InProcTransport::RecvFor(int rank, int src, int tag,
       return Unavailable("transport shut down");
     }
     if (bounded) {
-      if (cv.WaitUntil(lock, deadline) == std::cv_status::timeout) {
+      if (slot.cv.WaitUntil(lock, deadline) == std::cv_status::timeout) {
         if (!slot.fifo.empty() ||
             shutdown_.load(std::memory_order_acquire)) {
           continue;  // raced with a delivery/shutdown: resolve at the top
@@ -78,7 +70,7 @@ Result<Payload> InProcTransport::RecvFor(int rank, int src, int tag,
                                 std::to_string(timeout.count()) + "ms");
       }
     } else {
-      cv.Wait(lock);
+      slot.cv.Wait(lock);
     }
     wakeups_.fetch_add(1, std::memory_order_relaxed);
     if (slot.fifo.empty() && !shutdown_.load(std::memory_order_acquire)) {
@@ -108,13 +100,10 @@ void InProcTransport::Shutdown() {
   // Notify while holding each waiter's mutex: a receiver that evaluated its
   // predicate just before the store above still holds the lock until it
   // actually sleeps, so taking the lock here guarantees the notification
-  // cannot fall into that window (the classic lost-wakeup race). Both the
-  // per-slot CVs and the shared herd CV are signalled so teardown covers
-  // either wake mode.
+  // cannot fall into that window (the classic lost-wakeup race).
   for (Mailbox& box : mailboxes_) {
     common::MutexLock lock(box.mu);
     for (auto& [key, slot] : box.slots) slot.cv.NotifyAll();
-    box.shared_cv.NotifyAll();
   }
   {
     common::MutexLock lock(barrier_mu_);

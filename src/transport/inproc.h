@@ -76,20 +76,11 @@ class Transport {
   [[nodiscard]] virtual std::uint64_t TotalMessages() const = 0;
 };
 
-/// Receiver wakeup policy for InProcTransport.
-///
-/// kTargeted (default): every (src, tag) slot owns its own condition
-/// variable, so a Send signals exactly the one receiver that can consume
-/// the message. kSharedHerd is the pre-optimization behaviour — one CV per
-/// mailbox, `notify_all` on every Send — kept selectable so the hot-path
-/// bench (`bench_hotpath`) and regression tests can measure the thundering
-/// herd against the targeted protocol on identical workloads.
-enum class WakeMode { kTargeted, kSharedHerd };
-
+/// Every (src, tag) slot owns its own condition variable, so a Send signals
+/// exactly the one receiver that can consume the message.
 class InProcTransport final : public Transport {
  public:
-  explicit InProcTransport(int world_size,
-                           WakeMode wake_mode = WakeMode::kTargeted);
+  explicit InProcTransport(int world_size);
   InProcTransport(const InProcTransport&) = delete;
   InProcTransport& operator=(const InProcTransport&) = delete;
 
@@ -114,7 +105,7 @@ class InProcTransport final : public Transport {
 
   /// Signal/wakeup instrumentation for this transport instance. A futile
   /// wakeup is a blocked receiver that woke and found its slot still empty
-  /// — the cost the per-slot CVs eliminate. `receives` counts every message
+  /// (per-slot CVs keep these to spurious wakeups). `receives` counts every message
   /// actually delivered to a consumer, on the blocking (Recv/RecvFor) and
   /// non-blocking (TryRecv) paths alike, so wake-stat ratios stay honest on
   /// heartbeat/Gather-heavy workloads that drain mailboxes with TryRecv.
@@ -125,7 +116,6 @@ class InProcTransport final : public Transport {
     std::uint64_t receives = 0;        // messages delivered to consumers
   };
   [[nodiscard]] WakeStats wake_counters() const noexcept;
-  [[nodiscard]] WakeMode wake_mode() const noexcept { return wake_mode_; }
 
   /// Total float payload bytes accepted by Send so far (all ranks). The
   /// concrete-transport companion to TotalMessages: tests assert traffic
@@ -140,23 +130,17 @@ class InProcTransport final : public Transport {
   /// the owning Mailbox's mu (not expressible as GUARDED_BY across structs).
   struct Slot {
     std::deque<Payload> fifo;
-    common::CondVar cv;  // used in WakeMode::kTargeted
+    common::CondVar cv;
   };
   struct Mailbox {
     common::Mutex mu{"inproc-mailbox", common::lock_rank::kMailbox};
-    common::CondVar shared_cv;  // used in WakeMode::kSharedHerd
     std::map<std::pair<int, int>, Slot> slots GUARDED_BY(mu);
   };
 
   /// The slot for (src, tag), created on first use.
   static Slot& SlotFor(Mailbox& box, int src, int tag) REQUIRES(box.mu);
-  /// The CV a receiver of `slot` sleeps on under the current wake mode.
-  common::CondVar& WaitCv(Mailbox& box, Slot& slot) noexcept {
-    return wake_mode_ == WakeMode::kTargeted ? slot.cv : box.shared_cv;
-  }
 
   const int world_size_;
-  const WakeMode wake_mode_;
   std::vector<Mailbox> mailboxes_;   // NOLOCK(sized at construction, never resized)
   std::atomic<std::uint64_t> notifies_{0};
   std::atomic<std::uint64_t> wakeups_{0};

@@ -16,7 +16,7 @@
 //     (rto_initial_ms doubling to rto_max_ms) until the ack arrives or the
 //     per-message deadline expires — at which point the message is dropped
 //     and the *receiver's* RecvFor deadline surfaces the failure to tier 2
-//     (channel quarantine) or tier 3 (checkpoint recovery);
+//     (engine unit retry and degradation) or tier 3 (checkpoint recovery);
 //   * a corrupted frame fails its CRC, is counted and discarded, and heals
 //     through the normal retransmit path — corruption is just loss.
 //

@@ -1,7 +1,6 @@
-// Chaos-soak: long randomized fault schedules driven through the whole
-// three-tier fault stack — tier 1 in-band retransmission
-// (transport/reliable.h), tier 2 channel quarantine / rebalance / probation
-// (collective/channel_health.h), tier 2.5 engine degradation + unit retries
+// Chaos-soak: long randomized fault schedules driven through the in-band
+// fault tiers — tier 1 reliable transport retransmission
+// (transport/reliable.h) and tier 2 engine unit retries + degradation
 // (core/degradation.h, threaded_engine.cpp) — asserting bit-exact results
 // throughout, with *no* checkpoint recovery involved.
 //
@@ -11,9 +10,7 @@
 // The seed sweep is bounded by AIACC_CHAOS_SEEDS (CI sets it).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -22,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "collective/channel_health.h"
 #include "collective/tags.h"
 #include "collective/threaded.h"
 #include "common/rng.h"
@@ -36,8 +32,6 @@
 namespace aiacc {
 namespace {
 
-using collective::ChannelHealthTracker;
-using collective::ChannelTagBase;
 using collective::MultiChannelAllReduce;
 using core::CommConfig;
 using core::DegradationController;
@@ -82,23 +76,17 @@ std::vector<std::vector<float>> MakeRankData(int world, std::size_t len,
   return data;
 }
 
-/// One soak cell: `iters` health-tracked multi-channel all-reduces over the
-/// given transport, each compared bit-exactly against the same sequence on
-/// a clean transport. Returns false on any mismatch or non-OK status.
-bool RunTrackedSequence(transport::Transport& tr, int world, int channels,
-                        int depth, int iters, std::uint64_t data_seed,
-                        std::int64_t timeout_ms) {
-  ChannelHealthTracker::Options hopt;
-  hopt.world_size = world;
-  ChannelHealthTracker health(hopt);
+/// One soak cell: `iters` multi-channel all-reduces over the given
+/// transport, each compared bit-exactly against the same sequence on a
+/// clean transport. Returns false on any mismatch or non-OK status.
+bool RunSequence(transport::Transport& tr, int world, int channels,
+                 int depth, int iters, std::uint64_t data_seed,
+                 std::int64_t timeout_ms) {
   std::atomic<bool> all_ok{true};
   for (int it = 0; it < iters && all_ok.load(); ++it) {
     auto ref = MakeRankData(world, 2048, data_seed + static_cast<std::uint64_t>(it));
     {
       InProcTransport clean(world);
-      ChannelHealthTracker::Options copt;
-      copt.world_size = world;
-      ChannelHealthTracker clean_health(copt);
       std::vector<std::thread> threads;
       for (int r = 0; r < world; ++r) {
         threads.emplace_back([&, r] {
@@ -106,8 +94,7 @@ bool RunTrackedSequence(transport::Transport& tr, int world, int channels,
           comm.pipeline_depth = depth;
           const Status st =
               MultiChannelAllReduce(comm, ref[static_cast<std::size_t>(r)],
-                                    collective::ReduceOp::kAvg, channels,
-                                    &clean_health);
+                                    collective::ReduceOp::kAvg, channels);
           if (!st.ok()) all_ok.store(false);
         });
       }
@@ -122,8 +109,7 @@ bool RunTrackedSequence(transport::Transport& tr, int world, int channels,
         comm.pipeline_depth = depth;
         const Status st =
             MultiChannelAllReduce(comm, data[static_cast<std::size_t>(r)],
-                                  collective::ReduceOp::kAvg, channels,
-                                  &health);
+                                  collective::ReduceOp::kAvg, channels);
         if (!st.ok()) all_ok.store(false);
       });
     }
@@ -157,9 +143,9 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
         InProcTransport inner(world);
         FaultyTransport faulty(inner, spec);
         ReliableTransport rel(faulty);
-        if (!RunTrackedSequence(rel, world, shape.channels, shape.depth,
-                                /*iters=*/4, /*data_seed=*/spec.seed,
-                                /*timeout_ms=*/30000)) {
+        if (!RunSequence(rel, world, shape.channels, shape.depth,
+                         /*iters=*/4, /*data_seed=*/spec.seed,
+                         /*timeout_ms=*/30000)) {
           DumpSchedule(spec, "soak_s" + std::to_string(s) + "_r" +
                                  std::to_string(rate) + "_c" +
                                  std::to_string(shape.channels) + "_d" +
@@ -169,201 +155,6 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
       }
     }
   }
-}
-
-// ------------------------------------- quarantine / probation lifecycle --
-
-// A channel whose tag window goes 100% lossy mid-run is retried in-call
-// (correct results throughout), quarantined after repeated failures (plans
-// exclude it; its chunks rebalance onto survivors), and — once the faults
-// clear — re-admitted through probation.
-TEST(ChaosSoakTest, QuarantineAndReadmissionMidRun) {
-  const int world = 2;
-  const int channels = 3;
-  const std::size_t len = 960;
-  InProcTransport inner(world);
-  FaultSpec spec;  // strict delivery: loss surfaces as a recv deadline
-  spec.seed = 31;
-  FaultyTransport faulty(inner, spec);
-
-  ChannelHealthTracker::Options hopt;
-  hopt.world_size = world;
-  hopt.initial_cooldown = 1;
-  hopt.probation_successes = 1;
-  ChannelHealthTracker health(hopt);
-
-  // Kill channel 1's tags (never channel 0: it is quarantine-exempt). A
-  // failed channel relocates to a fresh epoch home per agreed failure, so a
-  // fault that models a *persistently bad channel* — not a poisoned tag —
-  // must cover its home at every epoch it can reach during the window.
-  std::vector<TagFaults> windows;
-  auto kill = [&](int lo) {
-    TagFaults w;
-    w.tag_lo = lo;
-    w.tag_hi = lo + collective::kTagsPerCollective - 1;
-    w.faults.drop_prob = 1.0;
-    windows.push_back(w);
-  };
-  kill(ChannelTagBase(collective::kSyncTag, 1));
-  for (int epoch = 1; epoch <= 16; ++epoch) {
-    kill(collective::ChannelEpochTagBase(1, epoch));
-  }
-  faulty.SetDynamicTagFaults(windows);
-
-  bool saw_quarantine = false;
-  auto one_round = [&](int it) {
-    auto ref = MakeRankData(world, len, 500 + static_cast<std::uint64_t>(it));
-    auto data = ref;
-    // Expected: plain average (kAvg over identical per-rank data layouts is
-    // deterministic; compute the reference on a clean transport).
-    {
-      InProcTransport clean(world);
-      std::vector<std::thread> threads;
-      for (int r = 0; r < world; ++r) {
-        threads.emplace_back([&, r] {
-          collective::Comm comm{&clean, r, world, collective::kSyncTag, 0};
-          const Status st =
-              MultiChannelAllReduce(comm, ref[static_cast<std::size_t>(r)],
-                                    collective::ReduceOp::kAvg, channels);
-          EXPECT_TRUE(st.ok()) << st.ToString();
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    std::vector<std::thread> threads;
-    for (int r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        collective::Comm comm{&faulty, r, world, collective::kSyncTag, 250};
-        const Status st =
-            MultiChannelAllReduce(comm, data[static_cast<std::size_t>(r)],
-                                  collective::ReduceOp::kAvg, channels,
-                                  &health);
-        EXPECT_TRUE(st.ok()) << "iteration " << it << ": " << st.ToString();
-      });
-    }
-    for (auto& t : threads) t.join();
-    // The retry path restores a failed channel's chunk from the snapshot
-    // and re-runs it on a fresh namespace: results stay exact even while
-    // the channel is actively failing.
-    EXPECT_EQ(data, ref) << "iteration " << it;
-  };
-
-  for (int it = 0; it < 4; ++it) {
-    one_round(it);
-    if (health.states()[1].state ==
-        ChannelHealthTracker::ChannelState::kQuarantined) {
-      saw_quarantine = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(saw_quarantine) << "persistent failures never quarantined";
-
-  // Heal the channel; quarantine cooldown -> probation -> full re-admission.
-  faulty.ClearDynamicTagFaults();
-  bool readmitted = false;
-  for (int it = 10; it < 22 && !readmitted; ++it) {
-    one_round(it);
-    readmitted = health.states()[1].state ==
-                 ChannelHealthTracker::ChannelState::kHealthy;
-  }
-  EXPECT_TRUE(readmitted) << "healed channel never re-admitted";
-}
-
-// Quarantine / re-admission decisions racing in-flight slices: a toggler
-// thread flips a channel's fault window every few milliseconds while the
-// ranks hammer health-tracked collectives. Exercises the tracker's
-// plan/report rendezvous against concurrent ring traffic under TSan.
-TEST(ChaosSoakTest, QuarantineRaceStress) {
-  const int world = 3;
-  const int channels = 4;
-  const std::size_t len = 512;
-  InProcTransport inner(world);
-  FaultSpec spec;
-  spec.seed = 57;
-  FaultyTransport faulty(inner, spec);
-  ChannelHealthTracker::Options hopt;
-  hopt.world_size = world;
-  hopt.initial_cooldown = 1;
-  hopt.probation_successes = 1;
-  ChannelHealthTracker health(hopt);
-
-  // Follow channel 2 across the epoch homes it relocates to as it fails.
-  std::vector<TagFaults> windows;
-  auto kill = [&](int lo) {
-    TagFaults w;
-    w.tag_lo = lo;
-    w.tag_hi = lo + collective::kTagsPerCollective - 1;
-    w.faults.drop_prob = 1.0;
-    windows.push_back(w);
-  };
-  kill(ChannelTagBase(collective::kSyncTag, 2));
-  for (int epoch = 1; epoch <= 32; ++epoch) {
-    kill(collective::ChannelEpochTagBase(2, epoch));
-  }
-
-  std::atomic<bool> stop{false};
-  std::thread toggler([&] {
-    bool on = false;
-    while (!stop.load()) {
-      on = !on;
-      if (on) {
-        faulty.SetDynamicTagFaults(windows);
-      } else {
-        faulty.ClearDynamicTagFaults();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
-  });
-
-  const int iters = 25;
-  for (int it = 0; it < iters; ++it) {
-    auto data = MakeRankData(world, len, 700 + static_cast<std::uint64_t>(it));
-    auto ref = data;
-    {
-      InProcTransport clean(world);
-      std::vector<std::thread> threads;
-      for (int r = 0; r < world; ++r) {
-        threads.emplace_back([&, r] {
-          collective::Comm comm{&clean, r, world, collective::kSyncTag, 0};
-          const Status st =
-              MultiChannelAllReduce(comm, ref[static_cast<std::size_t>(r)],
-                                    collective::ReduceOp::kAvg, channels);
-          EXPECT_TRUE(st.ok()) << st.ToString();
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    std::vector<std::thread> threads;
-    for (int r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        collective::Comm comm{&faulty, r, world, collective::kSyncTag, 150};
-        const Status st =
-            MultiChannelAllReduce(comm, data[static_cast<std::size_t>(r)],
-                                  collective::ReduceOp::kAvg, channels,
-                                  &health);
-        EXPECT_TRUE(st.ok()) << "iteration " << it << ": " << st.ToString();
-      });
-    }
-    for (auto& t : threads) t.join();
-    // Quarantine rebalances chunks onto the survivors, which regroups the
-    // ring reductions — so the result may differ from the fixed-plan clean
-    // reference by rounding, but never by more, and every rank must agree
-    // on it bit-exactly.
-    for (int r = 1; r < world; ++r) {
-      EXPECT_EQ(data[static_cast<std::size_t>(r)], data[0])
-          << "iteration " << it << ": ranks 0 and " << r << " diverged";
-    }
-    int off = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      const float want = ref[0][i];
-      const float tol = 1e-4f * std::max(1.0f, std::abs(want));
-      if (std::abs(data[0][i] - want) > tol) ++off;
-    }
-    EXPECT_EQ(off, 0) << "iteration " << it
-                      << ": values beyond rounding tolerance";
-  }
-  stop.store(true);
-  toggler.join();
 }
 
 // ------------------------------------------------- engine through chaos --
@@ -470,7 +261,7 @@ TEST(ChaosSoakTest, EngineSurvivesDropChaosWhereSeedAborts) {
   EXPECT_GT(retransmits, 0u) << "chaos never exercised the retransmit path";
 }
 
-// Tier 2.5: units whose primary tag namespace is blackholed are retried on
+// Tier 2: units whose primary tag namespace is blackholed are retried on
 // fresh epoch tags at degraded depth; the degradation level rises under the
 // pressure and walks back down after clean iterations — and the results
 // stay bit-exact throughout (retries re-gather from untouched tensors).

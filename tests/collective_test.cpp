@@ -737,11 +737,45 @@ TEST(ShutdownUnblocksTest, MultiChannelAllReduce) {
 
 // --------------------------------------- pooled hot path: bit-exactness --
 //
-// The zero-allocation rewrite (buffer pooling, payload forwarding, fused
-// RecvReduce) must not change a single bit of any result: the pooled path
-// performs the same elementwise operations in the same order as the legacy
-// copy path, so results are compared with exact float equality, not a
-// tolerance.
+// The zero-allocation hot path (buffer pooling, payload forwarding, fused
+// RecvReduce) must not change a single bit of any result. Each collective is
+// compared with exact float equality, not a tolerance, against a serial
+// reference in this file that performs the same elementwise operations in
+// the same order: the ring folds each chunk rank by rank in ring order, and
+// the data-movement collectives are plain copies.
+
+std::span<const float> ChunkOf(const std::vector<float>& v, int n, int c) {
+  const std::size_t b = ChunkBegin(v.size(), n, c);
+  return std::span<const float>(v).subspan(b,
+                                           ChunkBegin(v.size(), n, c + 1) - b);
+}
+
+/// Serial ring all-reduce: chunk c starts as rank c's values and every
+/// later rank c+1, c+2, ... folds its own values into the running partial
+/// (Accumulate(local, incoming), exactly as a ring step does); every rank
+/// ends with the same result.
+std::vector<float> SerialRingReference(
+    const std::vector<std::vector<float>>& data, ReduceOp op) {
+  const int n = static_cast<int>(data.size());
+  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
+  std::vector<float> out(data[0].size());
+  for (int c = 0; c < n; ++c) {
+    const auto first = ChunkOf(data[static_cast<std::size_t>(c)], n, c);
+    std::vector<float> partial(first.begin(), first.end());
+    for (int k = 1; k < n; ++k) {
+      const auto local =
+          ChunkOf(data[static_cast<std::size_t>((c + k) % n)], n, c);
+      std::vector<float> folded(local.begin(), local.end());
+      Accumulate(folded, partial, inner);
+      partial = std::move(folded);
+    }
+    std::copy(partial.begin(), partial.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(
+                                ChunkBegin(out.size(), n, c)));
+  }
+  FinalizeAvg(out, n, op);
+  return out;
+}
 
 std::vector<std::vector<float>> RunPipeline(transport::Transport& tr,
                                             int world, std::size_t len,
@@ -757,16 +791,16 @@ std::vector<std::vector<float>> RunPipeline(transport::Transport& tr,
   return data;
 }
 
-void ExpectBitIdentical(const std::vector<std::vector<float>>& legacy,
-                        const std::vector<std::vector<float>>& pooled) {
-  ASSERT_EQ(legacy.size(), pooled.size());
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    ASSERT_EQ(legacy[r].size(), pooled[r].size());
-    if (legacy[r].empty()) continue;  // data() may be null: UB for memcmp
-    ASSERT_EQ(std::memcmp(legacy[r].data(), pooled[r].data(),
-                          legacy[r].size() * sizeof(float)),
+void ExpectBitIdentical(const std::vector<std::vector<float>>& want,
+                        const std::vector<std::vector<float>>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(want[r].size(), got[r].size());
+    if (want[r].empty()) continue;  // data() may be null: UB for memcmp
+    ASSERT_EQ(std::memcmp(want[r].data(), got[r].data(),
+                          want[r].size() * sizeof(float)),
               0)
-        << "rank " << r << " diverged from the legacy copy path";
+        << "rank " << r << " diverged from the reference";
   }
 }
 
@@ -774,17 +808,17 @@ class PooledBitExactP
     : public ::testing::TestWithParam<std::tuple<int, std::size_t, ReduceOp>> {
 };
 
-TEST_P(PooledBitExactP, PooledRingAllReduceMatchesLegacyBitwise) {
+TEST_P(PooledBitExactP, PooledRingAllReduceMatchesSerialReferenceBitwise) {
   const auto [world, len, op] = GetParam();
   const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(world) * 131 +
                              len * 7 + static_cast<std::uint64_t>(op);
-  transport::InProcTransport legacy_tr(world);
-  const auto legacy =
-      RunPipeline(legacy_tr, world, len, op, /*pool=*/nullptr, seed);
+  const std::vector<std::vector<float>> want(
+      static_cast<std::size_t>(world),
+      SerialRingReference(MakeRankData(world, len, seed), op));
   transport::InProcTransport pooled_tr(world);
   common::BufferPool pool;
   const auto pooled = RunPipeline(pooled_tr, world, len, op, &pool, seed);
-  ExpectBitIdentical(legacy, pooled);
+  ExpectBitIdentical(want, pooled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -796,78 +830,118 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
                                          ReduceOp::kMin, ReduceOp::kMax)));
 
-TEST(PooledBitExactTest, OtherCollectivesMatchLegacyBitwise) {
+TEST(PooledBitExactTest, OtherCollectivesMatchSerialReferenceBitwise) {
   const int world = 5;
   const std::size_t len = 35;    // odd per-rank chunk
   const std::size_t full = len * world;
   const auto data = MakeRankData(world, full, 4242);
+  const auto block = [&](int r, int b) {
+    return std::span<const float>(data[static_cast<std::size_t>(r)])
+        .subspan(static_cast<std::size_t>(b) * len, len);
+  };
 
   // Broadcast, reduce-scatter (own chunk only — scratch regions are
   // unspecified), all-gather, reduce, gather, scatter and all-to-all, each
-  // run once per path on identical inputs.
+  // run once on identical inputs.
   struct PathResult {
     std::vector<std::vector<float>> bcast, rs_chunk, ag, red, gat, sct, a2a;
   };
-  auto run_path = [&](common::BufferPool* pool) {
-    PathResult out;
-    out.bcast = data;
-    out.rs_chunk.assign(world, {});
-    out.ag = data;  // chunk r of rank r's buffer seeds the all-gather
-    out.red = data;
-    out.gat.assign(world, std::vector<float>());
-    out.gat[0].resize(full);
-    out.sct.assign(world, std::vector<float>(len));
-    out.a2a.assign(world, std::vector<float>(full));
-    transport::InProcTransport tr(world);
-    RunAllRanks(world, [&](int rank) {
-      const auto r = static_cast<std::size_t>(rank);
-      Comm comm{&tr, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, pool};
-      EXPECT_TRUE(Broadcast(comm, /*root=*/2, out.bcast[r]).ok());
-      std::vector<float> rs = data[r];
-      EXPECT_TRUE(ReduceScatter(comm, rs, ReduceOp::kSum).ok());
-      const std::size_t lo = ChunkBegin(full, world, rank);
-      const std::size_t hi = ChunkBegin(full, world, rank + 1);
-      out.rs_chunk[r].assign(rs.begin() + static_cast<std::ptrdiff_t>(lo),
-                             rs.begin() + static_cast<std::ptrdiff_t>(hi));
-      EXPECT_TRUE(AllGather(comm, out.ag[r]).ok());
-      EXPECT_TRUE(Reduce(comm, /*root=*/1, out.red[r], ReduceOp::kAvg).ok());
-      EXPECT_TRUE(Gather(comm, /*root=*/0,
-                         std::span<const float>(data[r]).subspan(0, len),
-                         out.gat[r])
-                      .ok());
-      const std::span<const float> to_scatter =
-          rank == 3 ? std::span<const float>(data[3])
-                    : std::span<const float>();
-      EXPECT_TRUE(Scatter(comm, /*root=*/3, to_scatter, out.sct[r]).ok());
-      EXPECT_TRUE(AllToAll(comm, data[r], out.a2a[r]).ok());
-    });
-    return out;
-  };
-
+  PathResult got;
+  got.bcast = data;
+  got.rs_chunk.assign(world, {});
+  got.ag = data;  // chunk r of rank r's buffer seeds the all-gather
+  got.red = data;
+  got.gat.assign(world, std::vector<float>());
+  got.gat[0].resize(full);
+  got.sct.assign(world, std::vector<float>(len));
+  got.a2a.assign(world, std::vector<float>(full));
+  transport::InProcTransport tr(world);
   common::BufferPool pool;
-  const PathResult legacy = run_path(nullptr);
-  const PathResult pooled = run_path(&pool);
-  ExpectBitIdentical(legacy.bcast, pooled.bcast);
-  ExpectBitIdentical(legacy.rs_chunk, pooled.rs_chunk);
-  ExpectBitIdentical(legacy.ag, pooled.ag);
-  ExpectBitIdentical(legacy.red, pooled.red);
-  ExpectBitIdentical(legacy.gat, pooled.gat);
-  ExpectBitIdentical(legacy.sct, pooled.sct);
-  ExpectBitIdentical(legacy.a2a, pooled.a2a);
+  RunAllRanks(world, [&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    Comm comm{&tr, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, &pool};
+    EXPECT_TRUE(Broadcast(comm, /*root=*/2, got.bcast[r]).ok());
+    std::vector<float> rs = data[r];
+    EXPECT_TRUE(ReduceScatter(comm, rs, ReduceOp::kSum).ok());
+    const auto own = ChunkOf(rs, world, rank);
+    got.rs_chunk[r].assign(own.begin(), own.end());
+    EXPECT_TRUE(AllGather(comm, got.ag[r]).ok());
+    EXPECT_TRUE(Reduce(comm, /*root=*/1, got.red[r], ReduceOp::kAvg).ok());
+    EXPECT_TRUE(Gather(comm, /*root=*/0, block(rank, 0), got.gat[r]).ok());
+    const std::span<const float> to_scatter =
+        rank == 3 ? std::span<const float>(data[3])
+                  : std::span<const float>();
+    EXPECT_TRUE(Scatter(comm, /*root=*/3, to_scatter, got.sct[r]).ok());
+    EXPECT_TRUE(AllToAll(comm, data[r], got.a2a[r]).ok());
+  });
+
+  PathResult want;
+  want.bcast.assign(world, data[2]);
+  const std::vector<float> ring = SerialRingReference(data, ReduceOp::kSum);
+  want.ag.assign(world, std::vector<float>(full));
+  for (int r = 0; r < world; ++r) {
+    const auto chunk = ChunkOf(ring, world, r);
+    want.rs_chunk.emplace_back(chunk.begin(), chunk.end());
+    const auto owned = ChunkOf(data[static_cast<std::size_t>(r)], world, r);
+    for (auto& v : want.ag) {
+      std::copy(owned.begin(), owned.end(),
+                v.begin() + static_cast<std::ptrdiff_t>(
+                                ChunkBegin(full, world, r)));
+    }
+  }
+  // Reduce chains along the ring from root+1 to the root: each rank folds
+  // its values into the partial it received, and the root folds the
+  // partial into its own buffer; non-root buffers stay untouched.
+  want.red = data;
+  {
+    const int root = 1;
+    std::vector<float> partial = data[static_cast<std::size_t>(root + 1)];
+    for (int k = 2; k < world; ++k) {
+      Accumulate(partial, data[static_cast<std::size_t>((root + k) % world)],
+                 ReduceOp::kSum);
+    }
+    std::vector<float>& at_root = want.red[static_cast<std::size_t>(root)];
+    Accumulate(at_root, partial, ReduceOp::kSum);
+    FinalizeAvg(at_root, world, ReduceOp::kAvg);
+  }
+  want.gat.assign(world, std::vector<float>());
+  want.sct.assign(world, std::vector<float>());
+  want.a2a.assign(world, std::vector<float>());
+  for (int r = 0; r < world; ++r) {
+    const auto mine = block(r, 0);
+    want.gat[0].insert(want.gat[0].end(), mine.begin(), mine.end());
+    const auto scattered = block(3, r);
+    want.sct[static_cast<std::size_t>(r)].assign(scattered.begin(),
+                                                 scattered.end());
+    for (int s = 0; s < world; ++s) {
+      const auto sent = block(s, r);
+      want.a2a[static_cast<std::size_t>(r)].insert(
+          want.a2a[static_cast<std::size_t>(r)].end(), sent.begin(),
+          sent.end());
+    }
+  }
+  ExpectBitIdentical(want.bcast, got.bcast);
+  ExpectBitIdentical(want.rs_chunk, got.rs_chunk);
+  ExpectBitIdentical(want.ag, got.ag);
+  ExpectBitIdentical(want.red, got.red);
+  ExpectBitIdentical(want.gat, got.gat);
+  ExpectBitIdentical(want.sct, got.sct);
+  ExpectBitIdentical(want.a2a, got.a2a);
 }
 
 TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
   // Duplication, reordering and delay — but no drops — over the pooled
   // path: the strict Recv framing de-duplicates and re-orders, so the
-  // result must still be bitwise identical to a clean legacy run.
+  // result must still be bitwise identical to a clean run.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
                             ReduceOp::kMax}) {
     const std::uint64_t seed = 31337 + static_cast<std::uint64_t>(op);
     transport::InProcTransport clean_tr(world);
+    common::BufferPool clean_pool;
     const auto clean =
-        RunPipeline(clean_tr, world, len, op, /*pool=*/nullptr, seed);
+        RunPipeline(clean_tr, world, len, op, &clean_pool, seed);
 
     transport::InProcTransport inner(world);
     transport::FaultSpec spec;
@@ -925,10 +999,9 @@ TEST_P(PipelinedBitExactP, AnyDepthMatchesDepthOneBitwise) {
                              static_cast<std::uint64_t>(channels) * 131 +
                              static_cast<std::uint64_t>(world) * 17 + len * 7 +
                              static_cast<std::uint64_t>(op);
-  // Baseline: depth 1 on the legacy (pool-less) path; pipelined: depth d on
-  // the pooled path — one comparison covers both axes at once.
+  common::BufferPool base_pool;
   const auto base =
-      RunPipelined(world, len, op, /*depth=*/1, channels, nullptr, seed);
+      RunPipelined(world, len, op, /*depth=*/1, channels, &base_pool, seed);
   common::BufferPool pool;
   const auto piped = RunPipelined(world, len, op, depth, channels, &pool, seed);
   ExpectBitIdentical(base, piped);
@@ -963,22 +1036,24 @@ TEST(PipelinedBitExactTest, HierarchicalMatchesDepthOneBitwise) {
     });
     return data;
   };
+  common::BufferPool base_pool;
   common::BufferPool pool;
-  ExpectBitIdentical(run(1, nullptr), run(4, &pool));
+  ExpectBitIdentical(run(1, &base_pool), run(4, &pool));
 }
 
 TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
   // Duplication, reordering and delay across a depth-4 pipelined run: the
   // strict per-(src,tag) FIFO framing must keep the in-flight slice window
-  // coherent, matching a clean depth-1 legacy run bit for bit.
+  // coherent, matching a clean depth-1 run bit for bit.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
                             ReduceOp::kMax}) {
     const std::uint64_t seed = 86000 + static_cast<std::uint64_t>(op);
     transport::InProcTransport clean_tr(world);
+    common::BufferPool clean_pool;
     const auto clean =
-        RunPipeline(clean_tr, world, len, op, /*pool=*/nullptr, seed);
+        RunPipeline(clean_tr, world, len, op, &clean_pool, seed);
 
     transport::InProcTransport inner(world);
     transport::FaultSpec spec;
@@ -1009,12 +1084,13 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
   // Depth-d slicing multiplies each rank's 2(n-1) chunk sends into
   // 2(n-1)*d_eff slice sends, where d_eff clamps to the per-step chunk size.
   const int world = 4;
+  common::BufferPool pool;
   {
     transport::InProcTransport tr(world);
     auto data = MakeRankData(world, 64, 21);  // chunks of 16: depth 4 fits
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr,     rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
-                nullptr, /*pipeline_depth=*/4};
+      Comm comm{&tr,   rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool, /*pipeline_depth=*/4};
       EXPECT_TRUE(
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)],
                         ReduceOp::kSum).ok());
@@ -1026,8 +1102,8 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
     transport::InProcTransport tr(world);
     auto data = MakeRankData(world, 6, 22);  // 1-float chunks: d_eff = 1
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr,     rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
-                nullptr, /*pipeline_depth=*/8};
+      Comm comm{&tr,   rank, world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool, /*pipeline_depth=*/8};
       EXPECT_TRUE(
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)],
                         ReduceOp::kSum).ok());

@@ -1,25 +1,23 @@
-// IEEE binary16 codec tests: exact values, rounding mode, specials,
-// subnormals, property sweep, and the end-to-end fp16-wire training check.
+// IEEE binary16 scalar cast tests beyond the exhaustive half->float->half
+// roundtrip in codec_test: float->half bit patterns, rounding mode,
+// overflow, subnormal flush, property sweeps, and the end-to-end fp16-wire
+// training check.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "common/rng.h"
-#include "core/compression.h"
+#include "compress/scalar.h"
 #include "core/perseus.h"
 #include "dnn/mlp.h"
 
 namespace aiacc::core {
 namespace {
 
-TEST(HalfCodecTest, ExactlyRepresentableValues) {
-  // Powers of two, small integers and fractions are exact in binary16.
-  for (float v : {0.0f, 1.0f, -1.0f, 2.0f, 0.5f, 0.25f, 1024.0f, -0.375f,
-                  65504.0f /* max normal half */}) {
-    EXPECT_EQ(HalfToFloat(FloatToHalf(v)), v) << v;
-  }
-}
+using compress::FloatToHalf;
+using compress::HalfToFloat;
+using compress::kHalfRelativeError;
 
 TEST(HalfCodecTest, KnownBitPatterns) {
   EXPECT_EQ(FloatToHalf(0.0f), 0x0000);
@@ -35,12 +33,6 @@ TEST(HalfCodecTest, OverflowBecomesInfinity) {
   EXPECT_TRUE(std::isinf(HalfToFloat(FloatToHalf(1e6f))));
   EXPECT_TRUE(std::isinf(HalfToFloat(FloatToHalf(-1e6f))));
   EXPECT_LT(HalfToFloat(FloatToHalf(-1e6f)), 0.0f);
-}
-
-TEST(HalfCodecTest, NanAndInfPreserved) {
-  EXPECT_TRUE(std::isnan(HalfToFloat(FloatToHalf(std::nanf("")))));
-  EXPECT_EQ(HalfToFloat(FloatToHalf(std::numeric_limits<float>::infinity())),
-            std::numeric_limits<float>::infinity());
 }
 
 TEST(HalfCodecTest, SubnormalsRoundTrip) {
@@ -76,16 +68,6 @@ TEST(HalfCodecTest, RelativeErrorBoundProperty) {
   }
 }
 
-TEST(HalfCodecTest, RoundTripIsIdempotent) {
-  Rng rng(5);
-  for (int i = 0; i < 10000; ++i) {
-    const float v = static_cast<float>(rng.Normal(0.0, 10.0));
-    const float once = HalfToFloat(FloatToHalf(v));
-    const float twice = HalfToFloat(FloatToHalf(once));
-    EXPECT_EQ(once, twice);
-  }
-}
-
 TEST(HalfCodecTest, MonotonicOnSamples) {
   // Quantization must preserve order.
   Rng rng(3);
@@ -96,15 +78,6 @@ TEST(HalfCodecTest, MonotonicOnSamples) {
     const float qb = HalfToFloat(FloatToHalf(b));
     if (a < b) EXPECT_LE(qa, qb);
   }
-}
-
-TEST(HalfCodecTest, BulkEncodeDecode) {
-  std::vector<float> values = {1.5f, -2.25f, 0.0f, 100.0f};
-  const auto halfs = CompressToHalf(values);
-  ASSERT_EQ(halfs.size(), values.size());
-  std::vector<float> back(values.size());
-  DecompressFromHalf(halfs, back);
-  EXPECT_EQ(back, values);  // all exactly representable
 }
 
 TEST(Fp16WireTest, DistributedTrainingStillConverges) {

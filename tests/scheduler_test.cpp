@@ -233,9 +233,12 @@ TEST(PreemptionTest, SliceYieldHookFiresDuringPipelinedRing) {
   for (int r = 0; r < kWorld; ++r) {
     threads.emplace_back([&, r] {
       std::vector<float> data(1u << 14, static_cast<float>(r + 1));
-      collective::Comm comm{&tr, r, kWorld, /*tag_base=*/1,
-                            /*timeout_ms=*/0, nullptr,
-                            /*pipeline_depth=*/4};
+      collective::Comm comm;
+      comm.transport = &tr;
+      comm.rank = r;
+      comm.world_size = kWorld;
+      comm.tag_base = 1;
+      comm.pipeline_depth = 4;
       comm.slice_yield = [](void* ctx) {
         static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
       };
@@ -264,13 +267,16 @@ std::vector<std::vector<float>> RunEngine(const CommConfig& config,
   constexpr std::size_t kElems = 2048;
   std::vector<std::vector<float>> result;
   std::atomic<bool> failed{false};
+  // Bound optimizers must outlive the engine: its MPI-process loop calls
+  // BeginIteration for the next iteration as soon as one closes.
+  std::vector<SgdOptimizer> optimizers(kWorld, SgdOptimizer(0.9));
   {
     ThreadedAiaccEngine engine(kWorld, config);
     std::vector<std::thread> threads;
     for (int r = 0; r < kWorld; ++r) {
       threads.emplace_back([&, r] {
         auto& worker = engine.worker(r);
-        SgdOptimizer sgd(0.9);
+        SgdOptimizer& sgd = optimizers[static_cast<std::size_t>(r)];
         std::vector<std::vector<float>> grads(kTensors);
         std::vector<std::vector<float>> params(kTensors);
         for (std::size_t t = 0; t < kTensors; ++t) {

@@ -645,12 +645,6 @@ def check_tag_collision(project, ctx) -> list[Finding]:
     if "kUnitRetryTagBase" in c:
         relation(c["kUnitRetryTagBase"] > c["kUnitTagBase"],
                  "unit retry epochs must sit above the unit namespace")
-    if "kChannelRetryTagBase" in c and "kUnitRetryTagBase" in c:
-        relation(c["kChannelRetryTagBase"] > c["kUnitRetryTagBase"],
-                 "channel retry rings must sit above unit retries")
-    if "kChannelEpochTagBase" in c and "kChannelRetryTagBase" in c:
-        relation(c["kChannelEpochTagBase"] > c["kChannelRetryTagBase"],
-                 "channel epoch homes must sit above the retry rings")
 
     # Symbolic audit of every `tag_base + <expr>` offset: the expression,
     # folded over the tags.h environment, must stay < kTagsPerCollective
