@@ -77,10 +77,9 @@ inline constexpr int kChannelHealth = 250;  // channel health tracker state
 inline constexpr int kQueue = 300;          // Blocking/Bounded queue internals
 inline constexpr int kThreadPool = 400;     // ThreadPool threads/idle tracking
 inline constexpr int kReliableTransport = 450;  // reliable-delivery tx/rx maps
-                                            // (below kTransport: the
-                                            // retransmit daemon calls into
-                                            // the decorated faulty/inproc
-                                            // transport while holding it)
+                                            // (bookkeeping only: no
+                                            // transport or pool call runs
+                                            // under it outside teardown)
 inline constexpr int kTransport = 500;      // transport decorators (faulty)
 inline constexpr int kMailbox = 600;        // inproc mailboxes + barrier
 inline constexpr int kBufferPool = 700;     // buffer-pool size classes

@@ -1,12 +1,12 @@
 #include "transport/reliable.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
@@ -29,40 +29,26 @@ constexpr float kKindAck = 2.0f;
 /// 16-bit CRC halves with huge headroom.
 constexpr std::uint64_t kMaxSeq = 1ULL << 24;
 
-/// CRC32 (reflected, poly 0xEDB88320) over the frame's kind, seq, and body
-/// bytes — the header fields are covered so a corrupted seq lane is
-/// detected, not misfiled as a different message.
-const std::array<std::uint32_t, 256>& CrcTable() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::uint32_t CrcUpdate(std::uint32_t crc, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const auto& table = CrcTable();
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc;
-}
-
+/// CRC32 over the frame's kind, seq, and body bytes — the header fields are
+/// covered so a corrupted seq lane is detected, not misfiled as a different
+/// message.
 std::uint32_t FrameCrc(float kind, std::uint64_t seq, const float* body,
                        std::size_t body_lanes) {
   std::uint32_t crc = 0xFFFFFFFFu;
-  crc = CrcUpdate(crc, &kind, sizeof(kind));
-  crc = CrcUpdate(crc, &seq, sizeof(seq));
-  crc = CrcUpdate(crc, body, body_lanes * sizeof(float));
+  crc = common::Crc32Update(crc, &kind, sizeof(kind));
+  crc = common::Crc32Update(crc, &seq, sizeof(seq));
+  crc = common::Crc32Update(crc, body, body_lanes * sizeof(float));
   return crc ^ 0xFFFFFFFFu;
+}
+
+/// Fill the header lanes of `frame`, whose body lanes are already in place.
+void WriteHeader(Payload& frame, float kind, std::uint64_t seq) {
+  const std::uint32_t crc = FrameCrc(kind, seq, frame.data() + kHeaderLanes,
+                                     frame.size() - kHeaderLanes);
+  frame[0] = kind;
+  frame[1] = static_cast<float>(seq);
+  frame[2] = static_cast<float>(crc >> 16);
+  frame[3] = static_cast<float>(crc & 0xFFFFu);
 }
 
 /// A float lane that must hold a small non-negative integer; nullopt when
@@ -126,108 +112,126 @@ ReliableTransport::~ReliableTransport() {
 }
 
 void ReliableTransport::Send(int src, int dst, int tag, Payload payload) {
-  const std::size_t body_lanes = payload.size();
-  Payload clone;  // the copy that goes onto the wire now
+  TxChannel* ch = nullptr;  // tx_ nodes live as long as the transport
+  std::uint64_t seq = 0;
+  bool reap = false;
   {
     common::MutexLock lock(mu_);
-    TxChannel& ch = tx_[{src, dst, tag}];
-    const std::uint64_t seq = ch.next_seq++;
-    AIACC_CHECK(seq < kMaxSeq);
+    ch = &tx_[{src, dst, tag}];
+    seq = ch->next_seq++;
+    reap = !ch->inflight.empty() && !HasConsumerLocked(src, dst, tag);
+  }
+  AIACC_CHECK(seq < kMaxSeq);
+  // Retire the acked wire copies first, so their buffers are back in the
+  // pool before this send acquires new ones (the daemon would reach them
+  // only at its next tick).
+  if (reap) DrainMailbox(src, dst, tag);
 
-    Payload wire = pool_.Acquire(kHeaderLanes + body_lanes);
-    const std::uint32_t crc = FrameCrc(kKindData, seq, payload.data(),
-                                       body_lanes);
-    wire[0] = kKindData;
-    wire[1] = static_cast<float>(seq);
-    wire[2] = static_cast<float>(crc >> 16);
-    wire[3] = static_cast<float>(crc & 0xFFFFu);
-    std::copy(payload.begin(), payload.end(), wire.begin() + kHeaderLanes);
-
-    clone = pool_.Acquire(wire.size());
-    std::copy(wire.begin(), wire.end(), clone.begin());
-
+  // Framing runs unlocked: concurrent senders serialize only on the seq
+  // reservation above and the in-flight insert below.
+  Payload wire = pool_.Acquire(kHeaderLanes + payload.size());
+  std::copy(payload.begin(), payload.end(), wire.begin() + kHeaderLanes);
+  WriteHeader(wire, kKindData, seq);
+  Payload clone = pool_.Acquire(wire.size());  // the copy that goes out now
+  std::copy(wire.begin(), wire.end(), clone.begin());
+  pool_.Release(std::move(payload));
+  {
+    common::MutexLock lock(mu_);
     const auto now = std::chrono::steady_clock::now();
-    TxFrame& frame = ch.inflight[seq];
+    TxFrame& frame = ch->inflight[seq];
     frame.wire = std::move(wire);
     frame.first_sent = now;
     frame.rto_ms = options_.rto_initial_ms;
     frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
     ++stats_.data_frames_sent;
   }
-  pool_.Release(std::move(payload));
   // Outside the mutex: a fault decorator may sleep inside Send.
   inner_.Send(src, dst, tag, std::move(clone));
 }
 
-void ReliableTransport::ProcessRawFrame(
-    int rank, int src, int tag, Payload frame,
-    std::vector<std::tuple<int, int, int, Payload>>& acks_out) {
-  const auto reject = [&](Payload&& p) {
+bool ReliableTransport::HasConsumerLocked(int rank, int src, int tag) const {
+  const auto it = rx_.find({rank, src, tag});
+  return it != rx_.end() && it->second.consumers > 0;
+}
+
+void ReliableTransport::DrainMailbox(int rank, int src, int tag) {
+  while (auto raw = inner_.TryRecv(rank, src, tag)) {
+    ProcessRawFrame(rank, src, tag, *std::move(raw));
+  }
+}
+
+void ReliableTransport::ProcessRawFrame(int rank, int src, int tag,
+                                        Payload frame) {
+  const auto reject = [&] {
     CrcFailureCounter().Add();
     telemetry::FlightRecorder::Global().Record(
         telemetry::FlightSeverity::kWarn, "transport.reliable", "crc-discard",
         rank, /*channel=*/-1, tag, /*detail0=*/src);
-    common::MutexLock lock(mu_);
-    ++stats_.crc_failures;
-    pool_.Release(std::move(p));
+    {
+      common::MutexLock lock(mu_);
+      ++stats_.crc_failures;
+    }
+    pool_.Release(std::move(frame));
   };
-  if (frame.size() < kHeaderLanes) return reject(std::move(frame));
+  if (frame.size() < kHeaderLanes) return reject();
   const float kind = frame[0];
-  if (kind != kKindData && kind != kKindAck) return reject(std::move(frame));
+  if (kind != kKindData && kind != kKindAck) return reject();
   const auto seq = IntLane(frame[1], kMaxSeq);
   const auto crc_hi = IntLane(frame[2], 1ULL << 16);
   const auto crc_lo = IntLane(frame[3], 1ULL << 16);
-  if (!seq || !crc_hi || !crc_lo) return reject(std::move(frame));
+  if (!seq || !crc_hi || !crc_lo) return reject();
   const std::size_t body_lanes = frame.size() - kHeaderLanes;
-  if (kind == kKindAck && body_lanes != 0) return reject(std::move(frame));
+  if (kind == kKindAck && body_lanes != 0) return reject();
   const auto stored =
       static_cast<std::uint32_t>((*crc_hi << 16) | *crc_lo);
   if (FrameCrc(kind, *seq, frame.data() + kHeaderLanes, body_lanes) !=
       stored) {
-    return reject(std::move(frame));
+    return reject();
   }
 
   if (kind == kKindAck) {
-    common::MutexLock lock(mu_);
     // An ack arriving at `rank` from `src` acknowledges a frame `rank`
-    // sent to `src` on this tag.
-    auto it = tx_.find({rank, src, tag});
-    if (it != tx_.end()) {
-      auto fit = it->second.inflight.find(*seq);
-      if (fit != it->second.inflight.end()) {
-        pool_.Release(std::move(fit->second.wire));
-        it->second.inflight.erase(fit);
+    // sent to `src` on this tag. The wire copy is empty when the frame is
+    // already gone or lent to a retransmit (DaemonTick releases it then).
+    Payload retired;
+    {
+      common::MutexLock lock(mu_);
+      auto it = tx_.find({rank, src, tag});
+      if (it != tx_.end()) {
+        auto fit = it->second.inflight.find(*seq);
+        if (fit != it->second.inflight.end()) {
+          retired = std::move(fit->second.wire);
+          it->second.inflight.erase(fit);
+        }
       }
+      ++stats_.acks_received;
     }
-    ++stats_.acks_received;
+    if (!retired.empty()) pool_.Release(std::move(retired));
     pool_.Release(std::move(frame));
     return;
   }
 
   // Data frame: stash in order, ack unconditionally (a lost ack shows up
-  // here as a duplicate — the re-ack is what stops its retransmits).
+  // here as a duplicate — the re-ack is what stops its retransmits). The
+  // body keeps the frame's buffer, header stripped in place.
   Payload ack = pool_.Acquire(kHeaderLanes);
-  const std::uint32_t ack_crc = FrameCrc(kKindAck, *seq, nullptr, 0);
-  ack[0] = kKindAck;
-  ack[1] = static_cast<float>(*seq);
-  ack[2] = static_cast<float>(ack_crc >> 16);
-  ack[3] = static_cast<float>(ack_crc & 0xFFFFu);
+  WriteHeader(ack, kKindAck, *seq);
+  frame.erase(frame.begin(), frame.begin() + kHeaderLanes);
+  std::optional<Payload> duplicate;
   {
     common::MutexLock lock(mu_);
     RxChannel& ch = rx_[{rank, src, tag}];
     if (*seq < ch.expected || ch.stash.count(*seq) != 0) {
       ++stats_.duplicates_discarded;
-      pool_.Release(std::move(frame));
+      duplicate = std::move(frame);
     } else {
-      Payload body = pool_.Acquire(body_lanes);
-      std::copy(frame.begin() + kHeaderLanes, frame.end(), body.begin());
-      pool_.Release(std::move(frame));
-      ch.stash.emplace(*seq, std::move(body));
+      ch.stash.emplace(*seq, std::move(frame));
     }
     ++stats_.acks_sent;
   }
+  if (duplicate) pool_.Release(*std::move(duplicate));
   AckCounter().Add();
-  acks_out.emplace_back(rank, src, tag, std::move(ack));
+  inner_.Send(rank, src, tag, std::move(ack));
 }
 
 std::optional<Payload> ReliableTransport::TakeExpectedLocked(RxChannel& ch) {
@@ -253,13 +257,12 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
   // arrive while we are blocked below wake us immediately via the inner
   // transport's own CV.
   constexpr auto kQuantum = std::chrono::milliseconds(2);
-  // While a consumer is pulling this channel the daemon leaves its inner
-  // mailbox alone (frames flow to the thread that wants them).
+  // While a consumer is pulling this channel the daemon and senders leave
+  // its inner mailbox alone (frames flow to the thread that wants them).
   {
     common::MutexLock lock(mu_);
     ++rx_[{rank, src, tag}].consumers;
   }
-  std::vector<std::tuple<int, int, int, Payload>> acks;
   const auto finish = [&](Result<Payload> r) -> Result<Payload> {
     common::MutexLock lock(mu_);
     --rx_[{rank, src, tag}].consumers;
@@ -292,9 +295,7 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
     }
     Result<Payload> raw = inner_.RecvFor(rank, src, tag, wait);
     if (raw.ok()) {
-      ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-      for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
-      acks.clear();
+      ProcessRawFrame(rank, src, tag, *std::move(raw));
     } else if (raw.status().code() != StatusCode::kDeadlineExceeded &&
                raw.status().code() != StatusCode::kUnavailable) {
       return finish(raw.status());
@@ -304,11 +305,7 @@ Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
 }
 
 std::optional<Payload> ReliableTransport::TryRecv(int rank, int src, int tag) {
-  std::vector<std::tuple<int, int, int, Payload>> acks;
-  while (auto raw = inner_.TryRecv(rank, src, tag)) {
-    ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-  }
-  for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
+  DrainMailbox(rank, src, tag);
   common::MutexLock lock(mu_);
   RxChannel& ch = rx_[{rank, src, tag}];
   auto body = TakeExpectedLocked(ch);
@@ -327,39 +324,50 @@ ReliableStats ReliableTransport::stats() const {
 }
 
 void ReliableTransport::DaemonLoop() {
+  // Sleep in slices of at most 10 ms so teardown never waits out a long
+  // tick.
+  constexpr auto kSlice = std::chrono::milliseconds(10);
+  const auto tick = std::chrono::milliseconds(options_.daemon_tick_ms);
   while (!stop_.load(std::memory_order_acquire)) {
     DaemonTick();
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.daemon_tick_ms));
+    const auto wake = std::chrono::steady_clock::now() + tick;
+    for (auto now = std::chrono::steady_clock::now();
+         now < wake && !stop_.load(std::memory_order_acquire);
+         now = std::chrono::steady_clock::now()) {
+      std::this_thread::sleep_for(std::min<std::chrono::nanoseconds>(
+          kSlice, wake - now));
+    }
   }
 }
 
 void ReliableTransport::DaemonTick() {
-  // 1. Drain inner mailboxes no consumer is watching — this is how a pure
-  //    sender ever sees its acks (and how early frames of a not-yet-started
-  //    receiver get stashed + acked instead of rotting unacknowledged).
+  // 1. Drain inner mailboxes no consumer is watching — how a sender that
+  //    has stopped sending still sees its last acks, and how early frames
+  //    of a not-yet-started receiver get stashed + acked instead of rotting
+  //    unacknowledged.
   std::vector<ChannelKey> to_poll;
   {
     common::MutexLock lock(mu_);
     for (const auto& [key, ch] : tx_) {
       const auto& [src, dst, tag] = key;
-      RxChannel& rx = rx_[{src, dst, tag}];
-      if (rx.consumers == 0) to_poll.emplace_back(src, dst, tag);
+      if (!HasConsumerLocked(src, dst, tag)) to_poll.push_back(key);
     }
   }
-  std::vector<std::tuple<int, int, int, Payload>> acks;
-  for (const auto& [rank, src, tag] : to_poll) {
-    while (auto raw = inner_.TryRecv(rank, src, tag)) {
-      ProcessRawFrame(rank, src, tag, *std::move(raw), acks);
-    }
-  }
-  for (auto& [s, d, t, ack] : acks) inner_.Send(s, d, t, std::move(ack));
+  for (const auto& [rank, src, tag] : to_poll) DrainMailbox(rank, src, tag);
 
   // 2. Retransmit overdue frames; expire frames past the message deadline.
-  std::vector<std::tuple<int, int, int, Payload>> resend;
+  //    An overdue frame's wire copy is lent out of its TxFrame so the clone
+  //    is made without the mutex; an ack that retires the frame meanwhile
+  //    leaves the lent copy for this tick to release.
+  struct Resend {
+    ChannelKey key;
+    std::uint64_t seq = 0;
+    Payload wire;
+    Payload clone;
+  };
+  std::vector<Resend> resend;
   std::vector<Payload> expired;
   std::uint64_t expired_count = 0;
-  std::uint64_t resent_count = 0;
   {
     common::MutexLock lock(mu_);
     const auto now = std::chrono::steady_clock::now();
@@ -381,28 +389,42 @@ void ReliableTransport::DaemonTick() {
           continue;
         }
         if (now >= frame.next_resend) {
-          Payload clone = pool_.Acquire(frame.wire.size());
-          std::copy(frame.wire.begin(), frame.wire.end(), clone.begin());
-          resend.emplace_back(src, dst, tag, std::move(clone));
+          resend.push_back({key, it->first, std::move(frame.wire), {}});
           frame.rto_ms = std::min(frame.rto_ms * 2, options_.rto_max_ms);
           frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
           ++stats_.retransmits;
-          ++resent_count;
         }
         ++it;
       }
     }
   }
-  if (resent_count > 0) RetransmitCounter().Add(resent_count);
+  if (!resend.empty()) RetransmitCounter().Add(resend.size());
   if (expired_count > 0) DeliveryFailureCounter().Add(expired_count);
-  for (auto& [s, d, t, clone] : resend) {
+  for (Payload& p : expired) pool_.Release(std::move(p));
+  if (resend.empty()) return;
+
+  for (Resend& r : resend) {
+    r.clone = pool_.Acquire(r.wire.size());
+    std::copy(r.wire.begin(), r.wire.end(), r.clone.begin());
+  }
+  {
+    common::MutexLock lock(mu_);
+    for (Resend& r : resend) {
+      auto& inflight = tx_.at(r.key).inflight;
+      auto it = inflight.find(r.seq);
+      if (it != inflight.end()) std::swap(it->second.wire, r.wire);
+    }
+  }
+  for (Resend& r : resend) {
+    // Still holding the copy: an ack retired the frame while it was lent.
+    if (!r.wire.empty()) pool_.Release(std::move(r.wire));
+    const auto& [src, dst, tag] = r.key;
     if (inner_.IsShutdown()) {
-      pool_.Release(std::move(clone));
+      pool_.Release(std::move(r.clone));
       continue;
     }
-    inner_.Send(s, d, t, std::move(clone));
+    inner_.Send(src, dst, tag, std::move(r.clone));
   }
-  for (Payload& p : expired) pool_.Release(std::move(p));
 }
 
 }  // namespace aiacc::transport

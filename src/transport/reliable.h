@@ -24,14 +24,22 @@
 // steady state of a fixed communication pattern performs zero payload
 // allocations even while retransmitting (asserted in tests/reliable_test).
 //
-// Concurrency: one internal mutex (lock_rank::kReliableTransport, *below*
-// kTransport so the daemon may call into a decorated FaultyTransport while
-// holding it) guards the tx/rx channel maps. Consumers pull their own
-// (src, tag) channel from the inner transport in short quanta and feed every
-// frame (data or ack) through the shared demux; the daemon drains channels
-// with no active consumer so acks never rot in an unread mailbox. Sends to
-// the inner transport happen *outside* the mutex (a fault decorator may
-// sleep in Send).
+// Concurrency: one internal mutex (lock_rank::kReliableTransport) guards
+// only bookkeeping: the per-channel seq counters, the in-flight and stash
+// maps, consumer counts and stats. Everything that
+// scales with the payload runs outside it — the CRC (common/crc32.h,
+// slicing-by-8), every copy, every BufferPool call, and every call into
+// the inner transport (a fault decorator may sleep in Send). So concurrent
+// senders serialize only on reserving a seq and inserting the frame, and
+// frames of one channel may reach the wire out of seq order (the receiver's
+// stash reorders them). Consumers pull their own (src, tag) channel from
+// the inner transport in short quanta and feed every frame (data or ack)
+// through the shared demux. Mailboxes with no active consumer — where a
+// sender's acks arrive — are drained by the sender itself at its next Send
+// on a channel with frames in flight, so acks retire wire copies at the
+// sender's pace, and by the daemon every tick, so acks never rot in an
+// unread mailbox once a sender goes quiet. The daemon clones a retransmit
+// from the in-flight copy after lending it out of the map.
 //
 // Telemetry (process registry): `reliable.retransmits`,
 // `reliable.crc_failures`, `reliable.delivery_failures`, `reliable.acks`.
@@ -124,7 +132,8 @@ class ReliableTransport final : public Transport {
 
   /// One unacked frame: the pooled wire copy plus its retransmit clock.
   struct TxFrame {
-    Payload wire;  // full frame (header + body), retransmitted verbatim
+    Payload wire;  // full frame (header + body), retransmitted verbatim;
+                   // empty while DaemonTick clones it unlocked
     std::chrono::steady_clock::time_point first_sent;
     std::chrono::steady_clock::time_point next_resend;
     std::int64_t rto_ms = 0;
@@ -139,12 +148,15 @@ class ReliableTransport final : public Transport {
     int consumers = 0;  // active Recv/RecvFor pullers (daemon skips if > 0)
   };
 
-  /// Feed one raw frame from the inner transport through the demux;
-  /// collects any ack frame to send into `acks_out` (sent by the caller
-  /// outside the mutex). `rank` is the receiving rank, `src` the peer.
-  void ProcessRawFrame(int rank, int src, int tag, Payload frame,
-                       std::vector<std::tuple<int, int, int, Payload>>&
-                           acks_out);
+  /// Feed one raw frame from the inner transport through the demux and send
+  /// the ack a data frame earns. Call without `mu_`. `rank` is the receiving
+  /// rank, `src` the peer.
+  void ProcessRawFrame(int rank, int src, int tag, Payload frame);
+  /// Demux everything pending in the inner (rank, src, tag) mailbox.
+  void DrainMailbox(int rank, int src, int tag);
+  /// True while a Recv/RecvFor is pulling the (rank, src, tag) mailbox.
+  [[nodiscard]] bool HasConsumerLocked(int rank, int src, int tag) const
+      REQUIRES(mu_);
   /// Take the next in-order body if present.
   std::optional<Payload> TakeExpectedLocked(RxChannel& ch) REQUIRES(mu_);
   void DaemonLoop();

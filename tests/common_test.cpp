@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: status/result, bit vector, queues,
-// thread pool, RNG determinism, stats, serialization.
+// thread pool, RNG determinism, stats, serialization, CRC-32.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "common/bitvector.h"
+#include "common/crc32.h"
 #include "common/queues.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -339,6 +343,63 @@ TEST(SerializeTest, EmptyReaderReportsTruncation) {
   std::vector<std::uint8_t> empty;
   ByteReader r(empty);
   EXPECT_FALSE(r.ReadU32().ok());
+}
+
+// ----------------------------------------------------------------- CRC-32 ---
+
+/// Bit-at-a-time reference: the definition the table-driven code must match.
+std::uint32_t ReferenceCrcUpdate(std::uint32_t crc, const unsigned char* p,
+                                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(common::Crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(common::Crc32(nullptr, 0), 0u);
+}
+
+// Every length that exercises the 8-byte blocks and the bytewise tail, at
+// every alignment of the start pointer.
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryOffsetAndLength) {
+  const auto bytes = RandomBytes(64 + 8, 91);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      EXPECT_EQ(common::Crc32Update(0xFFFFFFFFu, p, len),
+                ReferenceCrcUpdate(0xFFFFFFFFu, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBufferAndSplits) {
+  const auto bytes = RandomBytes(64 * 1024, 92);
+  const std::uint32_t whole =
+      common::Crc32Update(0xFFFFFFFFu, bytes.data(), bytes.size());
+  EXPECT_EQ(whole, ReferenceCrcUpdate(0xFFFFFFFFu, bytes.data(), bytes.size()));
+  // Chaining the raw register over pieces equals one pass over the whole.
+  for (const std::size_t split : {1u, 7u, 4099u, 65535u}) {
+    const std::uint32_t head =
+        common::Crc32Update(0xFFFFFFFFu, bytes.data(), split);
+    EXPECT_EQ(common::Crc32Update(head, bytes.data() + split,
+                                  bytes.size() - split),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

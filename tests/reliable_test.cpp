@@ -1,7 +1,7 @@
 // ReliableTransport tests: exactly-once in-order delivery through every
 // fault mix the chaos layer can throw (drop/dup/reorder/corrupt/straggler,
-// separately and combined), bidirectional traffic on one tag, strict
-// TryRecv, deadline hand-off to the upper tiers, zero steady-state buffer
+// separately and combined), bidirectional traffic on one tag, concurrent
+// senders on one channel, acks reaped by the sender, strict TryRecv, deadline hand-off to the upper tiers, zero steady-state buffer
 // allocations, collectives running bit-exact through chaos at every
 // pipeline depth and channel count, and the fault-schedule JSON replay
 // round-trip.
@@ -148,6 +148,75 @@ TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
   std::thread t1([&] { side(1, 0); });
   t0.join();
   t1.join();
+}
+
+// Sends on one channel from several threads: framing runs outside the
+// lock, so frames reach the wire out of seq order even on a clean link.
+// Every body must still arrive exactly once, each sender's in its order.
+void RunConcurrentSenders(FaultSpec spec) {
+  spec.delivery = FaultDelivery::kRaw;
+  InProcTransport inner(2);
+  FaultyTransport faulty(inner, spec);
+  ReliableTransport rel(faulty);
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 100;
+  constexpr std::size_t kLanes = 16;
+  const auto body_id = [](int sender, int i) { return sender * 1000 + i; };
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kSenders; ++t) {
+    senders.emplace_back([&, t] {
+      for (int i = 0; i < kPerSender; ++i) {
+        rel.Send(0, 1, 5, MakeBody(body_id(t, i), kLanes));
+      }
+    });
+  }
+  std::vector<int> next(kSenders, 0);  // next expected i per sender
+  for (int n = 0; n < kSenders * kPerSender; ++n) {
+    auto p = rel.RecvFor(1, 0, 5, std::chrono::seconds(30));
+    ASSERT_TRUE(p.ok()) << "message " << n << ": " << p.status().ToString();
+    ASSERT_EQ(p->size(), kLanes);
+    const int id = static_cast<int>((*p)[0]);
+    const int t = id / 1000;
+    ASSERT_GE(t, 0);
+    ASSERT_LT(t, kSenders);
+    EXPECT_EQ(id % 1000, next[static_cast<std::size_t>(t)])
+        << "sender " << t << " out of order or duplicated";
+    EXPECT_EQ(*p, MakeBody(id, kLanes));
+    next[static_cast<std::size_t>(t)] = id % 1000 + 1;
+  }
+  for (auto& th : senders) th.join();
+  for (int t = 0; t < kSenders; ++t) {
+    EXPECT_EQ(next[static_cast<std::size_t>(t)], kPerSender) << "sender " << t;
+  }
+  EXPECT_EQ(rel.TryRecv(1, 0, 5), std::nullopt);
+  EXPECT_EQ(rel.stats().delivered,
+            static_cast<std::uint64_t>(kSenders * kPerSender));
+}
+
+TEST(ReliableTransportTest, ConcurrentSendersOnOneChannel) {
+  RunConcurrentSenders(FaultSpec{});
+  FaultSpec lossy;
+  lossy.seed = 25;
+  lossy.all_links.drop_prob = 0.1;
+  lossy.all_links.reorder_prob = 0.2;
+  RunConcurrentSenders(lossy);
+}
+
+// A sender reaps its own acks: with the daemon effectively asleep, each
+// Send on a channel with a frame in flight drains the ack mailbox first.
+TEST(ReliableTransportTest, SenderReapsAcksWithoutDaemon) {
+  InProcTransport inner(2);
+  ReliableOptions opts;
+  opts.daemon_tick_ms = 60000;
+  ReliableTransport rel(inner, opts);
+  rel.Send(0, 1, 7, MakeBody(0, 4));
+  ASSERT_TRUE(rel.Recv(1, 0, 7).ok());  // acks before it returns
+  for (int i = 1; i <= 3; ++i) {
+    const std::uint64_t before = rel.stats().acks_received;
+    rel.Send(0, 1, 7, MakeBody(i, 4));
+    EXPECT_EQ(rel.stats().acks_received, before + 1) << "send " << i;
+    ASSERT_TRUE(rel.Recv(1, 0, 7).ok());
+  }
 }
 
 // Reliable TryRecv never skips a gap: a dropped-but-retransmitting frame
