@@ -4,11 +4,13 @@
 // nodes"): recovery-time breakdown after a node failure, the
 // checkpoint-interval trade-off (write overhead vs replay on failure), and
 // the in-band reliability sweep (--json): at each wire drop rate, the
-// strict seed engine vs the reliable+degradation stack — recovered
-// iterations/s, retransmit counts, and the time-to-degrade/time-to-restore
-// of the engine's degradation ladder. --fault-schedule replays a serialized
-// chaos schedule (tests dump one per failing soak cell) through the
-// reliable engine.
+// strict seed engine vs the reliable+unit-retry stack — recovered
+// iterations/s and retransmit counts — plus a unit-retry probe (primary
+// unit tags blackholed). The sweep exits non-zero unless the robust stack
+// completes every iteration at every drop rate and the probe completes
+// through unit retries. --fault-schedule replays a serialized chaos
+// schedule (tests dump one per failing soak cell) through the reliable
+// engine.
 #include "bench_util.h"
 
 #include <atomic>
@@ -37,14 +39,11 @@ struct EngineRunResult {
   int completed_iters = 0;   // min across ranks
   bool aborted = false;
   double wall_s = 0.0;
-  // Reliable-layer + degradation readings (zero when the tier is off).
+  // Reliable-layer + unit-retry readings (zero when the tier is off).
   std::uint64_t retransmits = 0;
   std::uint64_t crc_failures = 0;
   std::uint64_t delivery_failures = 0;
   std::uint64_t unit_retries = 0;
-  int final_degradation_level = 0;
-  double time_to_degrade_ms = -1.0;  // first level > 0 (-1 = never)
-  double time_to_restore_ms = -1.0;  // first return to 0 afterwards
 };
 
 EngineRunResult RunReliabilityEngine(int world, const core::CommConfig& config,
@@ -55,26 +54,7 @@ EngineRunResult RunReliabilityEngine(int world, const core::CommConfig& config,
   core::ThreadedAiaccEngine engine(world, config, failure);
   std::atomic<int> min_completed{iters};
   std::atomic<bool> any_failed{false};
-  std::atomic<bool> done{false};
-
-  // Sample the degradation ladder while the run is live.
   const auto start = std::chrono::steady_clock::now();
-  std::thread monitor([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      const int level = engine.degradation_level();
-      const double now_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (level > 0 && out.time_to_degrade_ms < 0) {
-        out.time_to_degrade_ms = now_ms;
-      } else if (level == 0 && out.time_to_degrade_ms >= 0 &&
-                 out.time_to_restore_ms < 0) {
-        out.time_to_restore_ms = now_ms;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  });
 
   std::vector<std::thread> threads;
   for (int r = 0; r < world; ++r) {
@@ -115,14 +95,6 @@ EngineRunResult RunReliabilityEngine(int world, const core::CommConfig& config,
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              start)
                    .count();
-  done.store(true, std::memory_order_release);
-  monitor.join();
-  // The ladder often restores on the final WaitIteration, inside the
-  // monitor's last sleep — take one authoritative end-of-run sample.
-  if (engine.degradation_level() == 0 && out.time_to_degrade_ms >= 0 &&
-      out.time_to_restore_ms < 0) {
-    out.time_to_restore_ms = out.wall_s * 1000.0;
-  }
 
   out.completed_iters = min_completed.load();
   out.aborted = any_failed.load();
@@ -134,7 +106,6 @@ EngineRunResult RunReliabilityEngine(int world, const core::CommConfig& config,
   }
   out.unit_retries =
       engine.metrics().GetCounter("engine.unit_retries").Value();
-  out.final_degradation_level = engine.degradation_level();
   return out;
 }
 
@@ -148,8 +119,6 @@ std::string JsonEngineRun(const EngineRunResult& r) {
   s += ", \"crc_failures\": " + std::to_string(r.crc_failures);
   s += ", \"delivery_failures\": " + std::to_string(r.delivery_failures);
   s += ", \"unit_retries\": " + std::to_string(r.unit_retries);
-  s += ", \"final_degradation_level\": " +
-       std::to_string(r.final_degradation_level);
   s += "}";
   return s;
 }
@@ -214,22 +183,26 @@ int main(int argc, char** argv) {
         RunReliabilityEngine(2, SweepConfig(), RobustFailureConfig(*spec), 30);
     std::printf(
         "  completed %d/30 iters in %.2fs (%s); retransmits=%llu "
-        "crc_failures=%llu unit_retries=%llu final_level=%d\n",
+        "crc_failures=%llu unit_retries=%llu\n",
         r.completed_iters, r.wall_s, r.aborted ? "ABORTED" : "ok",
         static_cast<unsigned long long>(r.retransmits),
         static_cast<unsigned long long>(r.crc_failures),
-        static_cast<unsigned long long>(r.unit_retries),
-        r.final_degradation_level);
+        static_cast<unsigned long long>(r.unit_retries));
     return r.aborted ? 2 : 0;
   }
 
   // In-band reliability sweep (--json): contrast the strict seed engine
   // (faults surface as collective timeouts -> abort) with the
-  // reliable+degradation stack at increasing wire drop rates, then probe
-  // the degradation ladder's reaction time. Emitted as JSON so the result
-  // can be checked in (BENCH_reliability.json) and diffed across PRs.
+  // reliable+unit-retry stack at increasing wire drop rates, then probe
+  // unit retry alone. Emitted as JSON so the result can be checked in
+  // (BENCH_reliability.json) and diffed across PRs. Tier-coverage gate:
+  // exits 3 (after writing the JSON) unless the robust stack completes
+  // every iteration at every drop rate and the probe completes every
+  // iteration through at least one unit retry.
   if (!json_path.empty()) {
     constexpr int kIters = 30;
+    constexpr int kProbeIters = 6;
+    bool gate_ok = true;
     const double kDropRates[] = {0.0, 0.001, 0.01, 0.05};
 
     std::string json = "{\n  \"config\": {\"world\": 2, \"iters\": " +
@@ -252,12 +225,17 @@ int main(int argc, char** argv) {
       const EngineRunResult frail =
           RunReliabilityEngine(2, SweepConfig(), fragile, kIters);
 
-      // Robust leg: same schedule under the reliable transport with the
-      // degradation ladder armed.
+      // Robust leg: same schedule under the reliable transport with unit
+      // retry armed.
       transport::FaultSpec raw = spec;
       raw.delivery = transport::FaultDelivery::kRaw;
       const EngineRunResult robust = RunReliabilityEngine(
           2, SweepConfig(), RobustFailureConfig(raw), kIters);
+      if (robust.aborted || robust.completed_iters != kIters) {
+        std::fprintf(stderr, "GATE: robust leg completed %d/%d at drop %.3f\n",
+                     robust.completed_iters, kIters, rate);
+        gate_ok = false;
+      }
 
       if (!first) json += ",\n";
       first = false;
@@ -267,11 +245,10 @@ int main(int argc, char** argv) {
     }
     json += "\n  ],\n";
 
-    // Degradation-ladder probe: blackhole the primary unit tag namespace
-    // (epoch-retry tags stay clean) and time the ladder's rise and the
-    // walk back to level 0 (mirrors chaos_soak_test's
-    // EngineDegradesRetriesAndRestores).
-    std::fprintf(stderr, "degradation probe...\n");
+    // Unit-retry probe: blackhole the primary unit tag namespace (epoch-
+    // retry tags stay clean), so only tier 2 can complete the run (mirrors
+    // chaos_soak_test's EngineRetriesUnitsOnFreshEpochs).
+    std::fprintf(stderr, "unit-retry probe...\n");
     {
       core::CommConfig config;
       config.num_streams = 2;
@@ -288,14 +265,18 @@ int main(int argc, char** argv) {
       failure.faults = spec;
       failure.collective_timeout_ms = 200;
       failure.degrade_before_abort = true;
-      failure.degradation.recover_after = 2;
       const EngineRunResult probe =
-          RunReliabilityEngine(2, config, failure, 6);
-      json += "  \"degradation_probe\": {\"run\": " + JsonEngineRun(probe) +
-              ", \"time_to_degrade_ms\": " +
-              FormatDouble(probe.time_to_degrade_ms, 2) +
-              ", \"time_to_restore_ms\": " +
-              FormatDouble(probe.time_to_restore_ms, 2) + "}\n";
+          RunReliabilityEngine(2, config, failure, kProbeIters);
+      json += "  \"unit_retry_probe\": " + JsonEngineRun(probe) + "\n";
+      if (probe.aborted || probe.completed_iters != kProbeIters ||
+          probe.unit_retries < 1) {
+        std::fprintf(stderr,
+                     "GATE: unit-retry probe completed %d/%d with %llu "
+                     "unit retries\n",
+                     probe.completed_iters, kProbeIters,
+                     static_cast<unsigned long long>(probe.unit_retries));
+        gate_ok = false;
+      }
     }
     json += "}\n";
 
@@ -310,7 +291,7 @@ int main(int argc, char** argv) {
       std::fputs(json.c_str(), f);
       std::fclose(f);
     }
-    return 0;
+    return gate_ok ? 0 : 3;
   }
 
   PrintHeader("§IV — fault tolerance & elastic deployment",

@@ -29,16 +29,10 @@ struct UnitSegment {
 struct AllReduceUnit {
   std::uint64_t unit_id = 0;
   std::vector<UnitSegment> segments;
-  /// Ring pipeline depth every rank must use for this unit's all-reduce
-  /// (0 = the engine's configured default). Stamped by the sync protocol
-  /// from the *agreed* degradation level — ranks running one unit's ring at
-  /// different depths would exchange mismatched slice counts and abort, so
-  /// a per-rank controller value must never be used here directly.
-  int pipeline_depth = 0;
-  /// Wire codec every rank must use for this unit's collective. Like
-  /// pipeline_depth it is derived from agreed state only (the shared config
-  /// resolved per gradient name in registration order), so all ranks stamp
-  /// the same codec on the same unit. Gradients with different codecs never
+  /// Wire codec every rank must use for this unit's collective. It is
+  /// derived from agreed state only (the shared config resolved per
+  /// gradient name in registration order), so all ranks stamp the same
+  /// codec on the same unit. Gradients with different codecs never
   /// share a unit — the packer closes the open unit on a codec change.
   compress::CodecSpec codec{};
   /// Criticality priority: the smallest gradient id in the unit, i.e. the

@@ -1,7 +1,6 @@
 #include "core/threaded_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "collective/threaded.h"
@@ -23,22 +22,9 @@ using collective::kSyncTag;
 using collective::kUnitRetryEpochs;
 using collective::UnitEpochTagBase;
 
-// Degradation-level agreement rides the sync round's bitwise-AND all-reduce
-// as one extra payload word: a rank's local level proposal is encoded as a
-// unary mask — all-ones with the `level` low bits cleared — so ANDing the
-// masks across ranks clears every bit any rank cleared, and the result is
-// exactly the mask of the *maximum* proposed level. Every rank decodes the
-// same agreed level at the same round, which is what makes it safe to stamp
-// into that round's units as a cross-rank pipeline depth. (kBitAnd routes
-// arbitrary 32-bit patterns — including the all-ones NaN — bit-exactly.)
-float LevelMask(int level) {
-  return std::bit_cast<float>(~std::uint32_t{0} << level);
-}
-
-int LevelFromMask(float lane) {
-  const auto mask = std::bit_cast<std::uint32_t>(lane);
-  return mask == 0 ? 31 : std::countr_zero(mask);
-}
+// Tier 2: in-band retries per failed unit collective before the engine
+// aborts to tier 3 (checkpoint recovery).
+constexpr int kMaxUnitRetries = 2;
 
 std::string RankList(const std::vector<int>& ranks) {
   std::string out;
@@ -58,14 +44,10 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
       failure_(std::move(failure)),
       metrics_dump_period_ms_(telemetry::MetricsDumpPeriodMs()),
       inproc_(world_size),
-      transport_(&inproc_),
-      degradation_(failure_.degradation) {
+      transport_(&inproc_) {
   AIACC_CHECK(world_size >= 1);
   AIACC_CHECK(config_.num_streams >= 1);
   unit_retries_ = &metrics_.GetCounter("engine.unit_retries");
-  degradation_.BindTelemetry(&metrics_.GetGauge("engine.degradation_level"),
-                             &metrics_.GetCounter("engine.degradations"),
-                             &metrics_.GetCounter("engine.restorations"));
   // One long-lived task per service loop: each rank runs an MPI process and
   // `num_streams` communication streams, plus a heartbeat when detection is
   // on and a metrics dumper when periodic dumping is configured. The pool
@@ -555,15 +537,9 @@ void ThreadedAiaccEngine::RunIterationProtocol(
 
   // Bit-packed sync payload: 32 readiness bits per float word (sync_bits.h)
   // instead of one 0/1 float per gradient — a 32x cut in per-round traffic.
-  // Under degrade_before_abort one extra word carries the degradation-level
-  // proposal (see LevelMask above); the same AND-all-reduce that agrees the
-  // ready set then also agrees the max level across ranks, for free.
-  const bool degrade = failure_.degrade_before_abort;
   const std::size_t sync_words = SyncWordCount(static_cast<std::size_t>(n));
-  const std::size_t payload_words = sync_words + (degrade ? 1 : 0);
-  sync_scratch.resize(payload_words);
-  std::span<float> sync_vector(sync_scratch.data(), sync_words);
-  int agreed_level = 0;
+  sync_scratch.resize(sync_words);
+  std::span<float> sync_vector(sync_scratch);
   while (agreed_total < n) {
     // Drain whatever else has been produced.
     while (!flush_seen) {
@@ -583,14 +559,11 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     // count after each round is identical everywhere, and the loop
     // condition depends only on it.
     PackSyncBits(local_ready, sync_vector);
-    if (degrade) {
-      sync_scratch[sync_words] = LevelMask(degradation_.level());
-    }
     collective::Comm comm{transport_, rank, world_size_, kSyncTag,
                           failure_.collective_timeout_ms};
     const Status st = [&] {
       AIACC_TRACE_SPAN("engine", "sync-round");
-      return collective::RingAllReduce(comm, std::span<float>(sync_scratch),
+      return collective::RingAllReduce(comm, sync_vector,
                                        collective::ReduceOp::kBitAnd);
     }();
     if (!st.ok()) {
@@ -601,12 +574,8 @@ void ThreadedAiaccEngine::RunIterationProtocol(
         aborted_.load(std::memory_order_acquire)) {
       return;
     }
-    if (degrade) {
-      agreed_level = std::min(LevelFromMask(sync_scratch[sync_words]),
-                              failure_.degradation.max_level);
-    }
     worker.sync_rounds_->Add();
-    worker.sync_payload_floats_->Add(payload_words);
+    worker.sync_payload_floats_->Add(sync_words);
 
     // Gradients agreed by everyone enter the packing stream (in id order,
     // so all ranks build identical units with identical unit ids).
@@ -621,15 +590,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     }
     if (agreed_total == n) packer.Flush();
     while (packer.HasReadyUnit()) {
-      AllReduceUnit unit = packer.PopReadyUnit();
-      if (degrade) {
-        // Stamp the *agreed* depth (never the local controller value —
-        // ranks disagreeing on a unit's depth would exchange mismatched
-        // slice counts and abort, defeating graceful degradation).
-        unit.pipeline_depth = DegradationController::DepthAt(
-            config_.pipeline_depth, agreed_level);
-      }
-      state.scheduler->Push(std::move(unit));
+      state.scheduler->Push(packer.PopReadyUnit());
     }
     // If nothing new was agreed and production continues, take one blocking
     // message so the loop does not spin on empty rounds.
@@ -682,22 +643,8 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
   RankState& state = *ranks_[static_cast<std::size_t>(rank)];
   Worker& worker = *workers_[static_cast<std::size_t>(rank)];
   auto& buffer_pool = common::BufferPool::Global();
-  const bool degrade = failure_.degrade_before_abort;
+  const bool retry_units = failure_.degrade_before_abort;
   for (;;) {
-    // Stream gating: under degradation, high-index streams park instead of
-    // claiming units (fewer concurrent rings = less fault surface). Purely
-    // local — streams pull from a shared queue, so ranks may disagree on
-    // stream counts freely. Stream 0 never parks: progress is guaranteed
-    // even at max degradation, and a parked stream's units are simply
-    // served by the active ones.
-    while (degrade && stream_index > 0 &&
-           stream_index >= degradation_.EffectiveStreams(config_.num_streams)) {
-      if (shutdown_.load(std::memory_order_acquire) ||
-          aborted_.load(std::memory_order_acquire)) {
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
     auto unit = state.scheduler->PopFor(stream_index);
     if (!unit.has_value()) return;
     const auto unit_begin = std::chrono::steady_clock::now();
@@ -753,8 +700,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // per-rank epoch counters advance in lockstep and all ranks meet again
     // on the same retry namespace; the old epoch's tags are never reused,
     // so stale half-ring messages from the failed attempt are inert.
-    const int max_attempts =
-        degrade ? 1 + std::max(0, failure_.max_unit_retries) : 1;
+    const int max_attempts = retry_units ? 1 + kMaxUnitRetries : 1;
     Status st;
     int epoch = 0;  // outlives the loop: names the failing tag on abort
     for (int attempt = 0;; ++attempt) {
@@ -781,7 +727,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       }
 
       epoch = 0;
-      if (degrade) {
+      if (retry_units) {
         common::MutexLock lock(state.mu);
         epoch = state.unit_tag_epoch[unit->unit_id];
       }
@@ -791,18 +737,13 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       collective::Comm comm{transport_, rank, world_size_,
                             UnitEpochTagBase(unit->unit_id, epoch),
                             failure_.collective_timeout_ms};
-      // Attempt 0 runs at the depth agreed by the sync protocol (stamped on
-      // the unit; 0 = engine default). Retries always run unpipelined —
-      // the retry decision is per-rank-symmetric but not *agreed*, so depth
-      // 1 is the only value every rank can assume without coordination.
-      if (attempt == 0) {
-        comm.pipeline_depth = unit->pipeline_depth > 0 ? unit->pipeline_depth
-                                                       : config_.pipeline_depth;
-      } else {
-        comm.pipeline_depth = 1;
-      }
+      // Attempt 0 runs at the configured depth. Retries always run
+      // unpipelined — the retry decision is per-rank-symmetric but not
+      // *agreed*, so depth 1 is the only value every rank can assume
+      // without coordination.
+      comm.pipeline_depth = attempt == 0 ? config_.pipeline_depth : 1;
       // The unit's agreed wire codec (stamped by the packer from the shared
-      // config; identical on every rank, like pipeline_depth).
+      // config; identical on every rank).
       comm.codec = unit->codec;
       // Cooperative preemption: a non-urgent bulk unit checks between
       // pipeline slices whether an urgent collective is currently in
@@ -848,16 +789,12 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
         st = collective::RingAllReduce(comm, staging,
                                        collective::ReduceOp::kAvg);
       }
-      if (st.ok()) {
-        if (degrade) degradation_.RecordSuccess();
-        break;
-      }
-      if (!degrade || shutdown_.load(std::memory_order_acquire) ||
+      if (st.ok()) break;
+      if (shutdown_.load(std::memory_order_acquire) ||
           aborted_.load(std::memory_order_acquire) ||
           st.code() == StatusCode::kUnavailable) {
         break;  // teardown/abort — retrying a dead transport is pointless
       }
-      degradation_.RecordFailure();
       if (attempt + 1 >= max_attempts) break;
       bool epochs_left = true;
       {

@@ -44,7 +44,6 @@
 #include "common/queues.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
-#include "core/degradation.h"
 #include "core/optimizer.h"
 #include "core/packing.h"
 #include "core/registry.h"
@@ -81,16 +80,13 @@ struct FailureConfig {
   bool reliable_transport = false;
   transport::ReliableOptions reliable_options;
 
-  /// Tier 2: on a failed unit all-reduce, retry the unit in-band (on a
-  /// fresh tag epoch, at degraded depth) and shrink effective pipeline
-  /// depth / stream count under sustained fault pressure, instead of
-  /// aborting straight to checkpoint recovery. Symmetric by construction:
-  /// a unit collective that fails on one rank fails on all (same ring),
-  /// so every rank retries in lockstep.
+  /// Tier 2: on a failed unit all-reduce, retry the unit in-band on a
+  /// fresh tag epoch at pipeline depth 1 (at most kMaxUnitRetries = 2
+  /// times, threaded_engine.cpp) instead of aborting straight to checkpoint
+  /// recovery. Symmetric by
+  /// construction: a unit collective that fails on one rank fails on all
+  /// (same ring), so every rank retries in lockstep.
   bool degrade_before_abort = false;
-  /// Retries per unit collective before giving up and aborting (tier 3).
-  int max_unit_retries = 2;
-  DegradationController::Options degradation;
 
   /// Observability tier: stack a TracingTransport on top of the stack so
   /// every frame carries a causal trace context (origin, message id, HLC)
@@ -250,11 +246,6 @@ class ThreadedAiaccEngine {
     return tracing_.get();
   }
 
-  /// Current agreed-upon degradation level (0 = full configuration).
-  [[nodiscard]] int degradation_level() const noexcept {
-    return degradation_.level();
-  }
-
   /// Monotonic fault-pressure signal for autotuning: total in-band repair
   /// work (unit retries + transport retransmits/CRC failures) this engine
   /// has performed. A config whose score only held up thanks to nonzero
@@ -355,7 +346,6 @@ class ThreadedAiaccEngine {
   std::unique_ptr<transport::ReliableTransport> reliable_;  // NOLOCK(set in ctor only)
   std::unique_ptr<transport::TracingTransport> tracing_;  // NOLOCK(set in ctor only)
   transport::Transport* transport_;  // NOLOCK(set in ctor; topmost decorator of the inproc -> faulty -> reliable -> tracing stack)
-  DegradationController degradation_;  // NOLOCK(internally synchronized)
   telemetry::Counter* unit_retries_;   // NOLOCK(set in ctor only)
   std::vector<std::unique_ptr<Worker>> workers_;  // NOLOCK(sized in ctor, never resized)
   std::vector<std::unique_ptr<RankState>> ranks_; // NOLOCK(sized in ctor, never resized)

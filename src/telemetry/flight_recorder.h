@@ -1,7 +1,7 @@
 // Always-on flight recorder: a fixed ring of recent high-severity runtime
-// events (faults, unit retries, retransmit exhaustion, degradation ladder
-// moves, abort reasons) that turns "collective aborted with non-OK status"
-// into a causal story (DESIGN.md §7).
+// events (faults, unit retries, retransmit exhaustion, abort reasons) that
+// turns "collective aborted with non-OK status" into a causal story
+// (DESIGN.md §7).
 //
 // Unlike the tracer — opt-in, high-volume, span-oriented — the flight
 // recorder is always recording and deliberately tiny: Record claims a slot
@@ -11,10 +11,10 @@
 // `capacity` events.
 //
 // Severity taxonomy (DESIGN.md §7 documents the mapping per component):
-//   kInfo   state transitions that are part of healing (degradation
-//           *restore*)
-//   kWarn   in-band repair work (unit retry, degradation ladder *down*,
-//           CRC discard) — the run is still healthy but paying for faults
+//   kInfo   state transitions that are part of healing (no runtime event
+//           records this level today)
+//   kWarn   in-band repair work (unit retry, CRC discard) — the run is
+//           still healthy but paying for faults
 //   kError  a layer gave up locally (retransmit exhaustion, unit failure,
 //           collective failure on one rank)
 //   kFatal  the run is over (engine abort, injected rank crash)
