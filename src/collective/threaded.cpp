@@ -148,9 +148,7 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
                                    std::int64_t timeout_ms,
                                    common::BufferPool& pool, int d,
                                    SliceWindow& carry, CodecKind wire,
-                                   std::span<float> scratch,
-                                   void (*yield)(void*) = nullptr,
-                                   void* yield_ctx = nullptr) {
+                                   std::span<float> scratch) {
   AIACC_TRACE_SPAN("comm.phase", "reduce-scatter");
   const bool pipelined = d > 1;
   const bool encoded = wire != CodecKind::kNone;
@@ -168,10 +166,6 @@ Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
   for (int s = 0; s < n - 1; ++s) {
     std::span<float> target = chunk(start - s - 1);
     for (int k = 0; k < d; ++k) {
-      // Cooperative preemption point (Comm::slice_yield): give an urgent
-      // unit on another stream the transport before committing to this
-      // slice's recv-wait. Timing-only — never changes the schedule.
-      if (yield != nullptr) yield(yield_ctx);
       Result<transport::Payload> received = [&] {
         AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
         return TimedRecv(tr, timeout_ms, me, prev, tag);
@@ -226,9 +220,7 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
                                int prev, int n, ChunkFn&& chunk, int start,
                                int tag, std::int64_t timeout_ms,
                                common::BufferPool& pool, int d,
-                               SliceWindow& carry, CodecKind wire,
-                               void (*yield)(void*) = nullptr,
-                               void* yield_ctx = nullptr) {
+                               SliceWindow& carry, CodecKind wire) {
   AIACC_TRACE_SPAN("comm.phase", "all-gather");
   const bool pipelined = d > 1;
   const bool encoded = wire != CodecKind::kNone;
@@ -251,7 +243,6 @@ Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
   for (int s = 0; s < n - 1; ++s) {
     std::span<float> target = chunk(start - s - 1);
     for (int k = 0; k < d; ++k) {
-      if (yield != nullptr) yield(yield_ctx);
       Result<transport::Payload> received = [&] {
         AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
         return TimedRecv(tr, timeout_ms, me, prev, tag);
@@ -289,9 +280,7 @@ Status RingAllReduceOnRing(transport::Transport& tr,
                            const std::vector<int>& ring, int my_pos,
                            std::span<float> data, ReduceOp op, int tag,
                            std::int64_t timeout_ms, common::BufferPool& pool,
-                           int pipeline_depth, CodecKind wire,
-                           void (*yield)(void*) = nullptr,
-                           void* yield_ctx = nullptr) {
+                           int pipeline_depth, CodecKind wire) {
   AIACC_CHECK(op != ReduceOp::kAvg);
   AIACC_CHECK(wire == CodecKind::kNone || compress::IsCast(wire));
   const int n = static_cast<int>(ring.size());
@@ -320,14 +309,12 @@ Status RingAllReduceOnRing(transport::Transport& tr,
   SliceWindow carry;
   Status status = PipelinedReduceScatterPhase(tr, me, next, prev, n, chunk,
                                               my_pos, op, tag, timeout_ms,
-                                              pool, d, carry, wire, scratch,
-                                              yield, yield_ctx);
+                                              pool, d, carry, wire, scratch);
   // Rank my_pos now owns reduced chunk(my_pos + 1): the all-gather starts
   // there and circulates the fully-reduced chunks around the ring.
   if (status.ok()) {
     status = PipelinedAllGatherPhase(tr, me, next, prev, n, chunk, my_pos + 1,
-                                     tag, timeout_ms, pool, d, carry, wire,
-                                     yield, yield_ctx);
+                                     tag, timeout_ms, pool, d, carry, wire);
   }
   ReleaseWindow(pool, carry);
   ReleasePayload(pool, std::move(scratch));
@@ -424,8 +411,7 @@ Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
                                             data, inner, comm.tag_base,
                                             comm.timeout_ms, PoolOf(comm),
                                             comm.pipeline_depth,
-                                            comm.codec.kind, comm.slice_yield,
-                                            comm.slice_yield_ctx));
+                                            comm.codec.kind));
   FinalizeAvg(data, comm.world_size, op);
   return Status::Ok();
 }
@@ -545,8 +531,7 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
                                             data, inner, comm.tag_base,
                                             comm.timeout_ms, pool,
                                             comm.pipeline_depth,
-                                            comm.codec.kind, comm.slice_yield,
-                                            comm.slice_yield_ctx));
+                                            comm.codec.kind));
 
   // Phase 2: group leaders ring all-reduce across hosts.
   if (num_hosts > 1) {
@@ -560,9 +545,7 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
                                                 comm.tag_base + 1,
                                                 comm.timeout_ms, pool,
                                                 comm.pipeline_depth,
-                                                comm.codec.kind,
-                                                comm.slice_yield,
-                                                comm.slice_yield_ctx));
+                                                comm.codec.kind));
     }
     // Phase 3: leaders broadcast the global result inside their group.
     AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,

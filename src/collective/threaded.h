@@ -65,14 +65,6 @@ struct Comm {
   /// bit-packed sync rounds are exact agreements), and standalone
   /// ReduceScatter/AllGather/point-to-point ops always ship raw fp32.
   compress::CodecSpec codec{};
-  /// Cooperative slice-yield hook. When set, the pipelined ring phases
-  /// invoke it between slice iterations so a long bulk transfer can give
-  /// up transport bandwidth to a newly-ready urgent unit on another stream
-  /// (the engine parks this thread briefly when the ready set holds a more
-  /// urgent unit). Timing-only: the yield never changes which slice any
-  /// element reduces in, so results stay bit-identical with or without it.
-  void (*slice_yield)(void* ctx) = nullptr;
-  void* slice_yield_ctx = nullptr;
 };
 
 /// Classic chunked ring all-reduce: reduce-scatter then all-gather, 2(n-1)

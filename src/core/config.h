@@ -45,8 +45,8 @@ struct CommConfig {
   std::vector<std::pair<std::string, compress::CodecSpec>> codec_overrides;
   /// Priority dispatch (core/scheduler.h): the fraction of the gradient-id
   /// space counted as urgent — the front layers the next forward consumes
-  /// first. 0 disables the ready-set scheduler (pure FIFO dispatch, no
-  /// preemption): the scheduler-off arm of the bench A/B. Dispatch order
+  /// first. 0 disables the ready-set scheduler (pure FIFO dispatch): the
+  /// scheduler-off arm of the bench A/B. Dispatch order
   /// never changes numerics, so every value is bit-identical.
   float priority_urgent_fraction = 0.25f;
   /// Starvation/latency aging window for the ready set: entries older than

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.h"
 
 namespace aiacc::core {
-
-namespace {
-
-/// Criticality = the earliest-consumed (smallest-id) gradient in the unit.
-int UnitPriority(const AllReduceUnit& unit) {
-  int priority = std::numeric_limits<int>::max();
-  for (const UnitSegment& seg : unit.segments) {
-    priority = std::min(priority, seg.gradient_id);
-  }
-  return unit.segments.empty() ? -1 : priority;
-}
-
-}  // namespace
 
 std::vector<AllReduceUnit> PackingPlanner::Pack(
     const GradientRegistry& registry, const std::vector<int>& ready_ids,
@@ -32,7 +18,6 @@ std::vector<AllReduceUnit> PackingPlanner::Pack(
 
   auto flush = [&] {
     if (!current.segments.empty()) {
-      current.priority = UnitPriority(current);
       units.push_back(std::move(current));
       current = AllReduceUnit{};
       current.unit_id = next_unit_id_++;
@@ -91,7 +76,6 @@ void StreamingPacker::Add(int gradient_id, std::size_t bytes,
 void StreamingPacker::CloseCurrent() {
   if (current_.segments.empty()) return;
   current_.unit_id = next_unit_id_++;
-  current_.priority = UnitPriority(current_);
   ready_.push_back(std::move(current_));
   current_ = AllReduceUnit{};
   current_bytes_ = 0;

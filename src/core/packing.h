@@ -35,12 +35,6 @@ struct AllReduceUnit {
   /// codec on the same unit. Gradients with different codecs never
   /// share a unit — the packer closes the open unit on a codec change.
   compress::CodecSpec codec{};
-  /// Criticality priority: the smallest gradient id in the unit, i.e. the
-  /// tensor the *next forward pass* consumes earliest (ids are assigned in
-  /// name-sorted registration order, identical on every rank). Lower =
-  /// more urgent. The ready-set scheduler (core/scheduler.h) dispatches by
-  /// this; -1 = unstamped (scheduler derives it from the segments).
-  int priority = -1;
 
   [[nodiscard]] std::size_t TotalBytes() const noexcept {
     std::size_t n = 0;

@@ -38,18 +38,12 @@ ReadySetScheduler::ReadySetScheduler(SchedulerPolicy policy)
 void ReadySetScheduler::BindGradientCount(int num_gradients) {
   common::MutexLock lock(mu_);
   policy_.num_gradients = num_gradients;
-  RefreshUrgentHint();
 }
 
 void ReadySetScheduler::Push(AllReduceUnit unit) {
-  // Priority = the earliest-consumed gradient in the unit. The packers
-  // stamp it; derive it from the segments when a caller did not.
-  int priority = unit.priority;
-  if (priority < 0) {
-    priority = std::numeric_limits<int>::max();
-    for (const UnitSegment& seg : unit.segments) {
-      priority = std::min(priority, seg.gradient_id);
-    }
+  int priority = std::numeric_limits<int>::max();
+  for (const UnitSegment& seg : unit.segments) {
+    priority = std::min(priority, seg.gradient_id);
   }
   {
     common::MutexLock lock(mu_);
@@ -60,7 +54,6 @@ void ReadySetScheduler::Push(AllReduceUnit unit) {
     e.push_ns = NowNs();
     e.priority = priority;
     entries_.push_back(std::move(e));
-    RefreshUrgentHint();
   }
   cv_.NotifyAll();
 }
@@ -121,7 +114,6 @@ std::optional<AllReduceUnit> ReadySetScheduler::TakeAt(std::size_t index) {
   }
   if (bypassed_someone) ++stats_.priority_pops;
   const bool urgent = taken.priority < cutoff;
-  if (urgent) urgent_active_.fetch_add(1, std::memory_order_relaxed);
   if (urgent && taken.bypassed > 0) ++stats_.inversions;
   const std::int64_t aging_ns =
       static_cast<std::int64_t>(policy_.aging_ms) * 1'000'000;
@@ -135,8 +127,6 @@ std::optional<AllReduceUnit> ReadySetScheduler::TakeAt(std::size_t index) {
   t_last_pop.priority = taken.priority;
   t_last_pop.urgent = urgent;
   t_last_pop.bypassed = taken.bypassed;
-
-  RefreshUrgentHint();
   return std::move(taken.unit);
 }
 
@@ -145,38 +135,6 @@ std::optional<AllReduceUnit> ReadySetScheduler::PopFor(int stream_index) {
   while (entries_.empty() && !shutdown_) cv_.Wait(lock);
   if (entries_.empty()) return std::nullopt;
   return TakeAt(PickIndex(stream_index, NowNs()));
-}
-
-std::optional<AllReduceUnit> ReadySetScheduler::TryPopFor(int stream_index) {
-  common::MutexLock lock(mu_);
-  if (entries_.empty()) return std::nullopt;
-  return TakeAt(PickIndex(stream_index, NowNs()));
-}
-
-bool ReadySetScheduler::UrgentWaiting(int active_priority) const noexcept {
-  const int waiting = urgent_waiting_.load(std::memory_order_relaxed);
-  return waiting < active_priority;
-}
-
-bool ReadySetScheduler::UrgentActive() const noexcept {
-  return urgent_active_.load(std::memory_order_relaxed) > 0;
-}
-
-void ReadySetScheduler::UnitFinished(int priority) noexcept {
-  // policy_ is frozen once service traffic runs (see the member comment),
-  // so reading the cutoff without mu_ is safe here.
-  if (priority < policy_.UrgentCutoff()) {
-    urgent_active_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-void ReadySetScheduler::RefreshUrgentHint() {
-  const int cutoff = policy_.UrgentCutoff();
-  int best = kNoUrgent;
-  for (const Entry& e : entries_) {
-    if (e.priority < cutoff) best = std::min(best, e.priority);
-  }
-  urgent_waiting_.store(best, std::memory_order_relaxed);
 }
 
 void ReadySetScheduler::Shutdown() {

@@ -52,10 +52,8 @@
 // reduces are unchanged, so results are bit-identical under any policy.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -68,8 +66,7 @@ namespace aiacc::core {
 struct SchedulerPolicy {
   /// Fraction of the gradient-id space counted as "urgent" (consumed
   /// earliest by the next forward). 0 disables priority dispatch entirely:
-  /// every stream pops FIFO and no preemption yields are requested — the
-  /// scheduler-off arm of the A/B.
+  /// every stream pops FIFO — the scheduler-off arm of the A/B.
   float urgent_fraction = 0.25f;
   /// Entries older than this sort ahead of everything younger on
   /// streams >= 1 (latency aging; liveness never depends on it).
@@ -113,7 +110,10 @@ class ReadySetScheduler {
   void BindGradientCount(int num_gradients) EXCLUDES(mu_);
 
   /// Enqueue a ready unit. Stamps the push sequence (the agreed global
-  /// order) and the wait-span start time.
+  /// order), the wait-span start time and the unit's priority: the
+  /// smallest gradient id among its segments, i.e. the tensor the *next
+  /// forward pass* consumes earliest (ids follow name-sorted registration
+  /// order, identical on every rank). Lower = more urgent.
   void Push(AllReduceUnit unit) EXCLUDES(mu_);
 
   /// Blocking pop for communication stream `stream_index`. Stream 0 pops
@@ -123,36 +123,11 @@ class ReadySetScheduler {
   /// scheduler is shut down and drained.
   std::optional<AllReduceUnit> PopFor(int stream_index) EXCLUDES(mu_);
 
-  /// Non-blocking PopFor.
-  std::optional<AllReduceUnit> TryPopFor(int stream_index) EXCLUDES(mu_);
-
-  /// True when a queued unit is urgent and strictly more urgent than
-  /// `active_priority`. Lock-free (relaxed atomic): a hint, never a
-  /// correctness input.
-  [[nodiscard]] bool UrgentWaiting(int active_priority) const noexcept;
-
-  /// True while an urgent unit's collective is in flight on some stream —
-  /// the cooperative-preemption predicate a non-urgent bulk transfer polls
-  /// between pipeline slices to decide whether to yield transport
-  /// bandwidth. Deliberately NOT "urgent unit queued": when every stream
-  /// is busy with bulk, a queued urgent unit cannot start, and yielding
-  /// would stall all of them (and their ring peers) without helping
-  /// anyone. Lock-free (relaxed atomic).
-  [[nodiscard]] bool UrgentActive() const noexcept;
-
-  /// The engine's stream loop reports a popped unit's collective as
-  /// finished (pass PopInfo::priority); pairs with PopFor to maintain the
-  /// UrgentActive hint.
-  void UnitFinished(int priority) noexcept;
-
   /// After shutdown Push is a no-op and PopFor drains then returns nullopt.
   void Shutdown() EXCLUDES(mu_);
 
   [[nodiscard]] std::size_t Size() const EXCLUDES(mu_);
   [[nodiscard]] SchedulerStats stats() const EXCLUDES(mu_);
-  [[nodiscard]] const SchedulerPolicy& policy() const noexcept {
-    return policy_;
-  }
   /// Wall-clock wait (push -> pop) of the most recent pop, and its
   /// priority/bypass data — read by the popping thread right after PopFor
   /// to emit the `engine.sched` wait span without re-locking.
@@ -163,7 +138,7 @@ class ReadySetScheduler {
     bool urgent = false;
     std::uint32_t bypassed = 0;  // less-urgent pops that overtook this unit
   };
-  /// Valid on the calling thread after a successful PopFor/TryPopFor.
+  /// Valid on the calling thread after a successful PopFor.
   [[nodiscard]] const PopInfo& last_pop() const noexcept;
 
  private:
@@ -179,23 +154,15 @@ class ReadySetScheduler {
                                       std::int64_t now_ns) const
       REQUIRES(mu_);
   std::optional<AllReduceUnit> TakeAt(std::size_t index) REQUIRES(mu_);
-  void RefreshUrgentHint() REQUIRES(mu_);
 
-  SchedulerPolicy policy_;  // NOLOCK(mutated only by BindGradientCount under mu_ before the service loops start; frozen while Push/Pop traffic runs)
   mutable common::Mutex mu_{"ready-set-scheduler",
                             common::lock_rank::kQueue};
+  SchedulerPolicy policy_ GUARDED_BY(mu_);
   common::CondVar cv_;
   std::vector<Entry> entries_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
   SchedulerStats stats_ GUARDED_BY(mu_);
-  /// Most urgent queued priority, or kNoUrgent when none is urgent.
-  /// Relaxed: consumed only as a preemption hint.
-  static constexpr int kNoUrgent = std::numeric_limits<int>::max();
-  std::atomic<int> urgent_waiting_{kNoUrgent};
-  /// In-flight urgent collectives (popped, not yet UnitFinished).
-  /// Relaxed: consumed only as the preemption hint.
-  std::atomic<int> urgent_active_{0};
 };
 
 }  // namespace aiacc::core

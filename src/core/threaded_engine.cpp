@@ -653,14 +653,6 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // overtaken by less-urgent dispatches while it waited. trace_analyze.py
     // aggregates these into the per-iteration priority-inversion stat.
     const ReadySetScheduler::PopInfo pop = state.scheduler->last_pop();
-    // Keep the UrgentActive preemption hint honest on every exit path
-    // (success, collective failure, shutdown): the pop above marked urgent
-    // units in-flight, and bulk units elsewhere poll that hint to yield.
-    struct UnitDoneGuard {
-      ReadySetScheduler* sched;
-      int priority;
-      ~UnitDoneGuard() { sched->UnitFinished(priority); }
-    } unit_done_guard{state.scheduler.get(), pop.priority};
     {
       auto& tracer = telemetry::RuntimeTracer::Global();
       if (tracer.enabled(telemetry::TraceLevel::kPhase)) {
@@ -745,34 +737,6 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       // The unit's agreed wire codec (stamped by the packer from the shared
       // config; identical on every rank).
       comm.codec = unit->codec;
-      // Cooperative preemption: a non-urgent bulk unit checks between
-      // pipeline slices whether an urgent collective is currently in
-      // flight on another stream and briefly parks so the urgent ring gets
-      // the transport. The predicate is "urgent RUNNING", not "urgent
-      // queued": when every stream holds bulk, a queued urgent unit cannot
-      // start and yielding would stall them all (plus their ring peers)
-      // for nothing. The budget caps the total parked time per unit at
-      // ~160 us: the nudge tilts transport interleaving toward the urgent
-      // ring, but every bulk unit the engine delays extends the iteration
-      // tail directly (WaitIteration needs ALL units), and collectives are
-      // distributed — an unbounded one-rank yield transitively stalls
-      // peers whose own hint says "don't yield". Timing-only, so results
-      // stay bit-identical; the check itself is one relaxed atomic load.
-      struct YieldCtx {
-        ReadySetScheduler* sched;
-        int budget;
-      };
-      YieldCtx yield_ctx{state.scheduler.get(), 16};
-      if (state.scheduler->policy().enabled() && !pop.urgent) {
-        comm.slice_yield = [](void* raw) {
-          auto* ctx = static_cast<YieldCtx*>(raw);
-          while (ctx->budget > 0 && ctx->sched->UrgentActive()) {
-            --ctx->budget;
-            std::this_thread::sleep_for(std::chrono::microseconds(10));
-          }
-        };
-        comm.slice_yield_ctx = &yield_ctx;
-      }
       if (sparse_unit) {
         // Sparse codecs need the error-feedback residual and use one
         // record-all-gather regardless of algorithm/depth.

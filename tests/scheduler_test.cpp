@@ -1,9 +1,8 @@
 // DAG-scheduler suite (ctest label "scheduler"): ready-set dispatch order,
-// aging/starvation-freedom, cooperative preemption mid-bulk-transfer, the
-// bit-exactness matrix across priority x streams x depth x codec, the
-// zero-allocation steady state of the scheduler hot path, and the
-// optimizer/comm-overlap exactness guarantee (engine-applied StepTensor ==
-// barriered Step, bitwise).
+// aging/starvation-freedom, the bit-exactness matrix across priority x
+// streams x depth x codec, the zero-allocation steady state of the
+// scheduler hot path, and the optimizer/comm-overlap exactness guarantee
+// (engine-applied StepTensor == barriered Step, bitwise).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,11 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "collective/threaded.h"
 #include "core/optimizer.h"
 #include "core/scheduler.h"
 #include "core/threaded_engine.h"
-#include "transport/inproc.h"
 
 // Allocation counter for the zero-allocation steady-state test: every path
 // through global operator new bumps it.
@@ -43,7 +40,6 @@ AllReduceUnit MakeUnit(int gradient_id, std::size_t bytes = 1024) {
   AllReduceUnit unit;
   unit.unit_id = static_cast<std::uint64_t>(gradient_id);
   unit.segments.push_back(UnitSegment{gradient_id, 0, bytes});
-  unit.priority = gradient_id;
   return unit;
 }
 
@@ -57,7 +53,7 @@ TEST(SchedulerDispatchTest, PriorityStreamPopsMostUrgentFirst) {
 
   auto first = sched.PopFor(1);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->priority, 2);  // most urgent, despite being pushed last
+  EXPECT_EQ(first->unit_id, 2u);  // most urgent, despite being pushed last
   EXPECT_TRUE(sched.last_pop().urgent);
   EXPECT_EQ(sched.stats().priority_pops, 1u);
 
@@ -66,10 +62,10 @@ TEST(SchedulerDispatchTest, PriorityStreamPopsMostUrgentFirst) {
   // to the urgent class to keep bulk dispatch rank-consistent.
   auto second = sched.PopFor(1);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->priority, 6);
+  EXPECT_EQ(second->unit_id, 6u);
   auto third = sched.PopFor(1);
   ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(third->priority, 5);
+  EXPECT_EQ(third->unit_id, 5u);
   EXPECT_EQ(sched.stats().pops, 3u);
 }
 
@@ -81,10 +77,10 @@ TEST(SchedulerDispatchTest, StreamZeroAlwaysPopsPushOrder) {
   sched.Push(MakeUnit(0));
   auto first = sched.PopFor(0);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->priority, 7);
+  EXPECT_EQ(first->unit_id, 7u);
   auto second = sched.PopFor(0);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->priority, 0);
+  EXPECT_EQ(second->unit_id, 0u);
 }
 
 TEST(SchedulerDispatchTest, DisabledPolicyIsFifoOnEveryStream) {
@@ -95,17 +91,15 @@ TEST(SchedulerDispatchTest, DisabledPolicyIsFifoOnEveryStream) {
   sched.Push(MakeUnit(0));
   auto first = sched.PopFor(3);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->priority, 7);
+  EXPECT_EQ(first->unit_id, 7u);
   EXPECT_EQ(sched.stats().priority_pops, 0u);
-  EXPECT_FALSE(sched.UrgentWaiting(100));
 }
 
-TEST(SchedulerDispatchTest, DerivesPriorityFromSegmentsWhenUnstamped) {
+TEST(SchedulerDispatchTest, DerivesPriorityFromSegments) {
   ReadySetScheduler sched(SchedulerPolicy{0.5f, 1000, 8});
   AllReduceUnit unit;
   unit.segments.push_back(UnitSegment{5, 0, 64});
   unit.segments.push_back(UnitSegment{3, 0, 64});
-  unit.priority = -1;  // unstamped
   sched.Push(std::move(unit));
   auto popped = sched.PopFor(1);
   ASSERT_TRUE(popped.has_value());
@@ -119,26 +113,12 @@ TEST(SchedulerDispatchTest, InversionCountedWhenUrgentPopsAfterBypass) {
   // Stream 0 pops FIFO -> the bulk unit overtakes the waiting urgent one.
   auto bulk = sched.PopFor(0);
   ASSERT_TRUE(bulk.has_value());
-  EXPECT_EQ(bulk->priority, 6);
+  EXPECT_EQ(bulk->unit_id, 6u);
   auto urgent = sched.PopFor(0);
   ASSERT_TRUE(urgent.has_value());
-  EXPECT_EQ(urgent->priority, 1);
+  EXPECT_EQ(urgent->unit_id, 1u);
   EXPECT_EQ(sched.last_pop().bypassed, 1u);
   EXPECT_EQ(sched.stats().inversions, 1u);
-}
-
-TEST(SchedulerDispatchTest, UrgentWaitingHintTracksQueueContents) {
-  ReadySetScheduler sched(SchedulerPolicy{0.25f, 1000, 16});  // cutoff = 4
-  EXPECT_FALSE(sched.UrgentWaiting(100));
-  sched.Push(MakeUnit(9));  // non-urgent: hint stays clear
-  EXPECT_FALSE(sched.UrgentWaiting(100));
-  sched.Push(MakeUnit(2));  // urgent
-  EXPECT_TRUE(sched.UrgentWaiting(9));
-  EXPECT_FALSE(sched.UrgentWaiting(2));  // not *strictly* more urgent
-  EXPECT_FALSE(sched.UrgentWaiting(0));
-  (void)sched.PopFor(1);  // takes the urgent unit
-  EXPECT_FALSE(sched.UrgentWaiting(9));
-  sched.Shutdown();
 }
 
 // --------------------------------------------------- aging & starvation --
@@ -150,7 +130,7 @@ TEST(SchedulerAgingTest, AgedBulkOutranksFreshUrgent) {
   sched.Push(MakeUnit(0));  // urgent but fresh
   auto first = sched.PopFor(1);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->priority, 7);  // age beats priority on streams >= 1
+  EXPECT_EQ(first->unit_id, 7u);  // age beats priority on streams >= 1
   EXPECT_GE(sched.stats().aged_pops, 1u);
 }
 
@@ -167,7 +147,7 @@ TEST(SchedulerAgingTest, BulkNeverStarvesUnderUrgentFlood) {
   for (int stream = 0; stream < 2; ++stream) {
     consumers.emplace_back([&, stream] {
       while (auto unit = sched.PopFor(stream)) {
-        if (unit->priority == 999) bulk_popped.store(true);
+        if (unit->unit_id == 999u) bulk_popped.store(true);
         total_popped.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -218,41 +198,6 @@ TEST(SchedulerHotPathTest, SteadyStatePushPopPerformsNoAllocations) {
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "scheduler steady state must not allocate";
-}
-
-// -------------------------------------------- preemption mid-bulk-transfer --
-
-TEST(PreemptionTest, SliceYieldHookFiresDuringPipelinedRing) {
-  // The cooperative-preemption hook must be invoked between pipeline
-  // slices of an in-flight collective — that is the preemption granularity
-  // the engine relies on to pause bulk transfers.
-  constexpr int kWorld = 2;
-  transport::InProcTransport tr(kWorld);
-  std::atomic<int> yields{0};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kWorld; ++r) {
-    threads.emplace_back([&, r] {
-      std::vector<float> data(1u << 14, static_cast<float>(r + 1));
-      collective::Comm comm;
-      comm.transport = &tr;
-      comm.rank = r;
-      comm.world_size = kWorld;
-      comm.tag_base = 1;
-      comm.pipeline_depth = 4;
-      comm.slice_yield = [](void* ctx) {
-        static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
-      };
-      comm.slice_yield_ctx = &yields;
-      ASSERT_TRUE(collective::RingAllReduce(comm, data,
-                                            collective::ReduceOp::kSum)
-                      .ok());
-      // The transfer itself must be unaffected by the yields.
-      for (float v : data) ASSERT_FLOAT_EQ(v, 3.0f);
-    });
-  }
-  for (auto& t : threads) t.join();
-  // depth 4, two phases, world-1 steps each: many slice boundaries per rank.
-  EXPECT_GE(yields.load(), 2 * kWorld);
 }
 
 // --------------------------------------------------- engine bit-exactness --

@@ -18,8 +18,7 @@ Six checks regex cannot express (see DESIGN.md "Static analysis"):
   priority-ordering         unit dispatch in src/core/ must go through
                             ReadySetScheduler::Push/PopFor — a raw
                             BlockingQueue<AllReduceUnit> (or Push/Pop on
-                            one) bypasses priority order, aging, and
-                            preemption
+                            one) bypasses priority order and aging
 
 Frontends:
   clang  libclang (Python clang.cindex) over build/compile_commands.json —

@@ -828,7 +828,7 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
     """Ready-set dispatch must go through ReadySetScheduler::Push/PopFor
     (core/scheduler.h). A raw BlockingQueue<AllReduceUnit> — or Push/Pop
     straight on one — resurrects the old FIFO unit_queue: units dispatch
-    in arrival order, the priority/aging/preemption machinery and the
+    in arrival order, the priority/aging machinery and the
     SchedulerStats counters are silently bypassed, and the bench A/B
     measures FIFO twice."""
     out: list[Finding] = []
@@ -874,8 +874,7 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
                             line=c.line, symbol=scope_fn.qual_name,
                             message=f"direct '{c.full}' dispatches a unit "
                                     f"outside the scheduler API — priority "
-                                    f"order, aging, and preemption are "
-                                    f"bypassed"))
+                                    f"order and aging are bypassed"))
     return out
 
 
