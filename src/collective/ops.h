@@ -1,7 +1,7 @@
 // Reduction operators shared by the threaded and simulated collectives.
 //
-// Accumulate is the arithmetic inner loop of every reduce-scatter step, so
-// it is written to vectorize: the source and destination are declared
+// Accumulate/Absorb are the arithmetic inner loop of every reduce step, so
+// they are written to vectorize: the source and destination are declared
 // non-aliasing (`restrict` — a received payload and a caller tensor chunk
 // are always distinct buffers) and the body is unrolled in fixed-width
 // blocks, which lets the compiler emit straight-line SIMD with no runtime
@@ -60,34 +60,52 @@ inline void VectorApply(float* AIACC_RESTRICT a, const float* AIACC_RESTRICT b,
 
 }  // namespace detail
 
-/// acc[i] = op(acc[i], in[i]). kAvg accumulates as a sum; callers divide by
-/// world size at the end (FinalizeAvg). `acc` and `in` must not overlap.
-inline void Accumulate(std::span<float> acc, std::span<const float> in,
-                       ReduceOp op) {
-  AIACC_CHECK(acc.size() == in.size());
-  float* AIACC_RESTRICT a = acc.data();
-  const float* AIACC_RESTRICT b = in.data();
-  const std::size_t n = acc.size();
+/// Calls `apply(f)` with the elementwise function of `op`: f(local,
+/// incoming) for kMin/kMax keeps `local` unless `incoming` is strictly
+/// smaller/larger, so the operand order decides which zero survives ±0.
+template <typename Apply>
+inline void WithReduceFn(ReduceOp op, Apply&& apply) {
   switch (op) {
     case ReduceOp::kSum:
     case ReduceOp::kAvg:
-      detail::VectorApply(a, b, n, [](float x, float y) { return x + y; });
+      apply([](float x, float y) { return x + y; });
       break;
     case ReduceOp::kMin:
-      detail::VectorApply(a, b, n,
-                          [](float x, float y) { return y < x ? y : x; });
+      apply([](float x, float y) { return y < x ? y : x; });
       break;
     case ReduceOp::kMax:
-      detail::VectorApply(a, b, n,
-                          [](float x, float y) { return y > x ? y : x; });
+      apply([](float x, float y) { return y > x ? y : x; });
       break;
     case ReduceOp::kBitAnd:
-      detail::VectorApply(a, b, n, [](float x, float y) {
+      apply([](float x, float y) {
         return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) &
                                     std::bit_cast<std::uint32_t>(y));
       });
       break;
   }
+}
+
+/// acc[i] = op(acc[i], in[i]). kAvg accumulates as a sum; callers divide by
+/// world size at the end (FinalizeAvg). `acc` and `in` must not overlap.
+inline void Accumulate(std::span<float> acc, std::span<const float> in,
+                       ReduceOp op) {
+  AIACC_CHECK(acc.size() == in.size());
+  WithReduceFn(op, [&](auto f) {
+    detail::VectorApply(acc.data(), in.data(), acc.size(), f);
+  });
+}
+
+/// incoming[i] = op(local[i], incoming[i]): the ring's reduce step, folding
+/// this rank's values into the partial it just received so the partial can
+/// be forwarded as is. Same operand order as Accumulate(local, incoming),
+/// so both give the same bits. The spans must not overlap.
+inline void Absorb(std::span<float> incoming, std::span<const float> local,
+                   ReduceOp op) {
+  AIACC_CHECK(incoming.size() == local.size());
+  WithReduceFn(op, [&](auto f) {
+    detail::VectorApply(incoming.data(), local.data(), incoming.size(),
+                        [f](float in, float mine) { return f(mine, in); });
+  });
 }
 
 /// Fused receive-side reduction: validate that the just-received payload

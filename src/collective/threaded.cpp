@@ -1,13 +1,11 @@
 #include "collective/threaded.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "common/logging.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
-#include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
 
 namespace aiacc::collective {
@@ -40,24 +38,10 @@ Status CheckSize(const transport::Payload& received, std::size_t expected) {
   return Status::Ok();
 }
 
-/// A send buffer of `n` floats: recycles `reuse` — typically the payload
-/// received on the previous ring step — and falls back to the pool when its
-/// capacity is too small.
-transport::Payload SendBuffer(common::BufferPool& pool,
-                              transport::Payload reuse, std::size_t n) {
-  if (reuse.capacity() >= n) {
-    reuse.resize(n);
-    return reuse;
-  }
-  if (reuse.capacity() > 0) pool.Release(std::move(reuse));
-  return pool.Acquire(n);
-}
-
-/// Copy `src` into a send buffer (see SendBuffer).
+/// A pooled send buffer holding a copy of `src`.
 transport::Payload FillSendBuffer(common::BufferPool& pool,
-                                  transport::Payload reuse,
                                   std::span<const float> src) {
-  transport::Payload out = SendBuffer(pool, std::move(reuse), src.size());
+  transport::Payload out = pool.Acquire(src.size());
   std::copy(src.begin(), src.end(), out.begin());
   return out;
 }
@@ -67,37 +51,27 @@ void ReleasePayload(common::BufferPool& pool, transport::Payload&& payload) {
   if (payload.capacity() > 0) pool.Release(std::move(payload));
 }
 
-/// Cast-encode `src` into a send buffer of CastWireFloats(src.size()) wire
-/// words — the codec twin of FillSendBuffer.
+/// A pooled send buffer holding `src` cast-encoded into
+/// CastWireFloats(src.size()) wire words — the codec twin of FillSendBuffer.
 transport::Payload FillSendEncoded(common::BufferPool& pool,
-                                   transport::Payload reuse,
                                    std::span<const float> src,
                                    CodecKind wire) {
-  transport::Payload out = SendBuffer(pool, std::move(reuse),
-                                      compress::CastWireFloats(src.size()));
+  transport::Payload out = pool.Acquire(compress::CastWireFloats(src.size()));
   compress::CastEncode(wire, src, out);
   return out;
 }
 
-/// Gauge of slice messages currently in flight across every pipelined ring
-/// in the process (sender +1 on Send, receiver -1 on delivery). Cached so the
-/// hot path pays one static-init guard check, not a registry lookup; only
-/// touched when the effective depth exceeds 1 so the depth-1 hot path pays
-/// no shared-cacheline traffic for it.
-telemetry::Gauge& InflightSlicesGauge() {
-  static telemetry::Gauge& gauge =
-      telemetry::MetricsRegistry::Global().GetGauge("hotpath.inflight_slices");
-  return gauge;
-}
-
-/// The recycled send buffers of one pipelined ring: slot k carries slice
-/// k's payload between steps. Fixed-size so a collective call never heap-
-/// allocates for its bookkeeping (default-constructed Payloads own nothing).
-using SliceWindow = std::array<transport::Payload, kMaxPipelineDepth>;
-
-void ReleaseWindow(common::BufferPool& pool, SliceWindow& window) {
-  for (transport::Payload& p : window) ReleasePayload(pool, std::move(p));
-}
+/// The ranks of one ring as an arithmetic progression: position i is global
+/// rank base + i * stride — the flat ring, one host group, or the host
+/// leaders — so no call builds a rank vector.
+struct RingRanks {
+  int base = 0;
+  int stride = 1;
+  int size = 1;
+  [[nodiscard]] int At(int pos) const {
+    return base + (((pos % size) + size) % size) * stride;
+  }
+};
 
 /// Effective pipeline depth for a ring of `n` ranks over `len` elements.
 /// Every chunk holds at least len/n (floor) elements and slices split a
@@ -113,225 +87,215 @@ int EffectivePipelineDepth(std::size_t len, int n, int requested) {
   return std::clamp(requested, 1, std::max(1, cap));
 }
 
-/// Slice k of d within a ring chunk (second-level ChunkBegin split).
-std::span<float> SliceOf(std::span<float> chunk, int d, int k) {
-  const std::size_t b = ChunkBegin(chunk.size(), d, k);
-  return chunk.subspan(b, ChunkBegin(chunk.size(), d, k + 1) - b);
+/// Writes finished ring slices into destination pieces that tile
+/// [0, len) in order, scaling by `scale` on the way (1 = a plain copy; a
+/// multiply by 1 could still quieten a signalling-NaN lane of kBitAnd
+/// traffic). Slices arrive chunk by chunk in descending ring order and in
+/// ascending order within a chunk, so a cursor that walks the piece list
+/// from its last position finds each slice's first piece in a few steps.
+class PieceWriter {
+ public:
+  PieceWriter(std::span<const std::span<float>> pieces, float scale)
+      : pieces_(pieces), scale_(scale) {}
+
+  void Write(std::size_t offset, std::span<const float> src) {
+    if (src.empty()) return;
+    while (offset < begin_) begin_ -= pieces_[--index_].size();
+    while (offset >= begin_ + pieces_[index_].size()) {
+      begin_ += pieces_[index_++].size();
+    }
+    for (std::size_t done = 0;;) {
+      const std::span<float> piece = pieces_[index_];
+      const std::size_t at = offset + done - begin_;
+      const std::size_t take = std::min(piece.size() - at, src.size() - done);
+      Emit(src.subspan(done, take), piece.subspan(at, take));
+      done += take;
+      if (done == src.size()) return;
+      begin_ += pieces_[index_++].size();
+    }
+  }
+
+ private:
+  void Emit(std::span<const float> src, std::span<float> dst) const {
+    if (scale_ != 1.0f) {
+      for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i] * scale_;
+    } else if (src.data() != dst.data()) {  // a 1-rank ring writes in place
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+  }
+
+  std::span<const std::span<float>> pieces_;
+  float scale_;
+  std::size_t index_ = 0;  // the cursor: pieces_[index_] ...
+  std::size_t begin_ = 0;  // ... starts at this offset
+};
+
+std::size_t TiledLength(std::span<const std::span<float>> pieces) {
+  std::size_t len = 0;
+  for (const std::span<float> piece : pieces) len += piece.size();
+  return len;
 }
 
-/// Reduce-scatter phase of a ring, sliced `d` deep: step s sends
-/// chunk(start - s) and folds the received slices into chunk(start - s - 1).
-/// The prologue puts all d slices of chunk(start) in flight on the same tag
-/// channel; from then on the reduce of slice k overlaps the recv-wait of
-/// slice k+1, and each just-reduced slice goes straight back on the wire as
-/// the next step's send. Every rank emits sends in the identical global
-/// order (step-major, slice-minor), so per-(src,tag) FIFO matching is
-/// preserved at any depth, and slicing never changes which step an element
-/// reduces in — results are bit-identical to d = 1.
+/// Which of a ring's 2(n-1) steps a call runs: all of them (all-reduce),
+/// the first n-1 (reduce-scatter) or the last n-1 (all-gather).
+enum class RingSteps { kAll, kReduceScatter, kAllGather };
+
+/// The one ring body. Position p of an n-rank ring first sends chunk(p)
+/// of `input`; step t receives chunk(p - t - 1) from the previous rank.
+/// During the reduce-scatter steps (t < n-1) the received partial absorbs
+/// this rank's slice of `input` — op(local, incoming), the operand order of
+/// the serial reference — and is forwarded as is, so a step is one pass
+/// over the slice and the caller's data is never written. At t = n-2 the
+/// slice is fully reduced; from there on every slice is final: it is
+/// written to `pieces` (scaled by 1/n for kAvg) and forwarded unmodified,
+/// which makes it the first all-gather send. `pieces` tile [0, len) in
+/// order and may alias `input`: each chunk is read for the last time
+/// before its final value is written. A gather-only call starts from the
+/// rank's own finished chunk(p) and writes it out too.
 ///
-/// Buffer lifecycle: the payload received for slice k is refilled with the
-/// next step's slice k (its contents were already folded into `data`) and
-/// resent; the last step's payloads are parked in `carry[k]` for the
-/// all-gather prologue to reuse. Callers must ensure
-/// n > 1 and that d came from EffectivePipelineDepth (no empty slices).
+/// Pipelining: each chunk splits into `d` slices (Comm::pipeline_depth,
+/// clamped by EffectivePipelineDepth) kept in flight on the same tag; the
+/// prologue sends all d slices, then each step receives, processes and
+/// forwards slice k before waiting for slice k+1. Every rank emits sends
+/// in the same step-major, slice-minor order, so per-(src, tag) FIFO
+/// matching holds at any depth, and slicing never changes which step an
+/// element reduces in — results are bit-identical to d = 1. The d
+/// prologue buffers come from the pool and the d final received buffers
+/// go back to it, so the steady state allocates nothing.
 ///
-/// With a cast codec (`wire` != kNone) every hop ships packed 16-bit lanes:
-/// the received slice decodes into `scratch` (caller-provided, at least one
-/// chunk long), folds into `data`, and the just-reduced slice re-encodes
-/// into the received payload before going back on the wire — so the encode
-/// of slice k overlaps the recv-wait of slice k+1 exactly like the
-/// uncompressed pipeline, at half the bytes per hop.
-template <typename ChunkFn>
-Status PipelinedReduceScatterPhase(transport::Transport& tr, int me, int next,
-                                   int prev, int n, ChunkFn&& chunk, int start,
-                                   ReduceOp op, int tag,
-                                   std::int64_t timeout_ms,
-                                   common::BufferPool& pool, int d,
-                                   SliceWindow& carry, CodecKind wire,
-                                   std::span<float> scratch) {
-  AIACC_TRACE_SPAN("comm.phase", "reduce-scatter");
-  const bool pipelined = d > 1;
-  const bool encoded = wire != CodecKind::kNone;
-  std::span<float> first = chunk(start);
-  for (int k = 0; k < d; ++k) {
-    AIACC_TRACE_SPAN_V("comm.step", "send");
-    std::span<float> slice = SliceOf(first, d, k);
-    auto reuse = std::move(carry[static_cast<std::size_t>(k)]);
-    tr.Send(me, next, tag,
-            encoded ? FillSendEncoded(pool, std::move(reuse), slice, wire)
-                    : FillSendBuffer(pool, std::move(reuse), slice));
-    carry[static_cast<std::size_t>(k)] = transport::Payload();
-    if (pipelined) InflightSlicesGauge().Add(1);
-  }
-  for (int s = 0; s < n - 1; ++s) {
-    std::span<float> target = chunk(start - s - 1);
-    for (int k = 0; k < d; ++k) {
-      Result<transport::Payload> received = [&] {
-        AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
-        return TimedRecv(tr, timeout_ms, me, prev, tag);
-      }();
-      if (!received.ok()) return received.status();
-      if (pipelined) InflightSlicesGauge().Add(-1);
-      std::span<float> slice = SliceOf(target, d, k);
-      if (encoded) {
-        AIACC_TRACE_SPAN_V("comm.step", "reduce");
-        AIACC_RETURN_IF_ERROR(
-            CheckSize(*received, compress::CastWireFloats(slice.size())));
-        std::span<float> decoded = scratch.first(slice.size());
-        compress::CastDecode(wire, *received, decoded, slice.size());
-        Accumulate(slice, decoded, op);
-      } else {
-        AIACC_TRACE_SPAN_V("comm.step", "reduce");
-        AIACC_RETURN_IF_ERROR(RecvReduce(slice, *received, op));
-      }
-      if (s + 1 < n - 1) {
-        AIACC_TRACE_SPAN_V("comm.step", "send");
-        tr.Send(me, next, tag,
-                encoded
-                    ? FillSendEncoded(pool, std::move(*received), slice, wire)
-                    : FillSendBuffer(pool, std::move(*received), slice));
-        if (pipelined) InflightSlicesGauge().Add(1);
-      } else {
-        carry[static_cast<std::size_t>(k)] = std::move(*received);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// All-gather phase of a ring, sliced `d` deep: step s sends chunk(start - s)
-/// and fills chunk(start - s - 1) from the wire, forwarding each slice the
-/// moment it lands instead of waiting for the whole chunk. The prologue
-/// refills `carry` from `data` (the reduce-scatter results live in `data`,
-/// not in the parked buffers) and every later step forwards the received
-/// payload unmodified — its contents are exactly the slice the next
-/// step sends. Same send-order/bit-exactness guarantees as the reduce-
-/// scatter phase; callers must ensure n > 1 and d from
-/// EffectivePipelineDepth.
-/// With a cast codec the prologue encodes each owned slice and immediately
-/// decodes the encoding *back into the slice* (owner self-roundtrip): the
-/// chunk owner would otherwise keep its unquantized values while every
-/// other rank holds the decoded wire form, and replicas would diverge
-/// bitwise. Received slices decode in place and the payload is forwarded
-/// unmodified — its contents are already the encoded slice the next hop
-/// expects.
-template <typename ChunkFn>
-Status PipelinedAllGatherPhase(transport::Transport& tr, int me, int next,
-                               int prev, int n, ChunkFn&& chunk, int start,
-                               int tag, std::int64_t timeout_ms,
-                               common::BufferPool& pool, int d,
-                               SliceWindow& carry, CodecKind wire) {
-  AIACC_TRACE_SPAN("comm.phase", "all-gather");
-  const bool pipelined = d > 1;
-  const bool encoded = wire != CodecKind::kNone;
-  std::span<float> first = chunk(start);
-  for (int k = 0; k < d; ++k) {
-    AIACC_TRACE_SPAN_V("comm.step", "send");
-    std::span<float> slice = SliceOf(first, d, k);
-    auto reuse = std::move(carry[static_cast<std::size_t>(k)]);
-    if (encoded) {
-      transport::Payload out =
-          FillSendEncoded(pool, std::move(reuse), slice, wire);
-      compress::CastDecode(wire, out, slice, slice.size());
-      tr.Send(me, next, tag, std::move(out));
-    } else {
-      tr.Send(me, next, tag, FillSendBuffer(pool, std::move(reuse), slice));
-    }
-    carry[static_cast<std::size_t>(k)] = transport::Payload();
-    if (pipelined) InflightSlicesGauge().Add(1);
-  }
-  for (int s = 0; s < n - 1; ++s) {
-    std::span<float> target = chunk(start - s - 1);
-    for (int k = 0; k < d; ++k) {
-      Result<transport::Payload> received = [&] {
-        AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
-        return TimedRecv(tr, timeout_ms, me, prev, tag);
-      }();
-      if (!received.ok()) return received.status();
-      if (pipelined) InflightSlicesGauge().Add(-1);
-      std::span<float> slice = SliceOf(target, d, k);
-      if (encoded) {
-        AIACC_RETURN_IF_ERROR(
-            CheckSize(*received, compress::CastWireFloats(slice.size())));
-        compress::CastDecode(wire, *received, slice, slice.size());
-      } else {
-        AIACC_RETURN_IF_ERROR(CheckSize(*received, slice.size()));
-        std::copy(received->begin(), received->end(), slice.begin());
-      }
-      if (s + 1 < n - 1) {
-        AIACC_TRACE_SPAN_V("comm.step", "send");
-        tr.Send(me, next, tag, std::move(*received));
-        if (pipelined) InflightSlicesGauge().Add(1);
-      } else {
-        carry[static_cast<std::size_t>(k)] = std::move(*received);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// Ring all-reduce over an arbitrary ordered set of global ranks.
-/// `op` must not be kAvg (callers finalize averaging themselves so that
-/// hierarchical composition divides exactly once). `pipeline_depth` slices
-/// each per-step chunk (see Comm::pipeline_depth); the reduce-scatter
-/// phase's parked buffers seed the all-gather prologue, so at any depth the
-/// steady state performs zero payload allocations.
-Status RingAllReduceOnRing(transport::Transport& tr,
-                           const std::vector<int>& ring, int my_pos,
-                           std::span<float> data, ReduceOp op, int tag,
-                           std::int64_t timeout_ms, common::BufferPool& pool,
-                           int pipeline_depth, CodecKind wire) {
-  AIACC_CHECK(op != ReduceOp::kAvg);
+/// With a cast codec every hop ships packed 16-bit lanes: a received
+/// partial decodes into pooled scratch, absorbs the local slice there and
+/// re-encodes into its own payload. A final slice is written from the
+/// decoded wire form, so the rank that finished a chunk holds exactly
+/// what every other rank decodes (the owner self-roundtrip) and replicas
+/// stay bit-identical.
+Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
+               std::span<const float> input,
+               std::span<const std::span<float>> pieces, ReduceOp op,
+               RingSteps steps) {
+  const CodecKind wire = comm.codec.kind;
   AIACC_CHECK(wire == CodecKind::kNone || compress::IsCast(wire));
-  const int n = static_cast<int>(ring.size());
-  if (n <= 1) return Status::Ok();
-  const int me = ring[static_cast<std::size_t>(my_pos)];
-  const int next = ring[static_cast<std::size_t>((my_pos + 1) % n)];
-  const int prev = ring[static_cast<std::size_t>((my_pos + n - 1) % n)];
-  const std::size_t len = data.size();
-
-  auto chunk = [&](int c) -> std::span<float> {
-    const int cc = ((c % n) + n) % n;
-    const std::size_t b = ChunkBegin(len, n, cc);
-    const std::size_t e = ChunkBegin(len, n, cc + 1);
-    return data.subspan(b, e - b);
+  const int n = ring.size;
+  const std::size_t len = input.size();
+  PieceWriter out(pieces, op == ReduceOp::kAvg && n > 1
+                              ? 1.0f / static_cast<float>(n)
+                              : 1.0f);
+  if (n <= 1) {
+    out.Write(0, input);
+    return Status::Ok();
+  }
+  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
+  transport::Transport& tr = *comm.transport;
+  common::BufferPool& pool = PoolOf(comm);
+  const int me = ring.At(my_pos);
+  const int next = ring.At(my_pos + 1);
+  const int prev = ring.At(my_pos - 1);
+  const bool encoded = wire != CodecKind::kNone;
+  const int d = EffectivePipelineDepth(len, n, comm.pipeline_depth);
+  // Slice k of chunk c: [begin, begin + size) of the buffer.
+  struct Slice {
+    std::size_t begin;
+    std::size_t size;
   };
-
-  const int d = EffectivePipelineDepth(len, n, pipeline_depth);
-  // Decode scratch for the cast codec: one chunk is the largest unit any
-  // slice decode needs, acquired once per collective (allocation-free in
-  // steady state).
+  auto slice_of = [&](int c, int k) {
+    const int cc = ((c % n) + n) % n;
+    const std::size_t cb = ChunkBegin(len, n, cc);
+    const std::size_t cl = ChunkBegin(len, n, cc + 1) - cb;
+    const std::size_t b = ChunkBegin(cl, d, k);
+    return Slice{cb + b, ChunkBegin(cl, d, k + 1) - b};
+  };
+  // Decode scratch for the cast codec: one chunk is the largest slice,
+  // acquired once per collective.
   common::BufferPool::Buffer scratch;
-  if (wire != CodecKind::kNone) {
+  if (encoded) {
     scratch = pool.Acquire((len + static_cast<std::size_t>(n) - 1) /
                            static_cast<std::size_t>(n));
   }
-  SliceWindow carry;
-  Status status = PipelinedReduceScatterPhase(tr, me, next, prev, n, chunk,
-                                              my_pos, op, tag, timeout_ms,
-                                              pool, d, carry, wire, scratch);
-  // Rank my_pos now owns reduced chunk(my_pos + 1): the all-gather starts
-  // there and circulates the fully-reduced chunks around the ring.
-  if (status.ok()) {
-    status = PipelinedAllGatherPhase(tr, me, next, prev, n, chunk, my_pos + 1,
-                                     tag, timeout_ms, pool, d, carry, wire);
+  auto finish = [&](std::span<const float> payload, Slice s) {
+    if (encoded) {
+      std::span<float> decoded = std::span<float>(scratch).first(s.size);
+      compress::CastDecode(wire, payload, decoded, s.size);
+      out.Write(s.begin, decoded);
+    } else {
+      out.Write(s.begin, payload);
+    }
+  };
+
+  const int first = steps == RingSteps::kAllGather ? n - 1 : 0;
+  const int end = steps == RingSteps::kReduceScatter ? n - 1 : 2 * (n - 1);
+  auto prologue = [&] {
+    for (int k = 0; k < d; ++k) {
+      AIACC_TRACE_SPAN_V("comm.step", "send");
+      const Slice s = slice_of(my_pos, k);
+      const std::span<const float> src = input.subspan(s.begin, s.size);
+      transport::Payload payload =
+          encoded ? FillSendEncoded(pool, src, wire)
+                  : FillSendBuffer(pool, src);
+      if (first == n - 1) finish(payload, s);
+      tr.Send(me, next, tag, std::move(payload));
+    }
+  };
+  auto run_steps = [&](int from, int to) -> Status {
+    for (int t = from; t < to; ++t) {
+      const int c = my_pos - (t - first) - 1;
+      for (int k = 0; k < d; ++k) {
+        Result<transport::Payload> received = [&] {
+          AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
+          return TimedRecv(tr, comm.timeout_ms, me, prev, tag);
+        }();
+        if (!received.ok()) return received.status();
+        const Slice s = slice_of(c, k);
+        AIACC_RETURN_IF_ERROR(CheckSize(
+            *received, encoded ? compress::CastWireFloats(s.size) : s.size));
+        if (t < n - 1) {
+          AIACC_TRACE_SPAN_V("comm.step", "reduce");
+          const std::span<const float> local = input.subspan(s.begin, s.size);
+          if (encoded) {
+            std::span<float> partial = std::span<float>(scratch).first(s.size);
+            compress::CastDecode(wire, *received, partial, s.size);
+            Absorb(partial, local, inner);
+            compress::CastEncode(wire, partial, *received);
+          } else {
+            Absorb(*received, local, inner);
+          }
+        }
+        if (t >= n - 2) finish(*received, s);
+        if (t + 1 < end) {
+          AIACC_TRACE_SPAN_V("comm.step", "send");
+          tr.Send(me, next, tag, std::move(*received));
+        } else {
+          ReleasePayload(pool, std::move(*received));
+        }
+      }
+    }
+    return Status::Ok();
+  };
+
+  Status status = Status::Ok();
+  if (first < n - 1) {
+    AIACC_TRACE_SPAN("comm.phase", "reduce-scatter");
+    prologue();
+    status = run_steps(first, n - 1);
   }
-  ReleaseWindow(pool, carry);
+  if (status.ok() && end > n - 1) {
+    AIACC_TRACE_SPAN("comm.phase", "all-gather");
+    if (first == n - 1) prologue();
+    status = run_steps(n - 1, end);
+  }
   ReleasePayload(pool, std::move(scratch));
   return status;
 }
 
-Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
-                       int my_pos, int root_pos, std::span<float> data,
-                       int tag, std::int64_t timeout_ms,
-                       common::BufferPool& pool,
+Status BroadcastOnRing(transport::Transport& tr, RingRanks ring, int my_pos,
+                       int root_pos, std::span<float> data, int tag,
+                       std::int64_t timeout_ms, common::BufferPool& pool,
                        CodecKind wire = CodecKind::kNone) {
-  const int n = static_cast<int>(ring.size());
+  const int n = ring.size;
   if (n <= 1) return Status::Ok();
   const bool encoded = wire != CodecKind::kNone;
-  const int me = ring[static_cast<std::size_t>(my_pos)];
-  const int next = ring[static_cast<std::size_t>((my_pos + 1) % n)];
-  const int prev = ring[static_cast<std::size_t>((my_pos + n - 1) % n)];
+  const int me = ring.At(my_pos);
+  const int next = ring.At(my_pos + 1);
+  const int prev = ring.At(my_pos - 1);
   const bool is_root = my_pos == root_pos;
   const bool next_is_root = (my_pos + 1) % n == root_pos;
   if (!is_root) {
@@ -357,7 +321,7 @@ Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
   if (encoded) {
     // Root self-roundtrip: the broadcast result on every rank must be the
     // decoded wire form, including on the root itself.
-    transport::Payload out = FillSendEncoded(pool, {}, data, wire);
+    transport::Payload out = FillSendEncoded(pool, data, wire);
     compress::CastDecode(wire, out, data, data.size());
     if (!next_is_root) {
       tr.Send(me, next, tag, std::move(out));
@@ -365,7 +329,7 @@ Status BroadcastOnRing(transport::Transport& tr, const std::vector<int>& ring,
       ReleasePayload(pool, std::move(out));
     }
   } else if (!next_is_root) {
-    tr.Send(me, next, tag, FillSendBuffer(pool, {}, data));
+    tr.Send(me, next, tag, FillSendBuffer(pool, data));
   }
   return Status::Ok();
 }
@@ -395,25 +359,31 @@ std::size_t ChunkBegin(std::size_t len, int n_chunks, int chunk) {
          static_cast<std::size_t>(n_chunks);
 }
 
-Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
+void WritePieces(std::span<const float> src,
+                 std::span<const std::span<float>> pieces) {
+  AIACC_CHECK(TiledLength(pieces) == src.size());
+  PieceWriter(pieces, 1.0f).Write(0, src);
+}
+
+Status RingAllReduce(const Comm& comm, std::span<const float> input,
+                     std::span<const std::span<float>> pieces, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
   // The bit-packed sync rounds are exact agreements — a lossy codec on that
   // traffic would corrupt the protocol, so the combination is forbidden.
   AIACC_CHECK(comm.codec.kind == CodecKind::kNone || op != ReduceOp::kBitAnd);
+  AIACC_CHECK(TiledLength(pieces) == input.size());
+  AIACC_TRACE_SPAN("comm", "ring-all-reduce");
+  return RunRing(comm, RingRanks{0, 1, comm.world_size}, comm.rank,
+                 comm.tag_base, input, pieces, op, RingSteps::kAll);
+}
+
+Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
   if (compress::IsSparse(comm.codec.kind)) {
+    AIACC_CHECK(comm.transport != nullptr);
     return CompressedAllReduce(comm, data, op, {});
   }
-  AIACC_TRACE_SPAN("comm", "ring-all-reduce");
-  std::vector<int> ring(static_cast<std::size_t>(comm.world_size));
-  for (int r = 0; r < comm.world_size; ++r) ring[static_cast<std::size_t>(r)] = r;
-  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
-  AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, ring, comm.rank,
-                                            data, inner, comm.tag_base,
-                                            comm.timeout_ms, PoolOf(comm),
-                                            comm.pipeline_depth,
-                                            comm.codec.kind));
-  FinalizeAvg(data, comm.world_size, op);
-  return Status::Ok();
+  const std::span<float> whole[] = {data};
+  return RingAllReduce(comm, data, whole, op);
 }
 
 Status CompressedAllReduce(const Comm& comm, std::span<float> data,
@@ -468,7 +438,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
   };
   if (n > 1) {
     transport::Payload cursor =
-        FillSendBuffer(pool, {}, std::span<const float>(own));
+        FillSendBuffer(pool, std::span<const float>(own));
     for (int s = 0; s < n - 1; ++s) {
       AIACC_TRACE_SPAN_V("comm.step", "record-hop");
       comm.transport->Send(me, next, comm.tag_base, std::move(cursor));
@@ -480,7 +450,7 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
       }
       const int src = (me - s - 1 + n) % n;
       if (s + 1 < n - 1) {
-        cursor = FillSendBuffer(pool, {}, std::span<const float>(*received));
+        cursor = FillSendBuffer(pool, std::span<const float>(*received));
       }
       records[static_cast<std::size_t>(src)] = std::move(*received);
     }
@@ -518,42 +488,31 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
   const int host = comm.rank / gpus_per_host;
   const int local = comm.rank % gpus_per_host;
   const int num_hosts = comm.world_size / gpus_per_host;
-  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
+  const std::span<float> whole[] = {data};
+  const RingRanks group{host * gpus_per_host, 1, gpus_per_host};
 
+  // One host: the group ring is the whole all-reduce and averages as it
+  // writes its final slices.
+  if (num_hosts == 1) {
+    return RunRing(comm, group, local, comm.tag_base, data, whole, op,
+                   RingSteps::kAll);
+  }
+  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
   // Phase 1: ring all-reduce inside the host group (over NVLink in the
   // paper) — every member ends with the group total.
-  std::vector<int> group(static_cast<std::size_t>(gpus_per_host));
-  for (int g = 0; g < gpus_per_host; ++g) {
-    group[static_cast<std::size_t>(g)] = host * gpus_per_host + g;
-  }
-  common::BufferPool& pool = PoolOf(comm);
-  AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, group, local,
-                                            data, inner, comm.tag_base,
-                                            comm.timeout_ms, pool,
-                                            comm.pipeline_depth,
-                                            comm.codec.kind));
-
+  AIACC_RETURN_IF_ERROR(RunRing(comm, group, local, comm.tag_base, data,
+                                whole, inner, RingSteps::kAll));
   // Phase 2: group leaders ring all-reduce across hosts.
-  if (num_hosts > 1) {
-    if (local == 0) {
-      std::vector<int> leaders(static_cast<std::size_t>(num_hosts));
-      for (int h = 0; h < num_hosts; ++h) {
-        leaders[static_cast<std::size_t>(h)] = h * gpus_per_host;
-      }
-      AIACC_RETURN_IF_ERROR(RingAllReduceOnRing(*comm.transport, leaders,
-                                                host, data, inner,
-                                                comm.tag_base + 1,
-                                                comm.timeout_ms, pool,
-                                                comm.pipeline_depth,
-                                                comm.codec.kind));
-    }
-    // Phase 3: leaders broadcast the global result inside their group.
-    AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,
-                                          /*root_pos=*/0, data,
-                                          comm.tag_base + 2,
-                                          comm.timeout_ms, pool,
-                                          comm.codec.kind));
+  if (local == 0) {
+    AIACC_RETURN_IF_ERROR(RunRing(comm, RingRanks{0, gpus_per_host, num_hosts},
+                                  host, comm.tag_base + 1, data, whole, inner,
+                                  RingSteps::kAll));
   }
+  // Phase 3: leaders broadcast the global total inside their group.
+  AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,
+                                        /*root_pos=*/0, data,
+                                        comm.tag_base + 2, comm.timeout_ms,
+                                        PoolOf(comm), comm.codec.kind));
   FinalizeAvg(data, comm.world_size, op);
   return Status::Ok();
 }
@@ -561,32 +520,26 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
 Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
   const int n = comm.world_size;
-  if (n <= 1) {
-    FinalizeAvg(data, 1, op);
-    return Status::Ok();
-  }
-  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
   const int me = comm.rank;
+  Comm raw = comm;  // standalone reduce-scatter always ships raw fp32
+  raw.codec = {};
+  const std::span<float> whole[] = {data};
+  AIACC_RETURN_IF_ERROR(RunRing(raw, RingRanks{0, 1, n}, me, comm.tag_base,
+                                data, whole, op, RingSteps::kReduceScatter));
+  if (n <= 1) return Status::Ok();
+  // Rank r now owns reduced chunk (r + 1) mod n; rotate ownership convention
+  // so rank r owns chunk r: one extra pass of the owned chunk to `next`.
   const int next = (me + 1) % n;
   const int prev = (me + n - 1) % n;
   const std::size_t len = data.size();
-  common::BufferPool& pool = PoolOf(comm);
   auto chunk = [&](int c) -> std::span<float> {
     const int cc = ((c % n) + n) % n;
     const std::size_t b = ChunkBegin(len, n, cc);
     return data.subspan(b, ChunkBegin(len, n, cc + 1) - b);
   };
-  const int d = EffectivePipelineDepth(len, n, comm.pipeline_depth);
-  SliceWindow carry;
-  AIACC_RETURN_IF_ERROR(PipelinedReduceScatterPhase(
-      *comm.transport, me, next, prev, n, chunk, me, inner, comm.tag_base,
-      comm.timeout_ms, pool, d, carry, CodecKind::kNone, {}));
-  // Rank r now owns reduced chunk (r + 1) mod n; rotate ownership convention
-  // so rank r owns chunk r: one extra pass of the owned chunk to `next`.
-  std::span<float> owned = chunk(me + 1);
+  common::BufferPool& pool = PoolOf(comm);
   comm.transport->Send(me, next, comm.tag_base + 1,
-                       FillSendBuffer(pool, std::move(carry[0]), owned));
-  carry[0] = transport::Payload();
+                       FillSendBuffer(pool, chunk(me + 1)));
   auto received = TimedRecv(*comm.transport, comm.timeout_ms, me, prev,
                             comm.tag_base + 1);
   if (!received.ok()) return received.status();
@@ -594,42 +547,25 @@ Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
   AIACC_RETURN_IF_ERROR(CheckSize(*received, mine.size()));
   std::copy(received->begin(), received->end(), mine.begin());
   ReleasePayload(pool, std::move(*received));
-  ReleaseWindow(pool, carry);
-  FinalizeAvg(mine, n, op);
   return Status::Ok();
 }
 
 Status AllGather(const Comm& comm, std::span<float> data) {
   AIACC_CHECK(comm.transport != nullptr);
-  const int n = comm.world_size;
-  if (n <= 1) return Status::Ok();
-  const int me = comm.rank;
-  const int next = (me + 1) % n;
-  const int prev = (me + n - 1) % n;
-  const std::size_t len = data.size();
-  common::BufferPool& pool = PoolOf(comm);
-  auto chunk = [&](int c) -> std::span<float> {
-    const int cc = ((c % n) + n) % n;
-    const std::size_t b = ChunkBegin(len, n, cc);
-    return data.subspan(b, ChunkBegin(len, n, cc + 1) - b);
-  };
-  const int d = EffectivePipelineDepth(len, n, comm.pipeline_depth);
-  SliceWindow carry;
-  AIACC_RETURN_IF_ERROR(PipelinedAllGatherPhase(
-      *comm.transport, me, next, prev, n, chunk, me, comm.tag_base,
-      comm.timeout_ms, pool, d, carry, CodecKind::kNone));
-  ReleaseWindow(pool, carry);
-  return Status::Ok();
+  Comm raw = comm;  // standalone all-gather always ships raw fp32
+  raw.codec = {};
+  const std::span<float> whole[] = {data};
+  return RunRing(raw, RingRanks{0, 1, comm.world_size}, comm.rank,
+                 comm.tag_base, data, whole, ReduceOp::kSum,
+                 RingSteps::kAllGather);
 }
 
 Status Broadcast(const Comm& comm, int root, std::span<float> data) {
   AIACC_CHECK(comm.transport != nullptr);
-  std::vector<int> ring(static_cast<std::size_t>(comm.world_size));
-  for (int r = 0; r < comm.world_size; ++r) ring[static_cast<std::size_t>(r)] = r;
-  return BroadcastOnRing(*comm.transport, ring, comm.rank, root, data,
-                         comm.tag_base, comm.timeout_ms, PoolOf(comm));
+  return BroadcastOnRing(*comm.transport, RingRanks{0, 1, comm.world_size},
+                         comm.rank, root, data, comm.tag_base,
+                         comm.timeout_ms, PoolOf(comm));
 }
-
 Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
   const int n = comm.world_size;
@@ -647,7 +583,7 @@ Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
   common::BufferPool& pool = PoolOf(comm);
   if (position == 0) {
     comm.transport->Send(me, next, comm.tag_base,
-                         FillSendBuffer(pool, {}, data));
+                         FillSendBuffer(pool, data));
     return Status::Ok();
   }
   auto received =
@@ -675,7 +611,7 @@ Status Gather(const Comm& comm, int root, std::span<const float> contribution,
   common::BufferPool& pool = PoolOf(comm);
   if (comm.rank != root) {
     comm.transport->Send(comm.rank, root, comm.tag_base,
-                         FillSendBuffer(pool, {}, contribution));
+                         FillSendBuffer(pool, contribution));
     return Status::Ok();
   }
   AIACC_CHECK(gathered.size() ==
@@ -769,7 +705,7 @@ Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
         std::copy(block.begin(), block.end(), chunk.begin());
       } else {
         comm.transport->Send(root, r, comm.tag_base,
-                             FillSendBuffer(pool, {}, block));
+                             FillSendBuffer(pool, block));
       }
     }
   } else {
@@ -800,7 +736,7 @@ Status AllToAll(const Comm& comm, std::span<const float> send,
                                    static_cast<std::ptrdiff_t>(block));
     } else {
       comm.transport->Send(comm.rank, d, comm.tag_base,
-                           FillSendBuffer(pool, {}, out));
+                           FillSendBuffer(pool, out));
     }
   }
   for (int s = 0; s < n; ++s) {

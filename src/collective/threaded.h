@@ -8,9 +8,9 @@
 // Every operation returns Status: Ok when the collective completed on this
 // rank, kDeadlineExceeded when a peer message missed the Comm's deadline
 // (crashed peer, dropped message), or kUnavailable when the transport was
-// shut down mid-algorithm. On a non-OK return the caller's buffer contents
-// are unspecified, but the call itself never hangs (given a deadline) and
-// never crashes.
+// shut down mid-algorithm. On a non-OK return the caller's output buffer
+// contents are unspecified (an input the call only reads stays intact), but
+// the call itself never hangs (given a deadline) and never crashes.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +26,8 @@
 
 namespace aiacc::collective {
 
-/// Upper bound on Comm::pipeline_depth. Keeps the per-ring slice window on
-/// the stack (no per-call allocation for the recycled-buffer carry array)
-/// and bounds the number of in-flight messages per tag channel.
+/// Upper bound on Comm::pipeline_depth. Bounds the number of in-flight
+/// messages per tag channel.
 inline constexpr int kMaxPipelineDepth = 8;
 
 struct Comm {
@@ -59,8 +58,8 @@ struct Comm {
   /// packed 16-bit lanes, the receiver decodes into pooled scratch, reduces,
   /// and re-encodes, so the encode of slice k overlaps the recv of slice
   /// k+1 exactly like the uncompressed pipeline. Sparse codecs (1-bit,
-  /// top-k) reroute RingAllReduce/HierarchicalAllReduce through
-  /// CompressedAllReduce. kNone (the default) is the raw-fp32 wire.
+  /// top-k) reroute the in-place RingAllReduce and HierarchicalAllReduce
+  /// through CompressedAllReduce. kNone (the default) is the raw-fp32 wire.
   /// Constraints: a codec must never carry ReduceOp::kBitAnd traffic (the
   /// bit-packed sync rounds are exact agreements), and standalone
   /// ReduceScatter/AllGather/point-to-point ops always ship raw fp32.
@@ -68,8 +67,26 @@ struct Comm {
 };
 
 /// Classic chunked ring all-reduce: reduce-scatter then all-gather, 2(n-1)
-/// point-to-point steps per rank. In-place on `data`; every rank must pass
-/// equally-sized buffers. Blocking; call from all ranks concurrently.
+/// point-to-point steps per rank. Out of place: reads `input` and never
+/// writes it, and writes op(every rank's input) — averaged for kAvg — into
+/// `pieces`, destination spans that tile [0, input.size()) in order (a
+/// piece may be a single float; pieces may alias `input`). Each finished
+/// slice goes straight from the wire into the pieces, so there is no copy-
+/// back and no separate averaging pass. On a non-OK return `input` is still
+/// intact and the pieces hold a partial result. Every rank must pass
+/// equally-sized inputs. comm.codec must not be sparse. Blocking; call
+/// from all ranks concurrently.
+Status RingAllReduce(const Comm& comm, std::span<const float> input,
+                     std::span<const std::span<float>> pieces, ReduceOp op);
+
+/// Copy `src` into `pieces`, which tile [0, src.size()) in order: the write
+/// the ring above performs slice by slice, for callers that reduce on a
+/// contiguous work copy (sparse codecs, hierarchical all-reduce).
+void WritePieces(std::span<const float> src,
+                 std::span<const std::span<float>> pieces);
+
+/// In-place all-reduce on `data` (the ring above with `data` as its one
+/// piece; sparse codecs route to CompressedAllReduce).
 Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op);
 
 /// Sparse-codec all-reduce (comm.codec must be kOneBit or kTopK; op kSum or

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -100,6 +101,25 @@ class BoundedQueue {
     items_.push_back(std::move(item));
     lock.Unlock();
     not_empty_.NotifyOne();
+    return true;
+  }
+
+  /// Push `items` in order under one lock hold, so a consumer sees them
+  /// all at once. A batch larger than the free space waits for room
+  /// (waking consumers first) and resumes. Returns false if the queue was
+  /// shut down before every item was pushed.
+  bool PushBatch(std::span<const T> items) EXCLUDES(mu_) {
+    common::MutexLock lock(mu_);
+    for (const T& item : items) {
+      while (items_.size() >= capacity_ && !shutdown_) {
+        not_empty_.NotifyAll();
+        not_full_.Wait(lock);
+      }
+      if (shutdown_) return false;
+      items_.push_back(item);
+    }
+    lock.Unlock();
+    not_empty_.NotifyAll();
     return true;
   }
 

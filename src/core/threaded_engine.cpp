@@ -35,6 +35,31 @@ std::string RankList(const std::vector<int>& ranks) {
   return out;
 }
 
+/// The unit's segments of `tensors` (byte offsets/lengths, element
+/// aligned) as float spans, in unit order, into `pieces`.
+template <typename Tensors>
+void UnitPieces(const AllReduceUnit& unit, Tensors& tensors,
+                std::vector<std::span<float>>& pieces) {
+  pieces.clear();
+  for (const UnitSegment& seg : unit.segments) {
+    AIACC_CHECK(seg.offset % sizeof(float) == 0 &&
+                seg.length % sizeof(float) == 0);
+    const std::span<float> tensor(
+        tensors[static_cast<std::size_t>(seg.gradient_id)]);
+    pieces.push_back(tensor.subspan(seg.offset / sizeof(float),
+                                    seg.length / sizeof(float)));
+  }
+}
+
+/// Concatenate `pieces` into `dst`.
+void GatherPieces(std::span<const std::span<float>> pieces,
+                  std::span<float> dst) {
+  auto out = dst.begin();
+  for (const std::span<float> piece : pieces) {
+    out = std::copy(piece.begin(), piece.end(), out);
+  }
+}
+
 }  // namespace
 
 ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
@@ -126,8 +151,8 @@ ThreadedAiaccEngine::Worker::Worker(ThreadedAiaccEngine* engine, int rank)
       &m.GetCounter(telemetry::RankScoped("engine.bytes_reduced", rank));
   iterations_ =
       &m.GetCounter(telemetry::RankScoped("engine.iterations", rank));
-  // 1us .. ~0.5s exponential edges: unit latency spans queue wait + ring
-  // all-reduce + scatter.
+  // 1us .. ~0.5s exponential edges: unit latency spans gather + ring
+  // all-reduce (which writes the tensors) + accounting.
   unit_latency_ =
       &m.GetHistogram(telemetry::RankScoped("engine.unit_latency_s", rank),
                       telemetry::ExponentialBounds(1e-6, 20));
@@ -282,6 +307,11 @@ void ThreadedAiaccEngine::Worker::Finalize() {
       state.residuals[static_cast<std::size_t>(*id)].assign(span.size(), 0.0f);
     }
   }
+  state.push_all_batch.resize(static_cast<std::size_t>(state.registry.size()));
+  for (int id = 0; id < state.registry.size(); ++id) {
+    state.push_all_batch[static_cast<std::size_t>(id)] = id;
+  }
+  state.push_all_batch.push_back(kFlush);
   {
     common::MutexLock lock(state.mu);
     state.reduced_bytes.assign(
@@ -348,10 +378,7 @@ void ThreadedAiaccEngine::Worker::FlushIteration() {
 
 void ThreadedAiaccEngine::Worker::PushAll() {
   RankState& state = *engine_->ranks_[static_cast<std::size_t>(rank_)];
-  for (int id = 0; id < state.registry.size(); ++id) {
-    state.queue->Push(id);
-  }
-  FlushIteration();
+  state.queue->PushBatch(state.push_all_batch);
 }
 
 Status ThreadedAiaccEngine::Worker::WaitIteration() {
@@ -361,7 +388,12 @@ Status ThreadedAiaccEngine::Worker::WaitIteration() {
          !engine_->aborted_.load(std::memory_order_acquire)) {
     state.cv.Wait(lock);
   }
-  if (!state.iteration_done) return engine_->health();
+  if (!state.iteration_done) {
+    // Aborted: return only once no comm stream is inside a unit, so the
+    // caller may free its tensors as soon as it sees the error.
+    while (state.units_in_flight != 0) state.cv.Wait(lock);
+    return engine_->health();
+  }
   state.iteration_done = false;
   iterations_->Add();
   return Status::Ok();
@@ -411,6 +443,7 @@ Status ThreadedAiaccEngine::Worker::WaitGradient(const std::string& name) {
   if (state.reduced_bytes[idx] == bytes || state.iteration_done) {
     return Status::Ok();
   }
+  while (state.units_in_flight != 0) state.cv.Wait(lock);  // as WaitIteration
   return engine_->health();
 }
 
@@ -644,9 +677,28 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
   Worker& worker = *workers_[static_cast<std::size_t>(rank)];
   auto& buffer_pool = common::BufferPool::Global();
   const bool retry_units = failure_.degrade_before_abort;
+  // Destination pieces of the current unit, reused across units so the
+  // steady state allocates nothing.
+  std::vector<std::span<float>> pieces;
+  std::vector<std::span<float>> residual_pieces;
   for (;;) {
     auto unit = state.scheduler->PopFor(stream_index);
     if (!unit.has_value()) return;
+    {
+      // The ring writes the caller's tensors, so a unit counts as in
+      // flight from before its gather until its accounting; an abort that
+      // a waiter has already returned on hands the tensors back.
+      common::MutexLock lock(state.mu);
+      if (aborted_.load(std::memory_order_acquire)) return;
+      ++state.units_in_flight;
+    }
+    auto leave_unit = [&state] {
+      {
+        common::MutexLock lock(state.mu);
+        --state.units_in_flight;
+      }
+      state.cv.NotifyAll();
+    };
     const auto unit_begin = std::chrono::steady_clock::now();
     // Dispatch telemetry: the queue-wait span (backdated to the push) with
     // the unit's priority, plus an inversion marker when an urgent unit was
@@ -672,19 +724,36 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
                          static_cast<int>(unit->unit_id));
     const std::size_t bytes = unit->TotalBytes();
     AIACC_CHECK(bytes % sizeof(float) == 0);
-    // Pooled staging: across iterations the same few buffers cycle through
-    // gather -> all-reduce -> scatter, so steady state allocates nothing.
-    std::vector<float> staging = buffer_pool.Acquire(bytes / sizeof(float));
+    const std::size_t len = bytes / sizeof(float);
+    // The unit's segments of the gradient tensors are the collective's
+    // destination pieces: the ring writes averaged slices straight into
+    // them, so there is no scatter-back.
+    UnitPieces(*unit, state.tensors, pieces);
+    // Pooled staging, gathered once: no collective writes its input, so
+    // every attempt (tier 2) reduces from these same bytes even after a
+    // failed attempt has partly overwritten the tensors.
+    std::vector<float> staging = buffer_pool.Acquire(len);
+    GatherPieces(pieces, staging);
+    // Sparse codecs and the hierarchical all-reduce compute in place, on a
+    // pooled work copy of the staging, and finish through WritePieces.
+    std::vector<float> work;
     // Sparse codecs carry an error-feedback residual alongside the data.
-    // It is staged exactly like the tensors: gathered fresh per attempt
-    // (CompressedAllReduce mutates its residual span before the ring runs,
-    // so a failed attempt must restart from the persistent copy) and
-    // scattered back only after success.
+    // CompressedAllReduce updates its residual span before the ring runs,
+    // so every attempt re-gathers it from the persistent copy, which is
+    // committed only after success.
     const bool sparse_unit = compress::IsSparse(unit->codec.kind);
     std::vector<float> residual_staging;
     if (sparse_unit) {
-      residual_staging = buffer_pool.Acquire(bytes / sizeof(float));
+      UnitPieces(*unit, state.residuals, residual_pieces);
+      residual_staging = buffer_pool.Acquire(len);
     }
+    auto reduce_work_copy = [&](auto&& all_reduce) {
+      if (work.empty()) work = buffer_pool.Acquire(len);
+      std::copy(staging.begin(), staging.end(), work.begin());
+      const Status result = all_reduce(std::span<float>(work));
+      if (result.ok()) collective::WritePieces(work, pieces);
+      return result;
+    };
 
     // Attempt loop (tier 2): a failed all-reduce is retried in-band on a
     // fresh tag epoch at depth 1 instead of aborting outright. Collective
@@ -696,27 +765,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     Status st;
     int epoch = 0;  // outlives the loop: names the failing tag on abort
     for (int attempt = 0;; ++attempt) {
-      // (Re-)gather the unit's slice of each gradient into staging. The
-      // tensors are untouched until a successful scatter, so every attempt
-      // restarts from pristine inputs.
-      {
-        std::vector<std::span<const std::byte>> views;
-        views.reserve(state.tensors.size());
-        for (auto t : state.tensors) {
-          views.push_back(std::as_bytes(t));
-        }
-        GatherUnit(*unit, views,
-                   std::as_writable_bytes(std::span<float>(staging)));
-      }
-      if (sparse_unit) {
-        std::vector<std::span<const std::byte>> views;
-        views.reserve(state.residuals.size());
-        for (auto& r : state.residuals) {
-          views.push_back(std::as_bytes(std::span<const float>(r)));
-        }
-        GatherUnit(*unit, views,
-                   std::as_writable_bytes(std::span<float>(residual_staging)));
-      }
+      if (sparse_unit) GatherPieces(residual_pieces, residual_staging);
 
       epoch = 0;
       if (retry_units) {
@@ -740,17 +789,20 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       if (sparse_unit) {
         // Sparse codecs need the error-feedback residual and use one
         // record-all-gather regardless of algorithm/depth.
-        st = collective::CompressedAllReduce(
-            comm, staging, collective::ReduceOp::kAvg,
-            std::span<float>(residual_staging));
+        st = reduce_work_copy([&](std::span<float> data) {
+          return collective::CompressedAllReduce(
+              comm, data, collective::ReduceOp::kAvg,
+              std::span<float>(residual_staging));
+        });
       } else if (attempt == 0 &&
                  config_.algorithm == collective::Algorithm::kHierarchical &&
                  world_size_ % 2 == 0 && world_size_ > 2) {
-        st = collective::HierarchicalAllReduce(comm, /*gpus_per_host=*/2,
-                                               staging,
-                                               collective::ReduceOp::kAvg);
+        st = reduce_work_copy([&](std::span<float> data) {
+          return collective::HierarchicalAllReduce(
+              comm, /*gpus_per_host=*/2, data, collective::ReduceOp::kAvg);
+        });
       } else {
-        st = collective::RingAllReduce(comm, staging,
+        st = collective::RingAllReduce(comm, staging, pieces,
                                        collective::ReduceOp::kAvg);
       }
       if (st.ok()) break;
@@ -780,9 +832,14 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       LOG_INFO << "rank " << rank << " retrying unit " << unit->unit_id
                << " (attempt " << attempt + 1 << "): " << st.ToString();
     }
-    if (!st.ok()) {
+    auto release_buffers = [&] {
       buffer_pool.Release(std::move(staging));
+      if (!work.empty()) buffer_pool.Release(std::move(work));
       if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
+    };
+    if (!st.ok()) {
+      release_buffers();
+      leave_unit();
       telemetry::FlightRecorder::Global().Record(
           telemetry::FlightSeverity::kError, "engine", "unit-failed", rank,
           /*channel=*/-1, UnitEpochTagBase(unit->unit_id, epoch),
@@ -792,35 +849,25 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     }
     if (shutdown_.load(std::memory_order_acquire) ||
         aborted_.load(std::memory_order_acquire)) {
-      buffer_pool.Release(std::move(staging));
-      if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
+      release_buffers();
+      leave_unit();
       return;
     }
+    // Commit the updated error-feedback residual only now that the
+    // collective succeeded (a retried attempt must not see a residual that
+    // was already consumed by a failed ring).
+    if (sparse_unit) collective::WritePieces(residual_staging, residual_pieces);
+    release_buffers();
 
-    // Scatter the averaged bytes back and account for completed gradients.
+    // The tensor bytes are written; account for completed gradients. The
+    // writes above happen-before this critical section, and so before
+    // every WaitGradient, StepTensor and WaitIteration that reads them.
     int completed = 0;
+    bool last_after_abort = false;
     {
       common::MutexLock lock(state.mu);
-      std::vector<std::span<std::byte>> views;
-      views.reserve(state.tensors.size());
-      for (auto t : state.tensors) {
-        views.push_back(std::as_writable_bytes(t));
-      }
-      ScatterUnit(*unit, std::as_bytes(std::span<const float>(staging)),
-                  views);
-      if (sparse_unit) {
-        // Commit the updated error-feedback residual only now that the
-        // collective succeeded (a retried attempt must not see a residual
-        // that was already consumed by a failed ring).
-        std::vector<std::span<std::byte>> rviews;
-        rviews.reserve(state.residuals.size());
-        for (auto& r : state.residuals) {
-          rviews.push_back(std::as_writable_bytes(std::span<float>(r)));
-        }
-        ScatterUnit(*unit,
-                    std::as_bytes(std::span<const float>(residual_staging)),
-                    rviews);
-      }
+      last_after_abort = --state.units_in_flight == 0 &&
+                         aborted_.load(std::memory_order_acquire);
       for (const UnitSegment& seg : unit->segments) {
         const auto gid = static_cast<std::size_t>(seg.gradient_id);
         auto& done = state.reduced_bytes[gid];
@@ -829,7 +876,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
           ++completed;
           // Optimizer/comm overlap: step this parameter now, under mu,
           // while the other streams keep reducing the remaining units. The
-          // gradient tensor holds the averaged value after ScatterUnit.
+          // gradient tensor already holds the averaged value.
           if (state.optimizer != nullptr) {
             AIACC_TRACE_SPAN_IDX("engine.opt", "step-tensor",
                                  seg.gradient_id);
@@ -842,16 +889,15 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       worker.units_reduced_->Add();
       worker.bytes_reduced_->Add(bytes);
     }
-    buffer_pool.Release(std::move(staging));
-    if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
     worker.unit_latency_->Record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       unit_begin)
             .count());
-    if (completed > 0) {
+    if (completed > 0 || last_after_abort) {
       // Notify on *every* batch of completed gradients (not only the last):
       // WaitGradient callers sleep on the same condvar as the protocol's
-      // end-of-iteration wait.
+      // end-of-iteration wait, and so do aborted waiters draining
+      // units_in_flight.
       state.cv.NotifyAll();
     }
   }

@@ -12,9 +12,12 @@
 //     pool of `num_streams` communication threads runs one real ring
 //     all-reduce per unit concurrently (each on its own tag channel —
 //     Algorithm 1 with actual threads instead of CUDA streams);
-//   * completed units scatter the averaged bytes back into the caller's
-//     tensors; the worker unblocks when every registered gradient is
-//     reduced, applies the optimizer, and starts the next iteration.
+//   * each unit is gathered once into pooled staging, and its ring reads
+//     that staging and writes the averaged slices straight into the
+//     caller's tensors (no scatter-back pass); the comm thread then does
+//     the unit's accounting under the rank mutex, and the worker unblocks
+//     when every registered gradient is reduced, applies the optimizer,
+//     and starts the next iteration.
 //
 // Failure semantics (paper §IV reliability posture, made real): when a
 // FailureConfig enables detection, each rank's comm side also runs a
@@ -126,7 +129,7 @@ class ThreadedAiaccEngine {
   class Worker {
    public:
     /// Register a named gradient tensor (the engine keeps the span and
-    /// scatters averaged values back into it). All ranks must register the
+    /// writes the averaged values into it). All ranks must register the
     /// same names/sizes. Call before Finalize.
     Status Register(const std::string& name, std::span<float> tensor);
 
@@ -160,8 +163,9 @@ class ThreadedAiaccEngine {
     [[nodiscard]] Status WaitGradient(const std::string& name);
 
     /// Announce that the gradient `name` has been (re)computed for this
-    /// iteration. The tensor contents are read asynchronously afterwards —
-    /// do not touch them until WaitIteration returns. After pushing every
+    /// iteration. The tensor contents are read and then overwritten with
+    /// the average asynchronously afterwards — do not touch them until
+    /// WaitGradient(name) or WaitIteration returns. After pushing every
     /// gradient of the iteration, call FlushIteration.
     void Push(const std::string& name);
 
@@ -169,15 +173,17 @@ class ThreadedAiaccEngine {
     /// end-of-backward signal). Required before WaitIteration.
     void FlushIteration();
 
-    /// Convenience: push every registered gradient and flush (production
-    /// order does not matter; the sync protocol orders them).
+    /// Convenience: push every registered gradient and flush in one queue
+    /// operation, so the MPI process agrees on all of them in a single sync
+    /// round.
     void PushAll();
 
     /// Block until every registered gradient has been averaged across all
     /// ranks (then the optimizer may run and the next iteration start).
     /// Returns Ok on completion, or the engine's abort Status when a peer
     /// failure / deadline cut the iteration short — the tensors are then in
-    /// an unspecified state and the engine is dead (rebuild to recover).
+    /// an unspecified state, no comm stream touches them any more, and the
+    /// engine is dead (rebuild to recover).
     [[nodiscard]] Status WaitIteration();
 
     [[nodiscard]] int rank() const noexcept { return rank_; }
@@ -268,7 +274,9 @@ class ThreadedAiaccEngine {
     // unit's segments — units partition gradient bytes disjointly — and a
     // failed attempt re-gathers from here, so retries never double-apply
     // the residual.
-    std::vector<std::vector<float>> residuals;  // NOLOCK(comm streams access disjoint unit segments; scatter-back under mu)
+    std::vector<std::vector<float>> residuals;  // NOLOCK(comm streams access disjoint unit segments; a commit happens-before the next gather via mu)
+    // Every gradient id then kFlush: PushAll's one queue batch.
+    std::vector<int> push_all_batch;  // NOLOCK(frozen before service threads start)
 
     // Optimizer/comm overlap (Worker::BindOptimizer): the comm streams
     // apply StepTensor under `mu` the moment a gradient completes, so the
@@ -293,10 +301,17 @@ class ThreadedAiaccEngine {
     // cross-rank deadlock-freedom argument).
     std::unique_ptr<ReadySetScheduler> scheduler;  // NOLOCK(set in ctor; internally synchronized)
     // Gradients not yet fully reduced this iteration; re-armed when the
-    // iteration closes. Decremented under mu in the same critical section
-    // as the scatter-back, so the MPI process's end-of-iteration wait
-    // (which tests it under mu) can never miss the last decrement's notify.
+    // iteration closes. A comm stream writes a unit's tensor bytes (outside
+    // mu, during its ring) before decrementing this under mu, in the same
+    // critical section as the unit's reduced_bytes accounting, so the MPI
+    // process's end-of-iteration wait (which tests it under mu) can never
+    // miss the last decrement's notify, and every waiter that sees the
+    // count also sees the bytes.
     int gradients_remaining GUARDED_BY(mu) = 0;
+    // Units a comm stream has popped and not yet accounted for: their ring
+    // may still read or write the tensors. After an abort, WaitIteration
+    // and WaitGradient return only once this drains to 0.
+    int units_in_flight GUARDED_BY(mu) = 0;
     std::vector<std::size_t> reduced_bytes GUARDED_BY(mu);
 
     // Tag-epoch per unit id (tier 2 retries): bumped on every failed

@@ -159,8 +159,9 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
 
 /// Run `iters` iterations of the threaded engine with two per-rank gradient
 /// tensors filled from a deterministic (rank, iteration) pattern; returns
-/// each rank's final tensor contents (averages scattered in place). Any
-/// non-OK WaitIteration stops the run; `*failed` reports it.
+/// each rank's tensor contents after every iteration (the averages the
+/// engine wrote), concatenated. Any non-OK WaitIteration stops the run;
+/// `*failed` reports it.
 std::vector<std::vector<float>> RunEngine(
     int world, CommConfig config, FailureConfig failure, int iters,
     bool* failed,
@@ -194,10 +195,12 @@ std::vector<std::vector<float>> RunEngine(
           any_failed.store(true);
           break;
         }
+        // Every iteration's averages, not just the last: a retry that
+        // went wrong mid-run must not hide behind the next iteration.
+        auto& result = out[static_cast<std::size_t>(r)];
+        result.insert(result.end(), a.begin(), a.end());
+        result.insert(result.end(), b.begin(), b.end());
       }
-      auto& result = out[static_cast<std::size_t>(r)];
-      result = a;
-      result.insert(result.end(), b.begin(), b.end());
     });
   }
   for (auto& t : threads) t.join();
@@ -275,33 +278,41 @@ TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
   const auto clean = RunEngine(world, config, FailureConfig{}, iters, &failed);
   ASSERT_FALSE(failed);
 
-  // Blackhole the *primary* unit namespace only: first attempts time out,
-  // epoch-1 retry tags (collective::kUnitRetryTagBase) are clean.
-  FaultSpec spec;
-  spec.seed = 62;
-  TagFaults window;
-  window.tag_lo = collective::kUnitTagBase;
-  window.tag_hi = collective::kUnitRetryTagBase - 1;
-  window.faults.drop_prob = 1.0;
-  spec.per_tag.push_back(window);
-
+  // Fault the *primary* unit namespace only; epoch-1 retry tags
+  // (collective::kUnitRetryTagBase) are clean. A blackhole fails every
+  // first attempt before it writes anything; a 5% drop window fails some
+  // first attempts partway, after the ring has already written part of the
+  // gradient tensors — the retry must rerun from the unit's staging, not
+  // from the half-written tensors.
   FailureConfig failure;
-  failure.faults = spec;
-  failure.collective_timeout_ms = 200;
-  failure.degrade_before_abort = true;
-  std::uint64_t unit_retries = 0;
-  const auto result =
-      RunEngine(world, config, failure, iters, &failed,
-                [&](ThreadedAiaccEngine& engine) {
-                  unit_retries = engine.metrics()
-                                     .GetCounter("engine.unit_retries")
-                                     .Value();
-                });
-  EXPECT_FALSE(failed) << "engine aborted instead of retrying units";
-  EXPECT_EQ(result, clean) << "unit retries changed the numerics";
-  EXPECT_GT(unit_retries, 0u) << "no unit retries recorded";
+  for (const double drop_prob : {1.0, 0.05}) {
+    SCOPED_TRACE("primary-namespace drop_prob " + std::to_string(drop_prob));
+    FaultSpec spec;
+    spec.seed = 62;
+    TagFaults window;
+    window.tag_lo = collective::kUnitTagBase;
+    window.tag_hi = collective::kUnitRetryTagBase - 1;
+    window.faults.drop_prob = drop_prob;
+    spec.per_tag.push_back(window);
 
-  // Contrast: the same blackhole without unit retry aborts (tier 3).
+    failure.faults = spec;
+    failure.collective_timeout_ms = 200;
+    failure.degrade_before_abort = true;
+    std::uint64_t unit_retries = 0;
+    const auto result =
+        RunEngine(world, config, failure, iters, &failed,
+                  [&](ThreadedAiaccEngine& engine) {
+                    unit_retries = engine.metrics()
+                                       .GetCounter("engine.unit_retries")
+                                       .Value();
+                  });
+    EXPECT_FALSE(failed) << "engine aborted instead of retrying units";
+    EXPECT_EQ(result, clean) << "unit retries changed the numerics";
+    EXPECT_GT(unit_retries, 0u) << "no unit retries recorded";
+  }
+
+  // Contrast: the blackhole without unit retry aborts (tier 3).
+  failure.faults->per_tag[0].faults.drop_prob = 1.0;
   failure.degrade_before_abort = false;
   RunEngine(world, config, failure, iters, &failed);
   EXPECT_TRUE(failed) << "expected the engine to abort without unit retry";

@@ -9,10 +9,12 @@
 // simulated rings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "common/sync.h"
+#include "compress/codec.h"
 #include "core/sync_bits.h"
 #include "transport/faulty.h"
 
@@ -1111,6 +1114,200 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
     EXPECT_EQ(tr.TotalMessages(),
               static_cast<std::uint64_t>(world) * 2 * (world - 1));
   }
+}
+
+// ------------------------------------------------- out-of-place ring ------
+// RingAllReduce(comm, input, pieces, op) reads `input` and writes the result
+// into destination pieces that tile the buffer. The contract: the input is
+// bitwise unchanged, and the pieces hold exactly what the in-place ring
+// computes (for the raw wire, what the serial reference computes) — for
+// pieces of one float, and for pieces that straddle chunk and slice
+// boundaries.
+
+/// Rank data with exact ±0 and mixed signs at the same index across ranks,
+/// so kMin/kMax results depend on the operand order (min(+0, -0) keeps the
+/// local operand).
+std::vector<std::vector<float>> MakeSignedZeroData(int world, std::size_t len,
+                                                   std::uint64_t seed) {
+  auto data = MakeRankData(world, len, seed);
+  for (int r = 0; r < world; ++r) {
+    for (std::size_t i = 0; i < len; i += 3) {
+      const bool positive = (i / 3 + static_cast<std::size_t>(r)) % 2 == 0;
+      data[static_cast<std::size_t>(r)][i] = positive ? 0.0f : -0.0f;
+    }
+  }
+  return data;
+}
+
+/// Piece sizes cycling through 1-float pieces and pieces wider than a
+/// slice, so the layout both splits slices and straddles their boundaries.
+std::vector<std::size_t> PieceSizes(std::size_t len) {
+  static constexpr std::size_t kCycle[] = {1, 1, 5, 1, 29, 3, 64, 1, 17};
+  std::vector<std::size_t> sizes;
+  std::size_t covered = 0;
+  for (std::size_t i = 0; covered < len; ++i) {
+    const std::size_t take =
+        std::min(kCycle[i % std::size(kCycle)], len - covered);
+    sizes.push_back(take);
+    covered += take;
+  }
+  return sizes;
+}
+
+/// True if some piece [b, e) has a boundary strictly inside it.
+bool SomePieceStraddles(const std::vector<std::size_t>& sizes,
+                        const std::vector<std::size_t>& boundaries) {
+  std::size_t b = 0;
+  for (const std::size_t size : sizes) {
+    for (const std::size_t x : boundaries) {
+      if (b < x && x < b + size) return true;
+    }
+    b += size;
+  }
+  return false;
+}
+
+/// Runs the out-of-place ring on every rank: each rank's pieces are carved
+/// from one output buffer (pre-filled with a NaN sentinel) in `sizes`
+/// order. Returns the output buffers; `inputs` must come back unchanged.
+std::vector<std::vector<float>> RunOutOfPlace(
+    transport::Transport& tr, const std::vector<std::vector<float>>& inputs,
+    const std::vector<std::size_t>& sizes, ReduceOp op, int depth,
+    compress::CodecKind codec, int tag_base, std::int64_t timeout_ms,
+    std::vector<Status>* status) {
+  const int world = static_cast<int>(inputs.size());
+  const std::size_t len = inputs[0].size();
+  std::vector<std::vector<float>> out(
+      static_cast<std::size_t>(world),
+      std::vector<float>(len, std::numeric_limits<float>::quiet_NaN()));
+  status->assign(static_cast<std::size_t>(world), Status::Ok());
+  std::vector<common::BufferPool> pools(static_cast<std::size_t>(world));
+  RunAllRanks(world, [&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    std::vector<std::span<float>> pieces;
+    std::size_t at = 0;
+    for (const std::size_t size : sizes) {
+      pieces.push_back(std::span<float>(out[r]).subspan(at, size));
+      at += size;
+    }
+    Comm comm{&tr, rank, world, tag_base, timeout_ms, &pools[r], depth};
+    comm.codec.kind = codec;
+    (*status)[r] = RingAllReduce(comm, inputs[r], pieces, op);
+  });
+  return out;
+}
+
+class OutOfPlaceRingP
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, compress::CodecKind, ReduceOp>> {};
+
+TEST_P(OutOfPlaceRingP, InputUntouchedAndPiecesMatchReferenceBitwise) {
+  const auto [world, depth, codec, op] = GetParam();
+  const std::size_t len = 1031;  // prime: every chunk and slice is uneven
+  const auto inputs = MakeSignedZeroData(
+      world, len, 515 + static_cast<std::uint64_t>(world) * 7 +
+                      static_cast<std::uint64_t>(depth));
+  const auto before = inputs;
+  const std::vector<std::size_t> sizes = PieceSizes(len);
+  if (world > 1) {
+    std::vector<std::size_t> chunk_edges;
+    std::vector<std::size_t> slice_edges;
+    const int d = std::max(depth, 2);  // slice edges inside chunk 0
+    for (int c = 1; c < world; ++c) {
+      chunk_edges.push_back(ChunkBegin(len, world, c));
+    }
+    const std::size_t chunk0 = ChunkBegin(len, world, 1);
+    for (int k = 1; k < d; ++k) {
+      slice_edges.push_back(ChunkBegin(chunk0, d, k));
+    }
+    ASSERT_TRUE(SomePieceStraddles(sizes, chunk_edges));
+    ASSERT_TRUE(SomePieceStraddles(sizes, slice_edges));
+  }
+
+  transport::InProcTransport tr(world);
+  std::vector<Status> status;
+  const auto got = RunOutOfPlace(tr, inputs, sizes, op, depth, codec,
+                                 /*tag_base=*/0, /*timeout_ms=*/0, &status);
+  for (const Status& st : status) ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectBitIdentical(before, inputs);
+
+  // The in-place ring on the same inputs, same depth and codec.
+  auto in_place = inputs;
+  transport::InProcTransport tr2(world);
+  common::BufferPool pool;
+  RunAllRanks(world, [&](int rank) {
+    Comm comm{&tr2, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, &pool,
+              depth};
+    comm.codec.kind = codec;
+    EXPECT_TRUE(
+        RingAllReduce(comm, in_place[static_cast<std::size_t>(rank)], op).ok());
+  });
+  ExpectBitIdentical(in_place, got);
+  if (codec == compress::CodecKind::kNone) {
+    const std::vector<std::vector<float>> want(
+        static_cast<std::size_t>(world), SerialRingReference(inputs, op));
+    ExpectBitIdentical(want, got);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, OutOfPlaceRingP,
+    ::testing::Combine(::testing::Range(1, 9),      // world 1..8
+                       ::testing::Values(1, 4, 8),  // pipeline depth
+                       ::testing::Values(compress::CodecKind::kNone,
+                                         compress::CodecKind::kFp16),
+                       ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
+                                         ReduceOp::kMin, ReduceOp::kMax)));
+
+TEST(OutOfPlaceRingTest, CrashMidAllGatherLeavesInputForARerun) {
+  // Rank 2 crashes once its three reduce-scatter sends are out (depth 1,
+  // 4 ranks: 6 sends per all-reduce). Every survivor finishes the
+  // reduce-scatter, writes its own reduced chunk and 0-2 all-gathered
+  // chunks into its pieces, then misses its deadline. The input must be
+  // untouched, so a rerun on fresh tags from that same input — the
+  // engine's tier-2 retry — yields the reference result bit for bit.
+  const int world = 4;
+  const int crashed = 2;
+  const std::size_t len = 64;
+  const auto inputs = MakeRankData(world, len, 4711);
+  const auto before = inputs;
+  const std::vector<std::size_t> sizes = PieceSizes(len);
+
+  transport::InProcTransport inner(world);
+  transport::FaultSpec spec;
+  spec.crash_rank = crashed;
+  spec.crash_after_sends = 3;
+  transport::FaultyTransport faulty(inner, spec);
+  std::vector<Status> status;
+  const auto partial = RunOutOfPlace(faulty, inputs, sizes, ReduceOp::kAvg,
+                                     /*depth=*/1, compress::CodecKind::kNone,
+                                     /*tag_base=*/0, /*timeout_ms=*/200,
+                                     &status);
+  ExpectBitIdentical(before, inputs);
+  const auto written = [](const std::vector<float>& v) {
+    return std::count_if(v.begin(), v.end(),
+                         [](float x) { return !std::isnan(x); });
+  };
+  for (int r = 0; r < world; ++r) {
+    if (r == crashed) continue;  // its own outcome races the blackhole
+    const auto ri = static_cast<std::size_t>(r);
+    EXPECT_FALSE(status[ri].ok()) << "rank " << r;
+    EXPECT_GT(written(partial[ri]), 0) << "rank " << r;
+    EXPECT_LT(written(partial[ri]), static_cast<std::ptrdiff_t>(len))
+        << "rank " << r;
+  }
+
+  // Rerun on the healthy wire underneath, on fresh tags: the failed
+  // attempt's stranded messages sit on the old tags and are never read.
+  const auto rerun = RunOutOfPlace(inner, inputs, sizes, ReduceOp::kAvg,
+                                   /*depth=*/1, compress::CodecKind::kNone,
+                                   /*tag_base=*/8, /*timeout_ms=*/2000,
+                                   &status);
+  for (const Status& st : status) ASSERT_TRUE(st.ok()) << st.ToString();
+  const std::vector<std::vector<float>> want(
+      static_cast<std::size_t>(world),
+      SerialRingReference(inputs, ReduceOp::kAvg));
+  ExpectBitIdentical(want, rerun);
 }
 
 // ------------------------------------------------ bit-packed sync rounds --

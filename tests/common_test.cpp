@@ -160,6 +160,22 @@ TEST(BoundedQueueTest, ShutdownUnblocksProducer) {
   producer.join();
 }
 
+TEST(BoundedQueueTest, PushBatchResumesWhenFull) {
+  // A batch longer than the capacity fills the queue, wakes the consumer
+  // (already parked on the empty queue) and resumes as it drains; items
+  // arrive complete and in order.
+  BoundedQueue<int> q(3);
+  std::vector<int> popped;
+  std::thread consumer([&] {
+    for (int i = 0; i < 10; ++i) popped.push_back(*q.Pop());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const std::vector<int> batch = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_TRUE(q.PushBatch(batch));
+  consumer.join();
+  EXPECT_EQ(popped, batch);
+}
+
 TEST(SpscRingTest, PushPopRoundTrip) {
   SpscRing<int> ring(8);
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));

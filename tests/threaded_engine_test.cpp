@@ -4,7 +4,11 @@
 // stability, and protocol statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/sync_bits.h"
 #include "core/threaded_engine.h"
@@ -124,55 +128,78 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
   config.num_streams = 2;
   config.granularity_bytes = 128;
   const int steps = 5;
-  const std::size_t n_grads =
-      dnn::Mlp({kIn, 12, kOut}, 42).GradientTensors().size();
-  // Unit retry (tier 2) must not change the sync-round wire format.
-  for (const bool retry_units : {false, true}) {
-    SCOPED_TRACE(retry_units ? "degrade_before_abort" : "default");
-    ThreadedAiaccEngine engine(2, config, [&] {
-      FailureConfig failure;
-      failure.degrade_before_abort = retry_units;
-      return failure;
-    }());
-    std::vector<std::thread> threads;
-    const int shard = ds.num_samples / 2;
-    for (int r = 0; r < 2; ++r) {
-      threads.emplace_back([&, r] {
-        auto& worker = engine.worker(r);
-        dnn::Mlp model({kIn, 12, kOut}, 42);
-        auto grads = model.GradientTensors();
-        for (std::size_t t = 0; t < grads.size(); ++t) {
-          ASSERT_TRUE(worker.Register("g" + std::to_string(t), grads[t]).ok());
-        }
-        worker.Finalize();
-        std::vector<float> x(ds.inputs.begin() + r * shard * kIn,
-                             ds.inputs.begin() + (r + 1) * shard * kIn);
-        std::vector<float> y(ds.targets.begin() + r * shard * kOut,
-                             ds.targets.begin() + (r + 1) * shard * kOut);
-        for (int s = 0; s < steps; ++s) {
-          model.Forward(x, shard);
-          model.Backward(x, y, shard);
-          worker.PushAll();
-          ASSERT_TRUE(worker.WaitIteration().ok());
-          model.SgdStep(0.1f);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (int r = 0; r < 2; ++r) {
-      const auto& stats = engine.worker(r).stats();
-      EXPECT_EQ(stats.iterations, static_cast<std::uint64_t>(steps));
-      EXPECT_GE(stats.sync_rounds, static_cast<std::uint64_t>(steps));
-      // 4 tensors, 128-byte units: multiple units per iteration.
-      EXPECT_GE(stats.units_reduced, static_cast<std::uint64_t>(steps) * 2);
-      EXPECT_GT(stats.bytes_reduced, 0u);
-      // Bit-packed sync rounds: every round ships exactly SyncWordCount(n)
-      // floats (32 readiness bits per float), not one float per gradient.
-      EXPECT_EQ(engine.metrics()
-                    .GetCounter(
-                        telemetry::RankScoped("engine.sync_payload_floats", r))
-                    .Value(),
-                stats.sync_rounds * SyncWordCount(n_grads));
+  // The MLP's 4 gradients, and 2000 two-float tensors: PushAll enqueues
+  // every id and the flush marker as one batch, so the MPI process agrees
+  // on all of them in one sync round however many there are.
+  for (const std::size_t many : {std::size_t{0}, std::size_t{2000}}) {
+    const std::size_t n_grads =
+        many > 0 ? many
+                 : dnn::Mlp({kIn, 12, kOut}, 42).GradientTensors().size();
+    // Unit retry (tier 2) must not change the sync-round wire format.
+    for (const bool retry_units : {false, true}) {
+      SCOPED_TRACE(std::to_string(n_grads) + " tensors, " +
+                   (retry_units ? "degrade_before_abort" : "default"));
+      ThreadedAiaccEngine engine(2, config, [&] {
+        FailureConfig failure;
+        failure.degrade_before_abort = retry_units;
+        return failure;
+      }());
+      std::vector<std::thread> threads;
+      const int shard = ds.num_samples / 2;
+      for (int r = 0; r < 2; ++r) {
+        threads.emplace_back([&, r] {
+          auto& worker = engine.worker(r);
+          dnn::Mlp model({kIn, 12, kOut}, 42);
+          std::vector<std::vector<float>> small(many, std::vector<float>(2));
+          std::vector<std::span<float>> grads;
+          if (many > 0) {
+            grads.assign(small.begin(), small.end());
+          } else {
+            grads = model.GradientTensors();
+          }
+          for (std::size_t t = 0; t < grads.size(); ++t) {
+            ASSERT_TRUE(
+                worker.Register("g" + std::to_string(t), grads[t]).ok());
+          }
+          worker.Finalize();
+          std::vector<float> x(ds.inputs.begin() + r * shard * kIn,
+                               ds.inputs.begin() + (r + 1) * shard * kIn);
+          std::vector<float> y(ds.targets.begin() + r * shard * kOut,
+                               ds.targets.begin() + (r + 1) * shard * kOut);
+          for (int s = 0; s < steps; ++s) {
+            if (many > 0) {
+              for (auto& g : small) std::fill(g.begin(), g.end(), r + s);
+            } else {
+              model.Forward(x, shard);
+              model.Backward(x, y, shard);
+            }
+            worker.PushAll();
+            ASSERT_TRUE(worker.WaitIteration().ok());
+            if (many > 0) {
+              for (const auto& g : small) ASSERT_EQ(g[0], s + 0.5f);
+            } else {
+              model.SgdStep(0.1f);
+            }
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (int r = 0; r < 2; ++r) {
+        const auto& stats = engine.worker(r).stats();
+        EXPECT_EQ(stats.iterations, static_cast<std::uint64_t>(steps));
+        EXPECT_EQ(stats.sync_rounds, static_cast<std::uint64_t>(steps));
+        // 128-byte units: multiple units per iteration.
+        EXPECT_GE(stats.units_reduced, static_cast<std::uint64_t>(steps) * 2);
+        EXPECT_GT(stats.bytes_reduced, 0u);
+        // Bit-packed sync rounds: every round ships exactly
+        // SyncWordCount(n) floats (32 readiness bits per float), not one
+        // float per gradient.
+        EXPECT_EQ(engine.metrics()
+                      .GetCounter(telemetry::RankScoped(
+                          "engine.sync_payload_floats", r))
+                      .Value(),
+                  stats.sync_rounds * SyncWordCount(n_grads));
+      }
     }
   }
 }
