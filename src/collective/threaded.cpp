@@ -87,19 +87,20 @@ int EffectivePipelineDepth(std::size_t len, int n, int requested) {
   return std::clamp(requested, 1, std::max(1, cap));
 }
 
-/// Writes finished ring slices into destination pieces that tile
-/// [0, len) in order, scaling by `scale` on the way (1 = a plain copy; a
-/// multiply by 1 could still quieten a signalling-NaN lane of kBitAnd
-/// traffic). Slices arrive chunk by chunk in descending ring order and in
-/// ascending order within a chunk, so a cursor that walks the piece list
-/// from its last position finds each slice's first piece in a few steps.
-class PieceWriter {
+/// A walking cursor over pieces that tile [0, len) in order. The ring
+/// visits slices chunk by chunk in descending ring order and in ascending
+/// order within a chunk, so the cursor finds each slice's first piece in a
+/// few steps from its last position.
+class PieceCursor {
  public:
-  PieceWriter(std::span<const std::span<float>> pieces, float scale)
-      : pieces_(pieces), scale_(scale) {}
+  explicit PieceCursor(std::span<const std::span<float>> pieces)
+      : pieces_(pieces) {}
 
-  void Write(std::size_t offset, std::span<const float> src) {
-    if (src.empty()) return;
+  /// Calls fn(pos, segment) for each piece segment of [offset, offset +
+  /// size) in order; `pos` is the segment's offset from `offset`.
+  template <typename Fn>
+  void Walk(std::size_t offset, std::size_t size, Fn&& fn) {
+    if (size == 0) return;
     while (offset < begin_) begin_ -= pieces_[--index_].size();
     while (offset >= begin_ + pieces_[index_].size()) {
       begin_ += pieces_[index_++].size();
@@ -107,27 +108,87 @@ class PieceWriter {
     for (std::size_t done = 0;;) {
       const std::span<float> piece = pieces_[index_];
       const std::size_t at = offset + done - begin_;
-      const std::size_t take = std::min(piece.size() - at, src.size() - done);
-      Emit(src.subspan(done, take), piece.subspan(at, take));
+      const std::size_t take = std::min(piece.size() - at, size - done);
+      fn(done, piece.subspan(at, take));
       done += take;
-      if (done == src.size()) return;
+      if (done == size) return;
       begin_ += pieces_[index_++].size();
     }
+  }
+
+ private:
+  std::span<const std::span<float>> pieces_;
+  std::size_t index_ = 0;  // the cursor: pieces_[index_] ...
+  std::size_t begin_ = 0;  // ... starts at this offset
+};
+
+/// Reads ring slices from input pieces that tile [0, len) in order; never
+/// writes them.
+class PieceReader {
+ public:
+  explicit PieceReader(std::span<const std::span<float>> pieces)
+      : cursor_(pieces) {}
+
+  /// fn(pos, segment) for each read-only segment of [offset, offset + size).
+  template <typename Fn>
+  void ForEach(std::size_t offset, std::size_t size, Fn&& fn) {
+    cursor_.Walk(offset, size, [&](std::size_t pos, std::span<float> seg) {
+      fn(pos, std::span<const float>(seg));
+    });
+  }
+
+  void CopyTo(std::size_t offset, std::span<float> dst) {
+    ForEach(offset, dst.size(),
+            [&](std::size_t pos, std::span<const float> seg) {
+              std::copy(seg.begin(), seg.end(), dst.begin() + pos);
+            });
+  }
+
+  /// [offset, offset + size) as one span: the piece itself when the range
+  /// lies inside one piece, else gathered into `scratch`.
+  std::span<const float> View(std::size_t offset, std::size_t size,
+                              std::span<float> scratch) {
+    std::span<const float> view;
+    ForEach(offset, size, [&](std::size_t pos, std::span<const float> seg) {
+      if (seg.size() == size) {
+        view = seg;
+      } else {
+        std::copy(seg.begin(), seg.end(), scratch.begin() + pos);
+      }
+    });
+    return view.empty() ? std::span<const float>(scratch.first(size)) : view;
+  }
+
+ private:
+  PieceCursor cursor_;
+};
+
+/// Writes finished ring slices into destination pieces that tile [0, len)
+/// in order, scaling by `scale` on the way (1 = a plain copy; a multiply by
+/// 1 could still quieten a signalling-NaN lane of kBitAnd traffic).
+class PieceWriter {
+ public:
+  PieceWriter(std::span<const std::span<float>> pieces, float scale)
+      : cursor_(pieces), scale_(scale) {}
+
+  void Write(std::size_t offset, std::span<const float> src) {
+    cursor_.Walk(offset, src.size(),
+                 [&](std::size_t pos, std::span<float> dst) {
+                   Emit(src.subspan(pos, dst.size()), dst);
+                 });
   }
 
  private:
   void Emit(std::span<const float> src, std::span<float> dst) const {
     if (scale_ != 1.0f) {
       for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i] * scale_;
-    } else if (src.data() != dst.data()) {  // a 1-rank ring writes in place
+    } else if (src.data() != dst.data()) {  // aliased input: already there
       std::copy(src.begin(), src.end(), dst.begin());
     }
   }
 
-  std::span<const std::span<float>> pieces_;
+  PieceCursor cursor_;
   float scale_;
-  std::size_t index_ = 0;  // the cursor: pieces_[index_] ...
-  std::size_t begin_ = 0;  // ... starts at this offset
 };
 
 std::size_t TiledLength(std::span<const std::span<float>> pieces) {
@@ -141,17 +202,18 @@ std::size_t TiledLength(std::span<const std::span<float>> pieces) {
 enum class RingSteps { kAll, kReduceScatter, kAllGather };
 
 /// The one ring body. Position p of an n-rank ring first sends chunk(p)
-/// of `input`; step t receives chunk(p - t - 1) from the previous rank.
+/// of the input; step t receives chunk(p - t - 1) from the previous rank.
 /// During the reduce-scatter steps (t < n-1) the received partial absorbs
-/// this rank's slice of `input` — op(local, incoming), the operand order of
-/// the serial reference — and is forwarded as is, so a step is one pass
-/// over the slice and the caller's data is never written. At t = n-2 the
-/// slice is fully reduced; from there on every slice is final: it is
-/// written to `pieces` (scaled by 1/n for kAvg) and forwarded unmodified,
-/// which makes it the first all-gather send. `pieces` tile [0, len) in
-/// order and may alias `input`: each chunk is read for the last time
-/// before its final value is written. A gather-only call starts from the
-/// rank's own finished chunk(p) and writes it out too.
+/// this rank's slice of the input — op(local, incoming), the operand order
+/// of the serial reference, one Absorb per input piece the slice spans —
+/// and is forwarded as is, so a step is one pass over the slice and the
+/// input is never written. At t = n-2 the slice is fully reduced; from
+/// there on every slice is final: it is written to `output` (scaled by 1/n
+/// for kAvg) and forwarded unmodified, which makes it the first all-gather
+/// send. `input` and `output` are pieces that tile [0, len) in order, and
+/// the output pieces may be the very input pieces: each chunk is read for
+/// the last time before its final value is written. A gather-only call
+/// starts from the rank's own finished chunk(p) and writes it out too.
 ///
 /// Pipelining: each chunk splits into `d` slices (Comm::pipeline_depth,
 /// clamped by EffectivePipelineDepth) kept in flight on the same tag; the
@@ -168,20 +230,26 @@ enum class RingSteps { kAll, kReduceScatter, kAllGather };
 /// re-encodes into its own payload. A final slice is written from the
 /// decoded wire form, so the rank that finished a chunk holds exactly
 /// what every other rank decodes (the owner self-roundtrip) and replicas
-/// stay bit-identical.
+/// stay bit-identical. A prologue slice inside one input piece is encoded
+/// straight from it; one that spans pieces is gathered into the scratch
+/// first.
 Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
-               std::span<const float> input,
-               std::span<const std::span<float>> pieces, ReduceOp op,
+               std::span<const std::span<float>> input,
+               std::span<const std::span<float>> output, ReduceOp op,
                RingSteps steps) {
   const CodecKind wire = comm.codec.kind;
   AIACC_CHECK(wire == CodecKind::kNone || compress::IsCast(wire));
   const int n = ring.size;
-  const std::size_t len = input.size();
-  PieceWriter out(pieces, op == ReduceOp::kAvg && n > 1
+  const std::size_t len = TiledLength(input);
+  AIACC_CHECK(TiledLength(output) == len);
+  PieceReader in(input);
+  PieceWriter out(output, op == ReduceOp::kAvg && n > 1
                               ? 1.0f / static_cast<float>(n)
                               : 1.0f);
   if (n <= 1) {
-    out.Write(0, input);
+    in.ForEach(0, len, [&](std::size_t pos, std::span<const float> seg) {
+      out.Write(pos, seg);
+    });
     return Status::Ok();
   }
   const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
@@ -227,10 +295,14 @@ Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
     for (int k = 0; k < d; ++k) {
       AIACC_TRACE_SPAN_V("comm.step", "send");
       const Slice s = slice_of(my_pos, k);
-      const std::span<const float> src = input.subspan(s.begin, s.size);
-      transport::Payload payload =
-          encoded ? FillSendEncoded(pool, src, wire)
-                  : FillSendBuffer(pool, src);
+      transport::Payload payload;
+      if (encoded) {
+        payload = FillSendEncoded(pool, in.View(s.begin, s.size, scratch),
+                                  wire);
+      } else {
+        payload = pool.Acquire(s.size);
+        in.CopyTo(s.begin, payload);
+      }
       if (first == n - 1) finish(payload, s);
       tr.Send(me, next, tag, std::move(payload));
     }
@@ -249,15 +321,17 @@ Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
             *received, encoded ? compress::CastWireFloats(s.size) : s.size));
         if (t < n - 1) {
           AIACC_TRACE_SPAN_V("comm.step", "reduce");
-          const std::span<const float> local = input.subspan(s.begin, s.size);
+          std::span<float> partial = *received;
           if (encoded) {
-            std::span<float> partial = std::span<float>(scratch).first(s.size);
+            partial = std::span<float>(scratch).first(s.size);
             compress::CastDecode(wire, *received, partial, s.size);
-            Absorb(partial, local, inner);
-            compress::CastEncode(wire, partial, *received);
-          } else {
-            Absorb(*received, local, inner);
           }
+          in.ForEach(s.begin, s.size,
+                     [&](std::size_t pos, std::span<const float> local) {
+                       Absorb(partial.subspan(pos, local.size()), local,
+                              inner);
+                     });
+          if (encoded) compress::CastEncode(wire, partial, *received);
         }
         if (t >= n - 2) finish(*received, s);
         if (t + 1 < end) {
@@ -359,22 +433,27 @@ std::size_t ChunkBegin(std::size_t len, int n_chunks, int chunk) {
          static_cast<std::size_t>(n_chunks);
 }
 
+void ReadPieces(std::span<const std::span<float>> pieces,
+                std::span<float> dst) {
+  AIACC_CHECK(TiledLength(pieces) == dst.size());
+  PieceReader(pieces).CopyTo(0, dst);
+}
+
 void WritePieces(std::span<const float> src,
                  std::span<const std::span<float>> pieces) {
   AIACC_CHECK(TiledLength(pieces) == src.size());
   PieceWriter(pieces, 1.0f).Write(0, src);
 }
 
-Status RingAllReduce(const Comm& comm, std::span<const float> input,
-                     std::span<const std::span<float>> pieces, ReduceOp op) {
+Status RingAllReduce(const Comm& comm, std::span<const std::span<float>> input,
+                     std::span<const std::span<float>> output, ReduceOp op) {
   AIACC_CHECK(comm.transport != nullptr);
   // The bit-packed sync rounds are exact agreements — a lossy codec on that
   // traffic would corrupt the protocol, so the combination is forbidden.
   AIACC_CHECK(comm.codec.kind == CodecKind::kNone || op != ReduceOp::kBitAnd);
-  AIACC_CHECK(TiledLength(pieces) == input.size());
   AIACC_TRACE_SPAN("comm", "ring-all-reduce");
   return RunRing(comm, RingRanks{0, 1, comm.world_size}, comm.rank,
-                 comm.tag_base, input, pieces, op, RingSteps::kAll);
+                 comm.tag_base, input, output, op, RingSteps::kAll);
 }
 
 Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
@@ -383,7 +462,7 @@ Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
     return CompressedAllReduce(comm, data, op, {});
   }
   const std::span<float> whole[] = {data};
-  return RingAllReduce(comm, data, whole, op);
+  return RingAllReduce(comm, whole, whole, op);
 }
 
 Status CompressedAllReduce(const Comm& comm, std::span<float> data,
@@ -494,19 +573,19 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
   // One host: the group ring is the whole all-reduce and averages as it
   // writes its final slices.
   if (num_hosts == 1) {
-    return RunRing(comm, group, local, comm.tag_base, data, whole, op,
+    return RunRing(comm, group, local, comm.tag_base, whole, whole, op,
                    RingSteps::kAll);
   }
   const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
   // Phase 1: ring all-reduce inside the host group (over NVLink in the
   // paper) — every member ends with the group total.
-  AIACC_RETURN_IF_ERROR(RunRing(comm, group, local, comm.tag_base, data,
+  AIACC_RETURN_IF_ERROR(RunRing(comm, group, local, comm.tag_base, whole,
                                 whole, inner, RingSteps::kAll));
   // Phase 2: group leaders ring all-reduce across hosts.
   if (local == 0) {
     AIACC_RETURN_IF_ERROR(RunRing(comm, RingRanks{0, gpus_per_host, num_hosts},
-                                  host, comm.tag_base + 1, data, whole, inner,
-                                  RingSteps::kAll));
+                                  host, comm.tag_base + 1, whole, whole,
+                                  inner, RingSteps::kAll));
   }
   // Phase 3: leaders broadcast the global total inside their group.
   AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,
@@ -525,7 +604,7 @@ Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
   raw.codec = {};
   const std::span<float> whole[] = {data};
   AIACC_RETURN_IF_ERROR(RunRing(raw, RingRanks{0, 1, n}, me, comm.tag_base,
-                                data, whole, op, RingSteps::kReduceScatter));
+                                whole, whole, op, RingSteps::kReduceScatter));
   if (n <= 1) return Status::Ok();
   // Rank r now owns reduced chunk (r + 1) mod n; rotate ownership convention
   // so rank r owns chunk r: one extra pass of the owned chunk to `next`.
@@ -556,7 +635,7 @@ Status AllGather(const Comm& comm, std::span<float> data) {
   raw.codec = {};
   const std::span<float> whole[] = {data};
   return RunRing(raw, RingRanks{0, 1, comm.world_size}, comm.rank,
-                 comm.tag_base, data, whole, ReduceOp::kSum,
+                 comm.tag_base, whole, whole, ReduceOp::kSum,
                  RingSteps::kAllGather);
 }
 

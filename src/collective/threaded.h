@@ -9,8 +9,9 @@
 // rank, kDeadlineExceeded when a peer message missed the Comm's deadline
 // (crashed peer, dropped message), or kUnavailable when the transport was
 // shut down mid-algorithm. On a non-OK return the caller's output buffer
-// contents are unspecified (an input the call only reads stays intact), but
-// the call itself never hangs (given a deadline) and never crashes.
+// contents are unspecified (an input the call only reads, and that is not
+// also its output, stays intact), but the call itself never hangs (given a
+// deadline) and never crashes.
 #pragma once
 
 #include <cstdint>
@@ -67,26 +68,38 @@ struct Comm {
 };
 
 /// Classic chunked ring all-reduce: reduce-scatter then all-gather, 2(n-1)
-/// point-to-point steps per rank. Out of place: reads `input` and never
-/// writes it, and writes op(every rank's input) — averaged for kAvg — into
-/// `pieces`, destination spans that tile [0, input.size()) in order (a
-/// piece may be a single float; pieces may alias `input`). Each finished
-/// slice goes straight from the wire into the pieces, so there is no copy-
-/// back and no separate averaging pass. On a non-OK return `input` is still
-/// intact and the pieces hold a partial result. Every rank must pass
-/// equally-sized inputs. comm.codec must not be sparse. Blocking; call
-/// from all ranks concurrently.
-Status RingAllReduce(const Comm& comm, std::span<const float> input,
-                     std::span<const std::span<float>> pieces, ReduceOp op);
+/// point-to-point steps per rank. Out of place, through piece lists: the
+/// rank's input is the concatenation of the `input` pieces, which the ring
+/// reads and never writes, and op(every rank's input) — averaged for kAvg
+/// — is written into the `output` pieces. Each list tiles [0, len) in
+/// order; a piece may be a single float, and the two lists may be cut
+/// differently. The output pieces may also be the very input pieces
+/// (aliased: the call then reduces in place, e.g. straight in a unit's
+/// gradient tensors): each chunk is read for the last time before its
+/// final value is written. Other overlaps between the lists are not
+/// allowed. Each finished slice goes straight from the wire into the
+/// output, so there is no gather, no copy-back and no separate averaging
+/// pass. On a non-OK return the output holds a partial result; the input
+/// is still intact only when it is not aliased with the output (a caller
+/// that reruns a failed call must keep the input apart). Every rank must
+/// pass equally-sized inputs. comm.codec must not be sparse. Blocking;
+/// call from all ranks concurrently.
+Status RingAllReduce(const Comm& comm, std::span<const std::span<float>> input,
+                     std::span<const std::span<float>> output, ReduceOp op);
 
-/// Copy `src` into `pieces`, which tile [0, src.size()) in order: the write
-/// the ring above performs slice by slice, for callers that reduce on a
-/// contiguous work copy (sparse codecs, hierarchical all-reduce).
+/// Copy `pieces`, which tile [0, dst.size()) in order, into `dst`: the read
+/// the ring above performs slice by slice, for callers that need the input
+/// contiguous (a retry's staging, a sparse or hierarchical work copy).
+void ReadPieces(std::span<const std::span<float>> pieces,
+                std::span<float> dst);
+
+/// Copy `src` into `pieces`, which tile [0, src.size()) in order: the twin
+/// of ReadPieces, and the write the ring above performs slice by slice.
 void WritePieces(std::span<const float> src,
                  std::span<const std::span<float>> pieces);
 
 /// In-place all-reduce on `data` (the ring above with `data` as its one
-/// piece; sparse codecs route to CompressedAllReduce).
+/// input and output piece; sparse codecs route to CompressedAllReduce).
 Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op);
 
 /// Sparse-codec all-reduce (comm.codec must be kOneBit or kTopK; op kSum or

@@ -1,7 +1,6 @@
 #include "core/packing.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -94,31 +93,6 @@ void StreamingPacker::Reset() {
   current_ = AllReduceUnit{};
   current_bytes_ = 0;
   ready_.clear();
-}
-
-void GatherUnit(const AllReduceUnit& unit,
-                const std::vector<std::span<const std::byte>>& gradient_data,
-                std::span<std::byte> staging) {
-  AIACC_CHECK(staging.size() >= unit.TotalBytes());
-  std::size_t pos = 0;
-  for (const UnitSegment& seg : unit.segments) {
-    const auto& src = gradient_data[static_cast<std::size_t>(seg.gradient_id)];
-    AIACC_CHECK(seg.offset + seg.length <= src.size());
-    std::memcpy(staging.data() + pos, src.data() + seg.offset, seg.length);
-    pos += seg.length;
-  }
-}
-
-void ScatterUnit(const AllReduceUnit& unit, std::span<const std::byte> staging,
-                 const std::vector<std::span<std::byte>>& gradient_data) {
-  AIACC_CHECK(staging.size() >= unit.TotalBytes());
-  std::size_t pos = 0;
-  for (const UnitSegment& seg : unit.segments) {
-    const auto& dst = gradient_data[static_cast<std::size_t>(seg.gradient_id)];
-    AIACC_CHECK(seg.offset + seg.length <= dst.size());
-    std::memcpy(dst.data() + seg.offset, staging.data() + pos, seg.length);
-    pos += seg.length;
-  }
 }
 
 }  // namespace aiacc::core

@@ -117,15 +117,26 @@ class StreamingPacker {
   std::deque<AllReduceUnit> ready_;  // FIFO (front = oldest)
 };
 
-/// Gather the unit's bytes from per-gradient buffers into one contiguous
-/// staging buffer (and the inverse). These run on real data in the threaded
-/// backend and in numeric tests; `gradient_data[id]` is the flat byte view
-/// of gradient `id`.
-void GatherUnit(const AllReduceUnit& unit,
-                const std::vector<std::span<const std::byte>>& gradient_data,
-                std::span<std::byte> staging);
-void ScatterUnit(const AllReduceUnit& unit,
-                 std::span<const std::byte> staging,
-                 const std::vector<std::span<std::byte>>& gradient_data);
+/// The unit's segments of the per-gradient float tensors, in unit order,
+/// into `pieces` (cleared first, so a caller reusing one vector allocates
+/// nothing in the steady state). `tensors[id]` is gradient `id`, as
+/// anything a std::span<float> converts from; segment offsets and lengths
+/// are bytes, element aligned, and must lie inside their tensor. The
+/// pieces tile the unit's [0, TotalBytes() / sizeof(float)): the layout
+/// collective::ReadPieces, WritePieces and RingAllReduce walk.
+template <typename Tensors>
+void UnitPieces(const AllReduceUnit& unit, Tensors& tensors,
+                std::vector<std::span<float>>& pieces) {
+  pieces.clear();
+  for (const UnitSegment& seg : unit.segments) {
+    AIACC_CHECK(seg.offset % sizeof(float) == 0 &&
+                seg.length % sizeof(float) == 0);
+    const std::span<float> tensor(
+        tensors[static_cast<std::size_t>(seg.gradient_id)]);
+    AIACC_CHECK(seg.offset + seg.length <= tensor.size_bytes());
+    pieces.push_back(tensor.subspan(seg.offset / sizeof(float),
+                                    seg.length / sizeof(float)));
+  }
+}
 
 }  // namespace aiacc::core

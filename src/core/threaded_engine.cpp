@@ -35,31 +35,6 @@ std::string RankList(const std::vector<int>& ranks) {
   return out;
 }
 
-/// The unit's segments of `tensors` (byte offsets/lengths, element
-/// aligned) as float spans, in unit order, into `pieces`.
-template <typename Tensors>
-void UnitPieces(const AllReduceUnit& unit, Tensors& tensors,
-                std::vector<std::span<float>>& pieces) {
-  pieces.clear();
-  for (const UnitSegment& seg : unit.segments) {
-    AIACC_CHECK(seg.offset % sizeof(float) == 0 &&
-                seg.length % sizeof(float) == 0);
-    const std::span<float> tensor(
-        tensors[static_cast<std::size_t>(seg.gradient_id)]);
-    pieces.push_back(tensor.subspan(seg.offset / sizeof(float),
-                                    seg.length / sizeof(float)));
-  }
-}
-
-/// Concatenate `pieces` into `dst`.
-void GatherPieces(std::span<const std::span<float>> pieces,
-                  std::span<float> dst) {
-  auto out = dst.begin();
-  for (const std::span<float> piece : pieces) {
-    out = std::copy(piece.begin(), piece.end(), out);
-  }
-}
-
 }  // namespace
 
 ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
@@ -151,8 +126,9 @@ ThreadedAiaccEngine::Worker::Worker(ThreadedAiaccEngine* engine, int rank)
       &m.GetCounter(telemetry::RankScoped("engine.bytes_reduced", rank));
   iterations_ =
       &m.GetCounter(telemetry::RankScoped("engine.iterations", rank));
-  // 1us .. ~0.5s exponential edges: unit latency spans gather + ring
-  // all-reduce (which writes the tensors) + accounting.
+  // 1us .. ~0.5s exponential edges: unit latency spans the staging gather
+  // (tier 2 only) + ring all-reduce (which reads and writes the tensors)
+  // + accounting.
   unit_latency_ =
       &m.GetHistogram(telemetry::RankScoped("engine.unit_latency_s", rank),
                       telemetry::ExponentialBounds(1e-6, 20));
@@ -677,17 +653,17 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
   Worker& worker = *workers_[static_cast<std::size_t>(rank)];
   auto& buffer_pool = common::BufferPool::Global();
   const bool retry_units = failure_.degrade_before_abort;
-  // Destination pieces of the current unit, reused across units so the
-  // steady state allocates nothing.
+  // The current unit's tensor segments, reused across units so the steady
+  // state allocates nothing.
   std::vector<std::span<float>> pieces;
   std::vector<std::span<float>> residual_pieces;
   for (;;) {
     auto unit = state.scheduler->PopFor(stream_index);
     if (!unit.has_value()) return;
     {
-      // The ring writes the caller's tensors, so a unit counts as in
-      // flight from before its gather until its accounting; an abort that
-      // a waiter has already returned on hands the tensors back.
+      // The ring reads and writes the caller's tensors, so a unit counts
+      // as in flight from before its first read until its accounting; an
+      // abort that a waiter has already returned on hands the tensors back.
       common::MutexLock lock(state.mu);
       if (aborted_.load(std::memory_order_acquire)) return;
       ++state.units_in_flight;
@@ -726,16 +702,26 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     AIACC_CHECK(bytes % sizeof(float) == 0);
     const std::size_t len = bytes / sizeof(float);
     // The unit's segments of the gradient tensors are the collective's
-    // destination pieces: the ring writes averaged slices straight into
-    // them, so there is no scatter-back.
+    // input and output pieces: the ring reads each slice from them and
+    // writes the averaged slice straight back, so there is neither a gather
+    // nor a scatter-back.
     UnitPieces(*unit, state.tensors, pieces);
-    // Pooled staging, gathered once: no collective writes its input, so
-    // every attempt (tier 2) reduces from these same bytes even after a
-    // failed attempt has partly overwritten the tensors.
-    std::vector<float> staging = buffer_pool.Acquire(len);
-    GatherPieces(pieces, staging);
+    // A unit that tier 2 may retry reduces from pooled staging, gathered
+    // once: no collective writes its input, so every attempt reduces from
+    // these same bytes even after a failed attempt has partly overwritten
+    // the tensors. Without tier 2 a failed unit aborts the engine, and the
+    // tensors may hold a partial result, as they would anyway.
+    std::vector<float> staging;
+    std::span<float> staging_piece;
+    std::span<const std::span<float>> input = pieces;
+    if (retry_units) {
+      staging = buffer_pool.Acquire(len);
+      collective::ReadPieces(pieces, staging);
+      staging_piece = staging;
+      input = std::span(&staging_piece, 1);
+    }
     // Sparse codecs and the hierarchical all-reduce compute in place, on a
-    // pooled work copy of the staging, and finish through WritePieces.
+    // pooled work copy of the input, and finish through WritePieces.
     std::vector<float> work;
     // Sparse codecs carry an error-feedback residual alongside the data.
     // CompressedAllReduce updates its residual span before the ring runs,
@@ -749,7 +735,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     }
     auto reduce_work_copy = [&](auto&& all_reduce) {
       if (work.empty()) work = buffer_pool.Acquire(len);
-      std::copy(staging.begin(), staging.end(), work.begin());
+      collective::ReadPieces(input, work);
       const Status result = all_reduce(std::span<float>(work));
       if (result.ok()) collective::WritePieces(work, pieces);
       return result;
@@ -765,7 +751,9 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     Status st;
     int epoch = 0;  // outlives the loop: names the failing tag on abort
     for (int attempt = 0;; ++attempt) {
-      if (sparse_unit) GatherPieces(residual_pieces, residual_staging);
+      if (sparse_unit) {
+        collective::ReadPieces(residual_pieces, residual_staging);
+      }
 
       epoch = 0;
       if (retry_units) {
@@ -802,7 +790,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
               comm, /*gpus_per_host=*/2, data, collective::ReduceOp::kAvg);
         });
       } else {
-        st = collective::RingAllReduce(comm, staging, pieces,
+        st = collective::RingAllReduce(comm, input, pieces,
                                        collective::ReduceOp::kAvg);
       }
       if (st.ok()) break;
@@ -833,7 +821,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
                << " (attempt " << attempt + 1 << "): " << st.ToString();
     }
     auto release_buffers = [&] {
-      buffer_pool.Release(std::move(staging));
+      if (retry_units) buffer_pool.Release(std::move(staging));
       if (!work.empty()) buffer_pool.Release(std::move(work));
       if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
     };

@@ -12,12 +12,14 @@
 //     pool of `num_streams` communication threads runs one real ring
 //     all-reduce per unit concurrently (each on its own tag channel —
 //     Algorithm 1 with actual threads instead of CUDA streams);
-//   * each unit is gathered once into pooled staging, and its ring reads
-//     that staging and writes the averaged slices straight into the
-//     caller's tensors (no scatter-back pass); the comm thread then does
-//     the unit's accounting under the rank mutex, and the worker unblocks
-//     when every registered gradient is reduced, applies the optimizer,
-//     and starts the next iteration.
+//   * each unit's ring reads its slices straight from the caller's tensors
+//     and writes the averaged slices straight back (no gather, no
+//     scatter-back pass); only a unit that tier 2 may retry
+//     (FailureConfig::degrade_before_abort) is first gathered once into
+//     pooled staging, so every attempt reruns from the pre-ring bytes. The
+//     comm thread then does the unit's accounting under the rank mutex, and
+//     the worker unblocks when every registered gradient is reduced,
+//     applies the optimizer, and starts the next iteration.
 //
 // Failure semantics (paper §IV reliability posture, made real): when a
 // FailureConfig enables detection, each rank's comm side also runs a
@@ -88,7 +90,10 @@ struct FailureConfig {
   /// times, threaded_engine.cpp) instead of aborting straight to checkpoint
   /// recovery. Symmetric by
   /// construction: a unit collective that fails on one rank fails on all
-  /// (same ring), so every rank retries in lockstep.
+  /// (same ring), so every rank retries in lockstep. It also decides
+  /// whether a unit is staged: a retry must rerun from the pre-ring bytes,
+  /// so with it on every unit is first gathered into pooled staging; with
+  /// it off the ring reads the tensors directly.
   bool degrade_before_abort = false;
 
   /// Observability tier: stack a TracingTransport on top of the stack so

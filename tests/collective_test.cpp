@@ -1117,12 +1117,14 @@ TEST(ThreadedCollectiveTest, PipelinedRingMessageCount) {
 }
 
 // ------------------------------------------------- out-of-place ring ------
-// RingAllReduce(comm, input, pieces, op) reads `input` and writes the result
-// into destination pieces that tile the buffer. The contract: the input is
-// bitwise unchanged, and the pieces hold exactly what the in-place ring
-// computes (for the raw wire, what the serial reference computes) — for
-// pieces of one float, and for pieces that straddle chunk and slice
-// boundaries.
+// RingAllReduce(comm, input, output, op) reads the input pieces and writes
+// the result into output pieces; each list tiles the buffer. The contract:
+// an input that is not aliased with the output is bitwise unchanged, and
+// the output holds exactly what the in-place ring computes (for the raw
+// wire, what the serial reference computes) — for pieces of one float, for
+// pieces that straddle chunk and slice boundaries, for input pieces cut
+// differently from the output's, and for input pieces that are the output
+// pieces (the engine's unstaged units).
 
 /// Rank data with exact ±0 and mixed signs at the same index across ranks,
 /// so kMin/kMax results depend on the operand order (min(+0, -0) keeps the
@@ -1141,11 +1143,12 @@ std::vector<std::vector<float>> MakeSignedZeroData(int world, std::size_t len,
 
 /// Piece sizes cycling through 1-float pieces and pieces wider than a
 /// slice, so the layout both splits slices and straddles their boundaries.
-std::vector<std::size_t> PieceSizes(std::size_t len) {
+/// A nonzero `phase` starts the cycle elsewhere: a different cut.
+std::vector<std::size_t> PieceSizes(std::size_t len, std::size_t phase = 0) {
   static constexpr std::size_t kCycle[] = {1, 1, 5, 1, 29, 3, 64, 1, 17};
   std::vector<std::size_t> sizes;
   std::size_t covered = 0;
-  for (std::size_t i = 0; covered < len; ++i) {
+  for (std::size_t i = phase; covered < len; ++i) {
     const std::size_t take =
         std::min(kCycle[i % std::size(kCycle)], len - covered);
     sizes.push_back(take);
@@ -1167,42 +1170,81 @@ bool SomePieceStraddles(const std::vector<std::size_t>& sizes,
   return false;
 }
 
-/// Runs the out-of-place ring on every rank: each rank's pieces are carved
-/// from one output buffer (pre-filled with a NaN sentinel) in `sizes`
-/// order. Returns the output buffers; `inputs` must come back unchanged.
+/// How the ring's input pieces relate to its output pieces.
+enum class InputTiling {
+  kContiguous,  // one piece: the rank's whole input buffer
+  kSeparate,    // the input buffer, cut differently from the output
+  kAliased,     // the output pieces themselves, filled with the input first
+};
+
+/// Spans of `buffer` cut in `sizes` order.
+std::vector<std::span<float>> CutPieces(std::span<float> buffer,
+                                        const std::vector<std::size_t>& sizes) {
+  std::vector<std::span<float>> pieces;
+  std::size_t at = 0;
+  for (const std::size_t size : sizes) {
+    pieces.push_back(buffer.subspan(at, size));
+    at += size;
+  }
+  return pieces;
+}
+
+/// The input cut of InputTiling::kSeparate.
+std::vector<std::size_t> SeparateInputSizes(std::size_t len) {
+  return PieceSizes(len, /*phase=*/4);
+}
+
+/// Runs the out-of-place ring on every rank: each rank's output pieces are
+/// carved from one output buffer in `sizes` order, pre-filled with a NaN
+/// sentinel unless the input is aliased. Returns the output buffers;
+/// `inputs` must come back unchanged.
 std::vector<std::vector<float>> RunOutOfPlace(
     transport::Transport& tr, const std::vector<std::vector<float>>& inputs,
     const std::vector<std::size_t>& sizes, ReduceOp op, int depth,
     compress::CodecKind codec, int tag_base, std::int64_t timeout_ms,
-    std::vector<Status>* status) {
+    std::vector<Status>* status,
+    InputTiling tiling = InputTiling::kContiguous) {
   const int world = static_cast<int>(inputs.size());
   const std::size_t len = inputs[0].size();
   std::vector<std::vector<float>> out(
       static_cast<std::size_t>(world),
       std::vector<float>(len, std::numeric_limits<float>::quiet_NaN()));
+  if (tiling == InputTiling::kAliased) out = inputs;
   status->assign(static_cast<std::size_t>(world), Status::Ok());
   std::vector<common::BufferPool> pools(static_cast<std::size_t>(world));
   RunAllRanks(world, [&](int rank) {
     const auto r = static_cast<std::size_t>(rank);
-    std::vector<std::span<float>> pieces;
-    std::size_t at = 0;
-    for (const std::size_t size : sizes) {
-      pieces.push_back(std::span<float>(out[r]).subspan(at, size));
-      at += size;
+    const std::vector<std::span<float>> pieces = CutPieces(out[r], sizes);
+    // The ring never writes input pieces that are not aliased with its
+    // output (the callers check `inputs` afterwards), so a mutable view of
+    // the const inputs is only ever read.
+    const std::span<float> input(const_cast<float*>(inputs[r].data()), len);
+    std::vector<std::span<float>> input_pieces;
+    switch (tiling) {
+      case InputTiling::kContiguous:
+        input_pieces = {input};
+        break;
+      case InputTiling::kSeparate:
+        input_pieces = CutPieces(input, SeparateInputSizes(len));
+        break;
+      case InputTiling::kAliased:
+        input_pieces = pieces;
+        break;
     }
     Comm comm{&tr, rank, world, tag_base, timeout_ms, &pools[r], depth};
     comm.codec.kind = codec;
-    (*status)[r] = RingAllReduce(comm, inputs[r], pieces, op);
+    (*status)[r] = RingAllReduce(comm, input_pieces, pieces, op);
   });
   return out;
 }
 
 class OutOfPlaceRingP
     : public ::testing::TestWithParam<
-          std::tuple<int, int, compress::CodecKind, ReduceOp>> {};
+          std::tuple<int, int, compress::CodecKind, ReduceOp, InputTiling>> {
+};
 
 TEST_P(OutOfPlaceRingP, InputUntouchedAndPiecesMatchReferenceBitwise) {
-  const auto [world, depth, codec, op] = GetParam();
+  const auto [world, depth, codec, op, tiling] = GetParam();
   const std::size_t len = 1031;  // prime: every chunk and slice is uneven
   const auto inputs = MakeSignedZeroData(
       world, len, 515 + static_cast<std::uint64_t>(world) * 7 +
@@ -1220,14 +1262,18 @@ TEST_P(OutOfPlaceRingP, InputUntouchedAndPiecesMatchReferenceBitwise) {
     for (int k = 1; k < d; ++k) {
       slice_edges.push_back(ChunkBegin(chunk0, d, k));
     }
-    ASSERT_TRUE(SomePieceStraddles(sizes, chunk_edges));
-    ASSERT_TRUE(SomePieceStraddles(sizes, slice_edges));
+    for (const auto& cut : {sizes, SeparateInputSizes(len)}) {
+      ASSERT_TRUE(SomePieceStraddles(cut, chunk_edges));
+      ASSERT_TRUE(SomePieceStraddles(cut, slice_edges));
+    }
+    ASSERT_NE(sizes, SeparateInputSizes(len));
   }
 
   transport::InProcTransport tr(world);
   std::vector<Status> status;
   const auto got = RunOutOfPlace(tr, inputs, sizes, op, depth, codec,
-                                 /*tag_base=*/0, /*timeout_ms=*/0, &status);
+                                 /*tag_base=*/0, /*timeout_ms=*/0, &status,
+                                 tiling);
   for (const Status& st : status) ASSERT_TRUE(st.ok()) << st.ToString();
   ExpectBitIdentical(before, inputs);
 
@@ -1257,7 +1303,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(compress::CodecKind::kNone,
                                          compress::CodecKind::kFp16),
                        ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
-                                         ReduceOp::kMin, ReduceOp::kMax)));
+                                         ReduceOp::kMin, ReduceOp::kMax),
+                       ::testing::Values(InputTiling::kContiguous,
+                                         InputTiling::kSeparate,
+                                         InputTiling::kAliased)));
 
 TEST(OutOfPlaceRingTest, CrashMidAllGatherLeavesInputForARerun) {
   // Rank 2 crashes once its three reduce-scatter sends are out (depth 1,

@@ -3,10 +3,12 @@
 // math, NaN detection, checkpoint round-trips and corruption handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
 
+#include "collective/threaded.h"
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/config.h"
@@ -288,33 +290,59 @@ TEST(StreamingPackerTest, AlignmentPreserved) {
 }
 
 TEST(PackingTest, GatherScatterRoundTrip) {
+  // Tensors of 8, 16 and 4 floats packed into 48-byte units: the first
+  // unit merges tensor 0 with the head of tensor 1, which splits.
   auto reg = MakeRegistry({32, 64, 16});
   PackingPlanner planner(48);
   auto units = planner.Pack(reg, {0, 1, 2});
+  ASSERT_GT(units.size(), 1u);
 
-  std::vector<std::vector<std::byte>> grads = {
-      std::vector<std::byte>(32), std::vector<std::byte>(64),
-      std::vector<std::byte>(16)};
+  std::vector<std::vector<float>> grads = {
+      std::vector<float>(8), std::vector<float>(16), std::vector<float>(4)};
   Rng rng(9);
   for (auto& g : grads) {
-    for (auto& b : g) b = static_cast<std::byte>(rng.UniformInt(0, 255));
+    for (auto& x : g) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
   }
   auto original = grads;
 
-  std::vector<std::span<const std::byte>> const_views(grads.begin(),
-                                                      grads.end());
-  std::vector<std::vector<std::byte>> staged;
+  // Gather: each unit's pieces, read into one staging buffer, hold the
+  // unit's segments back to back.
+  std::vector<std::span<float>> pieces;
+  std::vector<std::vector<float>> staged;
   for (const auto& u : units) {
-    staged.emplace_back(u.TotalBytes());
-    GatherUnit(u, const_views, staged.back());
+    UnitPieces(u, grads, pieces);
+    ASSERT_EQ(pieces.size(), u.segments.size());
+    staged.emplace_back(u.TotalBytes() / sizeof(float));
+    collective::ReadPieces(pieces, staged.back());
+    std::size_t at = 0;
+    for (const UnitSegment& seg : u.segments) {
+      const auto& g = grads[static_cast<std::size_t>(seg.gradient_id)];
+      const auto first = g.begin() + static_cast<std::ptrdiff_t>(
+                                         seg.offset / sizeof(float));
+      EXPECT_TRUE(std::equal(first,
+                             first + static_cast<std::ptrdiff_t>(
+                                         seg.length / sizeof(float)),
+                             staged.back().begin() +
+                                 static_cast<std::ptrdiff_t>(at)));
+      at += seg.length / sizeof(float);
+    }
   }
   // Wipe and scatter back.
-  for (auto& g : grads) std::fill(g.begin(), g.end(), std::byte{0});
-  std::vector<std::span<std::byte>> mut_views(grads.begin(), grads.end());
+  for (auto& g : grads) std::fill(g.begin(), g.end(), 0.0f);
   for (std::size_t i = 0; i < units.size(); ++i) {
-    ScatterUnit(units[i], staged[i], mut_views);
+    UnitPieces(units[i], grads, pieces);
+    collective::WritePieces(staged[i], pieces);
   }
   EXPECT_EQ(grads, original);
+}
+
+TEST(PackingDeathTest, UnitPiecesRejectsASegmentPastItsTensor) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<std::vector<float>> grads = {std::vector<float>(4)};
+  AllReduceUnit unit;
+  unit.segments.push_back(UnitSegment{0, 8, 12});  // floats [2, 5) of 4
+  std::vector<std::span<float>> pieces;
+  EXPECT_DEATH(UnitPieces(unit, grads, pieces), "tensor.size_bytes");
 }
 
 // ------------------------------------------------------------------ Sync ---

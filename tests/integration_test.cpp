@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "collective/simulated.h"
+#include "collective/threaded.h"
 #include "common/sync.h"
 #include "core/checkpoint.h"
 #include "core/packing.h"
@@ -231,6 +232,7 @@ TEST(PackedSimulatedPipelineTest, RealBytesThroughUnitsAndSimRings) {
 
   // Stage per-worker unit buffers, run simulated all-reduces, scatter back.
   std::vector<std::vector<std::vector<float>>> staged(units.size());
+  std::vector<std::span<float>> pieces;
   for (std::size_t u = 0; u < units.size(); ++u) {
     staged[u].resize(static_cast<std::size_t>(world));
     collective::SimCollectives::Unit sim_unit;
@@ -238,12 +240,8 @@ TEST(PackedSimulatedPipelineTest, RealBytesThroughUnitsAndSimRings) {
     for (int w = 0; w < world; ++w) {
       auto& buf = staged[u][static_cast<std::size_t>(w)];
       buf.resize(units[u].TotalBytes() / sizeof(float));
-      std::vector<std::span<const std::byte>> views;
-      for (auto& g : grads[static_cast<std::size_t>(w)]) {
-        views.emplace_back(std::as_bytes(std::span<const float>(g)));
-      }
-      core::GatherUnit(units[u], views, std::as_writable_bytes(
-                                            std::span<float>(buf)));
+      core::UnitPieces(units[u], grads[static_cast<std::size_t>(w)], pieces);
+      collective::ReadPieces(pieces, buf);
       sim_unit.buffers.emplace_back(buf);
     }
     collectives.Start(std::move(sim_unit));
@@ -251,15 +249,9 @@ TEST(PackedSimulatedPipelineTest, RealBytesThroughUnitsAndSimRings) {
   engine.Run();
 
   for (int w = 0; w < world; ++w) {
-    std::vector<std::span<std::byte>> views;
-    for (auto& g : grads[static_cast<std::size_t>(w)]) {
-      views.emplace_back(std::as_writable_bytes(std::span<float>(g)));
-    }
     for (std::size_t u = 0; u < units.size(); ++u) {
-      core::ScatterUnit(units[u],
-                        std::as_bytes(std::span<const float>(
-                            staged[u][static_cast<std::size_t>(w)])),
-                        views);
+      core::UnitPieces(units[u], grads[static_cast<std::size_t>(w)], pieces);
+      collective::WritePieces(staged[u][static_cast<std::size_t>(w)], pieces);
     }
     for (std::size_t t = 0; t < tensor_elems.size(); ++t) {
       for (std::size_t i = 0; i < tensor_elems[t]; ++i) {

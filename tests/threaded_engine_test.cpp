@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/buffer_pool.h"
 #include "core/sync_bits.h"
 #include "core/threaded_engine.h"
 #include "dnn/mlp.h"
@@ -135,10 +136,19 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
     const std::size_t n_grads =
         many > 0 ? many
                  : dnn::Mlp({kIn, 12, kOut}, 42).GradientTensors().size();
+    // Pool buffers acquired over the whole run, and units reduced on all
+    // ranks, indexed by retry_units.
+    std::uint64_t acquired[2] = {0, 0};
+    std::uint64_t units[2] = {0, 0};
     // Unit retry (tier 2) must not change the sync-round wire format.
     for (const bool retry_units : {false, true}) {
       SCOPED_TRACE(std::to_string(n_grads) + " tensors, " +
                    (retry_units ? "degrade_before_abort" : "default"));
+      const auto pool_acquires = [] {
+        const auto st = common::BufferPool::Global().stats();
+        return st.hits + st.misses;
+      };
+      const std::uint64_t acquires_before = pool_acquires();
       ThreadedAiaccEngine engine(2, config, [&] {
         FailureConfig failure;
         failure.degrade_before_abort = retry_units;
@@ -184,8 +194,10 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
         });
       }
       for (auto& t : threads) t.join();
+      acquired[retry_units] = pool_acquires() - acquires_before;
       for (int r = 0; r < 2; ++r) {
         const auto& stats = engine.worker(r).stats();
+        units[retry_units] += stats.units_reduced;
         EXPECT_EQ(stats.iterations, static_cast<std::uint64_t>(steps));
         EXPECT_EQ(stats.sync_rounds, static_cast<std::uint64_t>(steps));
         // 128-byte units: multiple units per iteration.
@@ -201,6 +213,12 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
                   stats.sync_rounds * SyncWordCount(n_grads));
       }
     }
+    // Staging exists only for retries: without tier 2 the ring reads the
+    // tensors directly, one pooled buffer fewer per unit and rank, and
+    // nothing else the engine acquires changes.
+    SCOPED_TRACE(std::to_string(n_grads) + " tensors");
+    EXPECT_EQ(units[false], units[true]);
+    EXPECT_EQ(acquired[true] - acquired[false], units[true]);
   }
 }
 
