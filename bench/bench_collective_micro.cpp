@@ -2,7 +2,7 @@
 //   * real threaded ring / hierarchical / multi-channel all-reduce
 //     (wall-clock, real payloads, real threads);
 //   * simulated-collective event throughput (how fast the DES executes);
-//   * packing planner throughput.
+//   * streaming packer throughput.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "core/aiacc_engine.h"
 #include "core/packing.h"
+#include "core/registry.h"
 #include "dnn/zoo.h"
 
 namespace {
@@ -110,20 +111,24 @@ void BM_SimulatedAllReduceEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedAllReduceEvents);
 
-void BM_PackingPlanner(benchmark::State& state) {
+void BM_StreamingPacker(benchmark::State& state) {
   const auto model = dnn::MakeResNet50();
   const auto registry = core::GradientRegistry::FromModel(model);
-  std::vector<int> ready(static_cast<std::size_t>(registry.size()));
-  for (int i = 0; i < registry.size(); ++i) ready[static_cast<std::size_t>(i)] = i;
   for (auto _ : state) {
-    core::PackingPlanner planner(8u << 20);
-    auto units = planner.Pack(registry, ready);
-    benchmark::DoNotOptimize(units);
+    core::StreamingPacker packer(8u << 20);
+    for (int id = 0; id < registry.size(); ++id) {
+      packer.Add(id, registry.Get(id).bytes);
+    }
+    packer.Flush();
+    while (packer.HasReadyUnit()) {
+      auto unit = packer.PopReadyUnit();
+      benchmark::DoNotOptimize(unit);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           registry.size());
 }
-BENCHMARK(BM_PackingPlanner);
+BENCHMARK(BM_StreamingPacker);
 
 void BM_FullSimulatedIteration(benchmark::State& state) {
   // Wall-clock cost of simulating one AIACC training iteration at scale —

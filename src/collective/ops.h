@@ -5,19 +5,14 @@
 // non-aliasing (`restrict` — a received payload and a caller tensor chunk
 // are always distinct buffers) and the body is unrolled in fixed-width
 // blocks, which lets the compiler emit straight-line SIMD with no runtime
-// aliasing checks and no per-element branch. RecvReduce fuses the
-// receive-side size validation with the reduction so a ring step consumes
-// the mailbox buffer directly in one pass — no staging copy, no second
-// traversal.
+// aliasing checks and no per-element branch.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "common/logging.h"
-#include "common/status.h"
 
 #if defined(_MSC_VER)
 #define AIACC_RESTRICT __restrict
@@ -106,21 +101,6 @@ inline void Absorb(std::span<float> incoming, std::span<const float> local,
     detail::VectorApply(incoming.data(), local.data(), incoming.size(),
                         [f](float in, float mine) { return f(mine, in); });
   });
-}
-
-/// Fused receive-side reduction: validate that the just-received payload
-/// matches the target chunk, then fold it into `acc` in a single pass. The
-/// ring reduce-scatter loop calls this straight on the mailbox buffer.
-/// Returns Internal on a size mismatch (framing bug or corrupted peer).
-inline Status RecvReduce(std::span<float> acc, std::span<const float> received,
-                         ReduceOp op) {
-  if (received.size() != acc.size()) {
-    return Internal("collective payload size mismatch: got " +
-                    std::to_string(received.size()) + ", want " +
-                    std::to_string(acc.size()));
-  }
-  Accumulate(acc, received, op);
-  return Status::Ok();
 }
 
 inline void FinalizeAvg(std::span<float> acc, int world_size, ReduceOp op) {

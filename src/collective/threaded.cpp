@@ -197,12 +197,9 @@ std::size_t TiledLength(std::span<const std::span<float>> pieces) {
   return len;
 }
 
-/// Which of a ring's 2(n-1) steps a call runs: all of them (all-reduce),
-/// the first n-1 (reduce-scatter) or the last n-1 (all-gather).
-enum class RingSteps { kAll, kReduceScatter, kAllGather };
-
-/// The one ring body. Position p of an n-rank ring first sends chunk(p)
-/// of the input; step t receives chunk(p - t - 1) from the previous rank.
+/// The one ring body: an all-reduce in 2(n-1) steps. Position p of an
+/// n-rank ring first sends chunk(p) of the input; step t receives
+/// chunk(p - t - 1) from the previous rank.
 /// During the reduce-scatter steps (t < n-1) the received partial absorbs
 /// this rank's slice of the input — op(local, incoming), the operand order
 /// of the serial reference, one Absorb per input piece the slice spans —
@@ -212,8 +209,7 @@ enum class RingSteps { kAll, kReduceScatter, kAllGather };
 /// for kAvg) and forwarded unmodified, which makes it the first all-gather
 /// send. `input` and `output` are pieces that tile [0, len) in order, and
 /// the output pieces may be the very input pieces: each chunk is read for
-/// the last time before its final value is written. A gather-only call
-/// starts from the rank's own finished chunk(p) and writes it out too.
+/// the last time before its final value is written.
 ///
 /// Pipelining: each chunk splits into `d` slices (Comm::pipeline_depth,
 /// clamped by EffectivePipelineDepth) kept in flight on the same tag; the
@@ -235,8 +231,7 @@ enum class RingSteps { kAll, kReduceScatter, kAllGather };
 /// first.
 Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
                std::span<const std::span<float>> input,
-               std::span<const std::span<float>> output, ReduceOp op,
-               RingSteps steps) {
+               std::span<const std::span<float>> output, ReduceOp op) {
   const CodecKind wire = comm.codec.kind;
   AIACC_CHECK(wire == CodecKind::kNone || compress::IsCast(wire));
   const int n = ring.size;
@@ -289,27 +284,10 @@ Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
     }
   };
 
-  const int first = steps == RingSteps::kAllGather ? n - 1 : 0;
-  const int end = steps == RingSteps::kReduceScatter ? n - 1 : 2 * (n - 1);
-  auto prologue = [&] {
-    for (int k = 0; k < d; ++k) {
-      AIACC_TRACE_SPAN_V("comm.step", "send");
-      const Slice s = slice_of(my_pos, k);
-      transport::Payload payload;
-      if (encoded) {
-        payload = FillSendEncoded(pool, in.View(s.begin, s.size, scratch),
-                                  wire);
-      } else {
-        payload = pool.Acquire(s.size);
-        in.CopyTo(s.begin, payload);
-      }
-      if (first == n - 1) finish(payload, s);
-      tr.Send(me, next, tag, std::move(payload));
-    }
-  };
+  const int steps = 2 * (n - 1);
   auto run_steps = [&](int from, int to) -> Status {
     for (int t = from; t < to; ++t) {
-      const int c = my_pos - (t - first) - 1;
+      const int c = my_pos - t - 1;
       for (int k = 0; k < d; ++k) {
         Result<transport::Payload> received = [&] {
           AIACC_TRACE_SPAN_V("comm.step", "recv-wait");
@@ -334,7 +312,7 @@ Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
           if (encoded) compress::CastEncode(wire, partial, *received);
         }
         if (t >= n - 2) finish(*received, s);
-        if (t + 1 < end) {
+        if (t + 1 < steps) {
           AIACC_TRACE_SPAN_V("comm.step", "send");
           tr.Send(me, next, tag, std::move(*received));
         } else {
@@ -346,15 +324,27 @@ Status RunRing(const Comm& comm, RingRanks ring, int my_pos, int tag,
   };
 
   Status status = Status::Ok();
-  if (first < n - 1) {
+  {
     AIACC_TRACE_SPAN("comm.phase", "reduce-scatter");
-    prologue();
-    status = run_steps(first, n - 1);
+    // Prologue: every slice of this rank's own chunk.
+    for (int k = 0; k < d; ++k) {
+      AIACC_TRACE_SPAN_V("comm.step", "send");
+      const Slice s = slice_of(my_pos, k);
+      transport::Payload payload;
+      if (encoded) {
+        payload = FillSendEncoded(pool, in.View(s.begin, s.size, scratch),
+                                  wire);
+      } else {
+        payload = pool.Acquire(s.size);
+        in.CopyTo(s.begin, payload);
+      }
+      tr.Send(me, next, tag, std::move(payload));
+    }
+    status = run_steps(0, n - 1);
   }
-  if (status.ok() && end > n - 1) {
+  if (status.ok()) {
     AIACC_TRACE_SPAN("comm.phase", "all-gather");
-    if (first == n - 1) prologue();
-    status = run_steps(n - 1, end);
+    status = run_steps(n - 1, steps);
   }
   ReleasePayload(pool, std::move(scratch));
   return status;
@@ -453,7 +443,7 @@ Status RingAllReduce(const Comm& comm, std::span<const std::span<float>> input,
   AIACC_CHECK(comm.codec.kind == CodecKind::kNone || op != ReduceOp::kBitAnd);
   AIACC_TRACE_SPAN("comm", "ring-all-reduce");
   return RunRing(comm, RingRanks{0, 1, comm.world_size}, comm.rank,
-                 comm.tag_base, input, output, op, RingSteps::kAll);
+                 comm.tag_base, input, output, op);
 }
 
 Status RingAllReduce(const Comm& comm, std::span<float> data, ReduceOp op) {
@@ -573,19 +563,18 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
   // One host: the group ring is the whole all-reduce and averages as it
   // writes its final slices.
   if (num_hosts == 1) {
-    return RunRing(comm, group, local, comm.tag_base, whole, whole, op,
-                   RingSteps::kAll);
+    return RunRing(comm, group, local, comm.tag_base, whole, whole, op);
   }
   const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
   // Phase 1: ring all-reduce inside the host group (over NVLink in the
   // paper) — every member ends with the group total.
   AIACC_RETURN_IF_ERROR(RunRing(comm, group, local, comm.tag_base, whole,
-                                whole, inner, RingSteps::kAll));
+                                whole, inner));
   // Phase 2: group leaders ring all-reduce across hosts.
   if (local == 0) {
     AIACC_RETURN_IF_ERROR(RunRing(comm, RingRanks{0, gpus_per_host, num_hosts},
                                   host, comm.tag_base + 1, whole, whole,
-                                  inner, RingSteps::kAll));
+                                  inner));
   }
   // Phase 3: leaders broadcast the global total inside their group.
   AIACC_RETURN_IF_ERROR(BroadcastOnRing(*comm.transport, group, local,
@@ -596,241 +585,11 @@ Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
   return Status::Ok();
 }
 
-Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op) {
-  AIACC_CHECK(comm.transport != nullptr);
-  const int n = comm.world_size;
-  const int me = comm.rank;
-  Comm raw = comm;  // standalone reduce-scatter always ships raw fp32
-  raw.codec = {};
-  const std::span<float> whole[] = {data};
-  AIACC_RETURN_IF_ERROR(RunRing(raw, RingRanks{0, 1, n}, me, comm.tag_base,
-                                whole, whole, op, RingSteps::kReduceScatter));
-  if (n <= 1) return Status::Ok();
-  // Rank r now owns reduced chunk (r + 1) mod n; rotate ownership convention
-  // so rank r owns chunk r: one extra pass of the owned chunk to `next`.
-  const int next = (me + 1) % n;
-  const int prev = (me + n - 1) % n;
-  const std::size_t len = data.size();
-  auto chunk = [&](int c) -> std::span<float> {
-    const int cc = ((c % n) + n) % n;
-    const std::size_t b = ChunkBegin(len, n, cc);
-    return data.subspan(b, ChunkBegin(len, n, cc + 1) - b);
-  };
-  common::BufferPool& pool = PoolOf(comm);
-  comm.transport->Send(me, next, comm.tag_base + 1,
-                       FillSendBuffer(pool, chunk(me + 1)));
-  auto received = TimedRecv(*comm.transport, comm.timeout_ms, me, prev,
-                            comm.tag_base + 1);
-  if (!received.ok()) return received.status();
-  std::span<float> mine = chunk(me);
-  AIACC_RETURN_IF_ERROR(CheckSize(*received, mine.size()));
-  std::copy(received->begin(), received->end(), mine.begin());
-  ReleasePayload(pool, std::move(*received));
-  return Status::Ok();
-}
-
-Status AllGather(const Comm& comm, std::span<float> data) {
-  AIACC_CHECK(comm.transport != nullptr);
-  Comm raw = comm;  // standalone all-gather always ships raw fp32
-  raw.codec = {};
-  const std::span<float> whole[] = {data};
-  return RunRing(raw, RingRanks{0, 1, comm.world_size}, comm.rank,
-                 comm.tag_base, whole, whole, ReduceOp::kSum,
-                 RingSteps::kAllGather);
-}
-
 Status Broadcast(const Comm& comm, int root, std::span<float> data) {
   AIACC_CHECK(comm.transport != nullptr);
   return BroadcastOnRing(*comm.transport, RingRanks{0, 1, comm.world_size},
                          comm.rank, root, data, comm.tag_base,
                          comm.timeout_ms, PoolOf(comm));
-}
-Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op) {
-  AIACC_CHECK(comm.transport != nullptr);
-  const int n = comm.world_size;
-  if (n <= 1) {
-    FinalizeAvg(data, 1, op);
-    return Status::Ok();
-  }
-  const ReduceOp inner = op == ReduceOp::kAvg ? ReduceOp::kSum : op;
-  // Chain along the ring ending at root: rank root+1 starts, each rank
-  // accumulates its predecessor's partial into a scratch copy and forwards.
-  const int me = comm.rank;
-  const int position = (me - root - 1 + n) % n;  // 0 = chain head
-  const int next = (me + 1) % n;
-  const int prev = (me + n - 1) % n;
-  common::BufferPool& pool = PoolOf(comm);
-  if (position == 0) {
-    comm.transport->Send(me, next, comm.tag_base,
-                         FillSendBuffer(pool, data));
-    return Status::Ok();
-  }
-  auto received =
-      TimedRecv(*comm.transport, comm.timeout_ms, me, prev, comm.tag_base);
-  if (!received.ok()) return received.status();
-  if (me == root) {
-    AIACC_RETURN_IF_ERROR(RecvReduce(data, *received, inner));
-    ReleasePayload(pool, std::move(*received));
-    FinalizeAvg(data, n, op);
-    return Status::Ok();
-  }
-  AIACC_RETURN_IF_ERROR(CheckSize(*received, data.size()));
-  // Accumulate into the received scratch so this rank's own buffer stays
-  // untouched, then forward the same buffer (zero extra allocations).
-  transport::Payload partial = std::move(*received);
-  Accumulate(std::span<float>(partial), data, inner);
-  comm.transport->Send(me, next, comm.tag_base, std::move(partial));
-  return Status::Ok();
-}
-
-Status Gather(const Comm& comm, int root, std::span<const float> contribution,
-              std::span<float> gathered) {
-  AIACC_CHECK(comm.transport != nullptr);
-  const int n = comm.world_size;
-  common::BufferPool& pool = PoolOf(comm);
-  if (comm.rank != root) {
-    comm.transport->Send(comm.rank, root, comm.tag_base,
-                         FillSendBuffer(pool, contribution));
-    return Status::Ok();
-  }
-  AIACC_CHECK(gathered.size() ==
-              contribution.size() * static_cast<std::size_t>(n));
-  auto block_of = [&](int r) {
-    return gathered.subspan(
-        static_cast<std::size_t>(r) * contribution.size(),
-        contribution.size());
-  };
-  std::copy(contribution.begin(), contribution.end(), block_of(root).begin());
-
-  auto consume = [&](int r, transport::Payload&& payload) -> Status {
-    AIACC_RETURN_IF_ERROR(CheckSize(payload, contribution.size()));
-    std::copy(payload.begin(), payload.end(), block_of(r).begin());
-    ReleasePayload(pool, std::move(payload));
-    return Status::Ok();
-  };
-
-  std::vector<int> pending;
-  pending.reserve(static_cast<std::size_t>(n - 1));
-  for (int r = 0; r < n; ++r) {
-    if (r != root) pending.push_back(r);
-  }
-  // Drain peers in completion order: sweep every pending peer with TryRecv;
-  // when a full sweep makes no progress, park briefly on one pending peer
-  // (rotating) so the loop sleeps instead of spinning — an arrival from the
-  // parked peer or a Shutdown wakes it immediately, an arrival from any
-  // other peer is picked up by the next sweep within the park quantum.
-  // `timeout_ms` bounds the silence between two successful receives, the
-  // same per-message deadline the strict rank-order scan enforced.
-  using Clock = std::chrono::steady_clock;
-  const bool bounded = comm.timeout_ms > 0;
-  constexpr std::chrono::milliseconds kParkQuantum{5};
-  auto wait_start = Clock::now();
-  std::size_t park = 0;
-  while (!pending.empty()) {
-    bool progressed = false;
-    for (auto it = pending.begin(); it != pending.end();) {
-      if (auto payload = comm.transport->TryRecv(root, *it, comm.tag_base)) {
-        AIACC_RETURN_IF_ERROR(consume(*it, std::move(*payload)));
-        it = pending.erase(it);
-        progressed = true;
-      } else {
-        ++it;
-      }
-    }
-    if (pending.empty()) break;
-    if (progressed) {
-      wait_start = Clock::now();
-      continue;
-    }
-    const int r = pending[park++ % pending.size()];
-    auto quantum = kParkQuantum;
-    if (bounded) {
-      const auto remaining =
-          std::chrono::milliseconds(comm.timeout_ms) -
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Clock::now() - wait_start);
-      if (remaining <= std::chrono::milliseconds::zero()) {
-        return DeadlineExceeded("gather: no contribution within " +
-                                std::to_string(comm.timeout_ms) +
-                                "ms; still missing " +
-                                std::to_string(pending.size()) + " rank(s)");
-      }
-      quantum = std::min(quantum, remaining);
-    }
-    auto received = comm.transport->RecvFor(root, r, comm.tag_base, quantum);
-    if (received.ok()) {
-      AIACC_RETURN_IF_ERROR(consume(r, std::move(*received)));
-      pending.erase(std::find(pending.begin(), pending.end(), r));
-      wait_start = Clock::now();
-    } else if (received.status().code() != StatusCode::kDeadlineExceeded) {
-      return received.status();  // e.g. Unavailable after Shutdown
-    }
-    // Park quantum expired: sweep again.
-  }
-  return Status::Ok();
-}
-
-Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
-               std::span<float> chunk) {
-  AIACC_CHECK(comm.transport != nullptr);
-  common::BufferPool& pool = PoolOf(comm);
-  const int n = comm.world_size;
-  if (comm.rank == root) {
-    AIACC_CHECK(scattered.size() == chunk.size() * static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      auto block = scattered.subspan(
-          static_cast<std::size_t>(r) * chunk.size(), chunk.size());
-      if (r == root) {
-        std::copy(block.begin(), block.end(), chunk.begin());
-      } else {
-        comm.transport->Send(root, r, comm.tag_base,
-                             FillSendBuffer(pool, block));
-      }
-    }
-  } else {
-    auto received = TimedRecv(*comm.transport, comm.timeout_ms, comm.rank,
-                              root, comm.tag_base);
-    if (!received.ok()) return received.status();
-    AIACC_RETURN_IF_ERROR(CheckSize(*received, chunk.size()));
-    std::copy(received->begin(), received->end(), chunk.begin());
-    ReleasePayload(pool, std::move(*received));
-  }
-  return Status::Ok();
-}
-
-Status AllToAll(const Comm& comm, std::span<const float> send,
-                std::span<float> recv) {
-  AIACC_CHECK(comm.transport != nullptr);
-  common::BufferPool& pool = PoolOf(comm);
-  const int n = comm.world_size;
-  AIACC_CHECK(send.size() == recv.size());
-  AIACC_CHECK(send.size() % static_cast<std::size_t>(n) == 0);
-  const std::size_t block = send.size() / static_cast<std::size_t>(n);
-  // Post all sends first (non-blocking), then receive from every peer.
-  for (int d = 0; d < n; ++d) {
-    auto out = send.subspan(static_cast<std::size_t>(d) * block, block);
-    if (d == comm.rank) {
-      std::copy(out.begin(), out.end(),
-                recv.begin() + static_cast<std::ptrdiff_t>(d) *
-                                   static_cast<std::ptrdiff_t>(block));
-    } else {
-      comm.transport->Send(comm.rank, d, comm.tag_base,
-                           FillSendBuffer(pool, out));
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    if (s == comm.rank) continue;
-    auto received =
-        TimedRecv(*comm.transport, comm.timeout_ms, comm.rank, s,
-                  comm.tag_base);
-    if (!received.ok()) return received.status();
-    AIACC_RETURN_IF_ERROR(CheckSize(*received, block));
-    std::copy(received->begin(), received->end(),
-              recv.begin() + static_cast<std::ptrdiff_t>(s) *
-                                 static_cast<std::ptrdiff_t>(block));
-    ReleasePayload(pool, std::move(*received));
-  }
-  return Status::Ok();
 }
 
 int MultiChannelWorkerCount() {

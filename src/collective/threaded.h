@@ -1,9 +1,10 @@
 // Functional collective algorithms over the real in-process transport.
-// One caller thread per rank (SPMD style, like an MPI program). These verify
-// the *algorithms* — chunked ring all-reduce, hierarchical all-reduce,
-// reduce-scatter/all-gather/broadcast, and the multi-channel variant where a
-// rank participates in several concurrent rings (the paper's core idea) —
-// with real numerics and real concurrency.
+// One caller thread per rank (SPMD style, like an MPI program). These are
+// the operations the engines and baselines run — chunked ring all-reduce,
+// the sparse-codec all-reduce, hierarchical all-reduce with its broadcast,
+// and the multi-channel variant where a rank participates in several
+// concurrent rings (the paper's core idea) — with real numerics and real
+// concurrency.
 //
 // Every operation returns Status: Ok when the collective completed on this
 // rank, kDeadlineExceeded when a peer message missed the Comm's deadline
@@ -62,8 +63,8 @@ struct Comm {
   /// top-k) reroute the in-place RingAllReduce and HierarchicalAllReduce
   /// through CompressedAllReduce. kNone (the default) is the raw-fp32 wire.
   /// Constraints: a codec must never carry ReduceOp::kBitAnd traffic (the
-  /// bit-packed sync rounds are exact agreements), and standalone
-  /// ReduceScatter/AllGather/point-to-point ops always ship raw fp32.
+  /// bit-packed sync rounds are exact agreements), and a standalone
+  /// Broadcast always ships raw fp32.
   compress::CodecSpec codec{};
 };
 
@@ -122,45 +123,8 @@ Status CompressedAllReduce(const Comm& comm, std::span<float> data,
 Status HierarchicalAllReduce(const Comm& comm, int gpus_per_host,
                              std::span<float> data, ReduceOp op);
 
-/// Reduce-scatter: after the call, rank r holds the reduction of chunk r in
-/// data[chunk_begin(r) .. chunk_end(r)); other regions are scratch.
-Status ReduceScatter(const Comm& comm, std::span<float> data, ReduceOp op);
-
-/// All-gather assuming rank r holds valid chunk r (the state ReduceScatter
-/// leaves behind); fills every chunk on every rank.
-Status AllGather(const Comm& comm, std::span<float> data);
-
 /// Broadcast from `root` (ring pipeline).
 Status Broadcast(const Comm& comm, int root, std::span<float> data);
-
-/// Reduce to `root` only: after the call root holds op(all ranks' data);
-/// other ranks' buffers are unchanged. (Chain reduction along the ring —
-/// the building block of parameter-server push aggregation.)
-Status Reduce(const Comm& comm, int root, std::span<float> data, ReduceOp op);
-
-/// Gather: root receives every rank's `contribution` into `gathered`
-/// (world_size * contribution.size(), rank-major). Non-root ranks may pass
-/// an empty `gathered`. The root drains peers in *completion order* (a
-/// TryRecv sweep with a short blocking fallback), so one slow rank no
-/// longer serializes the ranks behind it in the fixed rank-order scan.
-/// Caveat: the sweep uses TryRecv, which a FaultyTransport relaxes to
-/// datagram semantics — do not run Gather over a *lossy* decorated channel
-/// (lossless fault specs are fine; transport/faulty.h explains the mix).
-Status Gather(const Comm& comm, int root, std::span<const float> contribution,
-              std::span<float> gathered);
-
-/// Scatter: root distributes `scattered` (world_size * chunk.size(),
-/// rank-major) so each rank receives its chunk. Non-root ranks may pass an
-/// empty `scattered`.
-Status Scatter(const Comm& comm, int root, std::span<const float> scattered,
-               std::span<float> chunk);
-
-/// All-to-all personalized exchange: `send` and `recv` are world_size
-/// equal-sized blocks; block d of `send` goes to rank d, and block s of
-/// `recv` comes from rank s. (The exchange pattern of sparse/embedding
-/// workloads the paper's Discussion section points at.)
-Status AllToAll(const Comm& comm, std::span<const float> send,
-                std::span<float> recv);
 
 /// Multi-channel all-reduce: slices `data` into `num_channels` contiguous
 /// pieces and runs an independent ring per slice on its own tag namespace

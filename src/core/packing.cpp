@@ -6,48 +6,6 @@
 
 namespace aiacc::core {
 
-std::vector<AllReduceUnit> PackingPlanner::Pack(
-    const GradientRegistry& registry, const std::vector<int>& ready_ids,
-    std::size_t alignment) {
-  AIACC_CHECK(alignment > 0);
-  std::vector<AllReduceUnit> units;
-  AllReduceUnit current;
-  current.unit_id = next_unit_id_++;
-  std::size_t current_bytes = 0;
-
-  auto flush = [&] {
-    if (!current.segments.empty()) {
-      units.push_back(std::move(current));
-      current = AllReduceUnit{};
-      current.unit_id = next_unit_id_++;
-      current_bytes = 0;
-    }
-  };
-
-  for (int id : ready_ids) {
-    AIACC_CHECK(id >= 0 && id < registry.size());
-    const std::size_t total = registry.Get(id).bytes;
-    std::size_t offset = 0;
-    while (offset < total) {
-      std::size_t room = granularity_ - current_bytes;
-      // Keep slices element-aligned; if the remaining room can't hold a
-      // whole element, start a fresh unit.
-      room -= room % alignment;
-      if (room == 0) {
-        flush();
-        continue;
-      }
-      const std::size_t take = std::min(room, total - offset);
-      current.segments.push_back(UnitSegment{id, offset, take});
-      current_bytes += take;
-      offset += take;
-      if (current_bytes >= granularity_) flush();
-    }
-  }
-  flush();
-  return units;
-}
-
 void StreamingPacker::Add(int gradient_id, std::size_t bytes,
                           compress::CodecSpec codec) {
   if (!current_.segments.empty() && current_.codec != codec) {

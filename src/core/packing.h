@@ -12,7 +12,6 @@
 
 #include "common/logging.h"
 #include "compress/codec.h"
-#include "core/registry.h"
 
 namespace aiacc::core {
 
@@ -43,37 +42,15 @@ struct AllReduceUnit {
   }
 };
 
-class PackingPlanner {
- public:
-  explicit PackingPlanner(std::size_t granularity_bytes)
-      : granularity_(granularity_bytes) {
-    AIACC_CHECK(granularity_ > 0);
-  }
-
-  /// Pack `ready_ids` (ascending gradient ids) into units of ~granularity
-  /// bytes. Every byte of every ready gradient appears in exactly one unit;
-  /// units are filled greedily in id order; a unit never exceeds the
-  /// granularity unless a single segment's minimum slice would (slices are
-  /// kept element-aligned via `alignment`, default fp32).
-  [[nodiscard]] std::vector<AllReduceUnit> Pack(
-      const GradientRegistry& registry, const std::vector<int>& ready_ids,
-      std::size_t alignment = 4);
-
-  [[nodiscard]] std::size_t granularity() const noexcept {
-    return granularity_;
-  }
-
- private:
-  std::size_t granularity_;
-  std::uint64_t next_unit_id_ = 1;
-};
-
-/// Streaming variant used by the engines: gradients agreed ready by
-/// successive synchronization rounds are appended to a byte-stream; complete
-/// units of exactly the granularity are carved off as they fill, and the
-/// trailing partial unit is only emitted on Flush() (end of backward). This
-/// is how Horovod's fusion buffer and AIACC's all-reduce units behave —
-/// packing does not fragment at sync-round boundaries.
+/// The packer the engines use: gradients agreed ready by successive
+/// synchronization rounds are appended to a byte-stream; complete units of
+/// exactly the granularity are carved off as they fill, and the trailing
+/// partial unit is only emitted on Flush() (end of backward). This is how
+/// Horovod's fusion buffer and AIACC's all-reduce units behave — packing
+/// does not fragment at sync-round boundaries. Slices stay element-aligned
+/// (`alignment`, default fp32): a unit never exceeds the granularity, and
+/// when the room left in the open unit cannot hold a whole element, the
+/// next slice starts a fresh unit.
 class StreamingPacker {
  public:
   explicit StreamingPacker(std::size_t granularity_bytes,

@@ -706,28 +706,31 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // writes the averaged slice straight back, so there is neither a gather
     // nor a scatter-back.
     UnitPieces(*unit, state.tensors, pieces);
-    // A unit that tier 2 may retry reduces from pooled staging, gathered
-    // once: no collective writes its input, so every attempt reduces from
-    // these same bytes even after a failed attempt has partly overwritten
-    // the tensors. Without tier 2 a failed unit aborts the engine, and the
-    // tensors may hold a partial result, as they would anyway.
+    // Sparse codecs and the hierarchical all-reduce compute in place, on a
+    // pooled work copy of the input, and finish through WritePieces.
+    std::vector<float> work;
+    const bool sparse_unit = compress::IsSparse(unit->codec.kind);
+    // A unit that tier 2 may retry on the ring reduces from pooled staging,
+    // gathered once: no collective writes its input, so every attempt
+    // reduces from these same bytes even after a failed attempt has partly
+    // overwritten the tensors. A sparse unit needs none: every attempt runs
+    // on the work copy, which reaches the tensors only after success.
+    // Without tier 2 a failed unit aborts the engine, and the tensors may
+    // hold a partial result, as they would anyway.
+    const bool staged = retry_units && !sparse_unit;
     std::vector<float> staging;
     std::span<float> staging_piece;
     std::span<const std::span<float>> input = pieces;
-    if (retry_units) {
+    if (staged) {
       staging = buffer_pool.Acquire(len);
       collective::ReadPieces(pieces, staging);
       staging_piece = staging;
       input = std::span(&staging_piece, 1);
     }
-    // Sparse codecs and the hierarchical all-reduce compute in place, on a
-    // pooled work copy of the input, and finish through WritePieces.
-    std::vector<float> work;
     // Sparse codecs carry an error-feedback residual alongside the data.
     // CompressedAllReduce updates its residual span before the ring runs,
     // so every attempt re-gathers it from the persistent copy, which is
     // committed only after success.
-    const bool sparse_unit = compress::IsSparse(unit->codec.kind);
     std::vector<float> residual_staging;
     if (sparse_unit) {
       UnitPieces(*unit, state.residuals, residual_pieces);
@@ -821,7 +824,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
                << " (attempt " << attempt + 1 << "): " << st.ToString();
     }
     auto release_buffers = [&] {
-      if (retry_units) buffer_pool.Release(std::move(staging));
+      if (staged) buffer_pool.Release(std::move(staging));
       if (!work.empty()) buffer_pool.Release(std::move(work));
       if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
     };

@@ -14,9 +14,10 @@
 //     Algorithm 1 with actual threads instead of CUDA streams);
 //   * each unit's ring reads its slices straight from the caller's tensors
 //     and writes the averaged slices straight back (no gather, no
-//     scatter-back pass); only a unit that tier 2 may retry
+//     scatter-back pass); only a ring unit that tier 2 may retry
 //     (FailureConfig::degrade_before_abort) is first gathered once into
-//     pooled staging, so every attempt reruns from the pre-ring bytes. The
+//     pooled staging, so every attempt reruns from the pre-ring bytes (a
+//     sparse-codec unit reduces on a work copy and needs none). The
 //     comm thread then does the unit's accounting under the rank mutex, and
 //     the worker unblocks when every registered gradient is reduced,
 //     applies the optimizer, and starts the next iteration.
@@ -92,8 +93,10 @@ struct FailureConfig {
   /// construction: a unit collective that fails on one rank fails on all
   /// (same ring), so every rank retries in lockstep. It also decides
   /// whether a unit is staged: a retry must rerun from the pre-ring bytes,
-  /// so with it on every unit is first gathered into pooled staging; with
-  /// it off the ring reads the tensors directly.
+  /// so with it on every ring unit is first gathered into pooled staging;
+  /// with it off the ring reads the tensors directly. Sparse-codec units
+  /// are never staged: each attempt reduces a fresh work copy of the
+  /// tensors, which it writes back only on success.
   bool degrade_before_abort = false;
 
   /// Observability tier: stack a TracingTransport on top of the stack so

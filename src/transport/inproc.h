@@ -108,7 +108,7 @@ class InProcTransport final : public Transport {
   /// (per-slot CVs keep these to spurious wakeups). `receives` counts every message
   /// actually delivered to a consumer, on the blocking (Recv/RecvFor) and
   /// non-blocking (TryRecv) paths alike, so wake-stat ratios stay honest on
-  /// heartbeat/Gather-heavy workloads that drain mailboxes with TryRecv.
+  /// heartbeat-heavy workloads that drain mailboxes with TryRecv.
   struct WakeStats {
     std::uint64_t notifies = 0;        // CV signals sent by senders
     std::uint64_t wakeups = 0;         // blocked receivers woken

@@ -8,9 +8,10 @@
 //     CRC32 over the body, split across two 16-bit float lanes (a uint32 is
 //     not exactly representable as one float; two 16-bit halves are);
 //   * the receiver acks each data frame (selective ack, same tag, demuxed
-//     from data by a kind lane — necessary because AllToAll runs both
-//     directions of a rank pair on one tag); duplicates are re-acked and
-//     discarded, out-of-order arrivals are stashed and delivered in order;
+//     from data by a kind lane — necessary because on a 2-rank ring next ==
+//     prev, so both directions of a rank pair share one tag); duplicates
+//     are re-acked and discarded, out-of-order arrivals are stashed and
+//     delivered in order;
 //   * the sender keeps a pooled copy of every unacked frame and a background
 //     retransmit daemon resends on a capped exponential backoff
 //     (rto_initial_ms doubling to rto_max_ms) until the ack arrives or the

@@ -22,6 +22,7 @@
 #include "collective/tags.h"
 #include "collective/threaded.h"
 #include "common/rng.h"
+#include "compress/codec.h"
 #include "core/threaded_engine.h"
 #include "transport/fault_schedule.h"
 #include "transport/faulty.h"
@@ -263,9 +264,10 @@ TEST(ChaosSoakTest, EngineSurvivesDropChaosWhereSeedAborts) {
 }
 
 // Tier 2: units whose primary tag namespace is blackholed are retried on
-// fresh epoch tags at depth 1, and the results stay bit-exact (retries
-// re-gather from untouched tensors). The contrast leg shows the coverage is
-// tier 2's alone: without unit retry the same schedule aborts.
+// fresh epoch tags at depth 1, and the results stay bit-exact (ring retries
+// rerun from the unit's staging, sparse retries from a fresh work copy of
+// the untouched tensors). The contrast leg shows the coverage is tier 2's
+// alone: without unit retry the same schedule aborts.
 TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
   const int world = 2;
   const int iters = 6;
@@ -273,20 +275,32 @@ TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
   config.num_streams = 2;
   config.granularity_bytes = 4096;
   config.pipeline_depth = 4;
+  CommConfig topk_config = config;
+  topk_config.codec = compress::CodecSpec{compress::CodecKind::kTopK, 0.25f};
 
   bool failed = false;
   const auto clean = RunEngine(world, config, FailureConfig{}, iters, &failed);
   ASSERT_FALSE(failed);
+  const auto clean_topk =
+      RunEngine(world, topk_config, FailureConfig{}, iters, &failed);
+  ASSERT_FALSE(failed);
 
   // Fault the *primary* unit namespace only; epoch-1 retry tags
   // (collective::kUnitRetryTagBase) are clean. A blackhole fails every
-  // first attempt before it writes anything; a 5% drop window fails some
-  // first attempts partway, after the ring has already written part of the
-  // gradient tensors — the retry must rerun from the unit's staging, not
-  // from the half-written tensors.
+  // first attempt before it writes anything, on the ring and on the top-k
+  // record ring alike; a 5% drop window fails some first attempts partway,
+  // after the ring has already written part of the gradient tensors — the
+  // retry must rerun from the unit's staging, not from the half-written
+  // tensors.
   FailureConfig failure;
-  for (const double drop_prob : {1.0, 0.05}) {
-    SCOPED_TRACE("primary-namespace drop_prob " + std::to_string(drop_prob));
+  const struct {
+    double drop_prob;
+    bool topk;
+  } legs[] = {{1.0, false}, {1.0, true}, {0.05, false}};
+  for (const auto& leg : legs) {
+    const double drop_prob = leg.drop_prob;
+    SCOPED_TRACE("primary-namespace drop_prob " + std::to_string(drop_prob) +
+                 (leg.topk ? ", top-k" : ""));
     FaultSpec spec;
     spec.seed = 62;
     TagFaults window;
@@ -300,14 +314,15 @@ TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
     failure.degrade_before_abort = true;
     std::uint64_t unit_retries = 0;
     const auto result =
-        RunEngine(world, config, failure, iters, &failed,
-                  [&](ThreadedAiaccEngine& engine) {
+        RunEngine(world, leg.topk ? topk_config : config, failure, iters,
+                  &failed, [&](ThreadedAiaccEngine& engine) {
                     unit_retries = engine.metrics()
                                        .GetCounter("engine.unit_retries")
                                        .Value();
                   });
     EXPECT_FALSE(failed) << "engine aborted instead of retrying units";
-    EXPECT_EQ(result, clean) << "unit retries changed the numerics";
+    EXPECT_EQ(result, leg.topk ? clean_topk : clean)
+        << "unit retries changed the numerics";
     EXPECT_GT(unit_retries, 0u) << "no unit retries recorded";
   }
 

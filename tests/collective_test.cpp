@@ -1,8 +1,8 @@
 // Collective-library tests.
 //
 // Threaded (functional): real threads, real payloads — ring/hierarchical
-// all-reduce, reduce-scatter, all-gather, broadcast, multi-channel, across a
-// sweep of world sizes and buffer lengths (parameterized).
+// all-reduce, broadcast, multi-channel, across a sweep of world sizes and
+// buffer lengths (parameterized).
 //
 // Simulated (timed): analytic estimates, fluid-vs-detailed agreement, the
 // multi-stream bandwidth win, and real-payload reductions through the
@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
-#include "common/sync.h"
 #include "compress/codec.h"
 #include "core/sync_bits.h"
 #include "transport/faulty.h"
@@ -176,48 +174,6 @@ TEST(ThreadedCollectiveTest, BitVectorMinSyncSemantics) {
   }
 }
 
-TEST(ThreadedCollectiveTest, ReduceScatterOwnsReducedChunk) {
-  const int world = 4;
-  const std::size_t len = 16;
-  transport::InProcTransport tr(world);
-  auto data = MakeRankData(world, len, 9);
-  const auto expected = ExpectedSum(data);
-  RunAllRanks(world, [&](int rank) {
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        ReduceScatter(comm, data[static_cast<std::size_t>(rank)],
-                      ReduceOp::kSum).ok());
-  });
-  for (int r = 0; r < world; ++r) {
-    const std::size_t b = ChunkBegin(len, world, r);
-    const std::size_t e = ChunkBegin(len, world, r + 1);
-    for (std::size_t i = b; i < e; ++i) {
-      ASSERT_NEAR(data[static_cast<std::size_t>(r)][i], expected[i], 1e-3);
-    }
-  }
-}
-
-TEST(ThreadedCollectiveTest, ReduceScatterThenAllGatherEqualsAllReduce) {
-  const int world = 4;
-  const std::size_t len = 64;
-  transport::InProcTransport tr(world);
-  auto data = MakeRankData(world, len, 21);
-  const auto expected = ExpectedSum(data);
-  RunAllRanks(world, [&](int rank) {
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        ReduceScatter(comm, data[static_cast<std::size_t>(rank)],
-                      ReduceOp::kSum).ok());
-    Comm comm2{&tr, rank, world, 100};
-    EXPECT_TRUE(AllGather(comm2, data[static_cast<std::size_t>(rank)]).ok());
-  });
-  for (int r = 0; r < world; ++r) {
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(data[static_cast<std::size_t>(r)][i], expected[i], 1e-3);
-    }
-  }
-}
-
 TEST(ThreadedCollectiveTest, BroadcastFromEveryRoot) {
   const int world = 5;
   const std::size_t len = 33;
@@ -275,143 +231,6 @@ TEST(ThreadedCollectiveTest, RingMessageCount) {
   });
   EXPECT_EQ(tr.TotalMessages(),
             static_cast<std::uint64_t>(world) * 2 * (world - 1));
-}
-
-TEST(ThreadedCollectiveTest, ReduceToRootOnly) {
-  const int world = 4;
-  const std::size_t len = 20;
-  for (int root = 0; root < world; ++root) {
-    transport::InProcTransport tr(world);
-    auto data = MakeRankData(world, len, 41 + root);
-    const auto original = data;
-    const auto expected = ExpectedSum(data);
-    RunAllRanks(world, [&](int rank) {
-      Comm comm{&tr, rank, world, 0};
-      EXPECT_TRUE(
-          Reduce(comm, root, data[static_cast<std::size_t>(rank)],
-                 ReduceOp::kSum).ok());
-    });
-    for (int r = 0; r < world; ++r) {
-      if (r == root) {
-        for (std::size_t i = 0; i < len; ++i) {
-          ASSERT_NEAR(data[static_cast<std::size_t>(r)][i], expected[i],
-                      1e-3);
-        }
-      } else {
-        EXPECT_EQ(data[static_cast<std::size_t>(r)],
-                  original[static_cast<std::size_t>(r)])
-            << "non-root buffer modified";
-      }
-    }
-  }
-}
-
-TEST(ThreadedCollectiveTest, GatherCollectsRankMajor) {
-  const int world = 3;
-  const std::size_t len = 5;
-  transport::InProcTransport tr(world);
-  auto data = MakeRankData(world, len, 51);
-  std::vector<float> gathered(world * len);
-  RunAllRanks(world, [&](int rank) {
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        Gather(comm, /*root=*/1,
-               data[static_cast<std::size_t>(rank)],
-               rank == 1 ? std::span<float>(gathered) : std::span<float>())
-            .ok());
-  });
-  for (int r = 0; r < world; ++r) {
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(gathered[static_cast<std::size_t>(r) * len + i],
-                data[static_cast<std::size_t>(r)][i]);
-    }
-  }
-}
-
-TEST(ThreadedCollectiveTest, ScatterDistributesRankMajor) {
-  const int world = 3;
-  const std::size_t len = 4;
-  transport::InProcTransport tr(world);
-  std::vector<float> source(world * len);
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    source[i] = static_cast<float>(i);
-  }
-  std::vector<std::vector<float>> chunks(world, std::vector<float>(len));
-  RunAllRanks(world, [&](int rank) {
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        Scatter(comm, /*root=*/0,
-                rank == 0 ? std::span<const float>(source)
-                          : std::span<const float>(),
-                chunks[static_cast<std::size_t>(rank)])
-            .ok());
-  });
-  for (int r = 0; r < world; ++r) {
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(chunks[static_cast<std::size_t>(r)][i],
-                source[static_cast<std::size_t>(r) * len + i]);
-    }
-  }
-}
-
-TEST(ThreadedCollectiveTest, ScatterThenGatherRoundTrips) {
-  const int world = 4;
-  const std::size_t len = 6;
-  transport::InProcTransport tr(world);
-  std::vector<float> source(world * len);
-  Rng rng(61);
-  for (float& v : source) v = static_cast<float>(rng.Uniform(-1, 1));
-  std::vector<float> back(world * len);
-  RunAllRanks(world, [&](int rank) {
-    std::vector<float> chunk(len);
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        Scatter(comm, 0,
-                rank == 0 ? std::span<const float>(source)
-                          : std::span<const float>(),
-                chunk)
-            .ok());
-    Comm comm2{&tr, rank, world, 8};
-    EXPECT_TRUE(
-        Gather(comm2, 0, chunk,
-               rank == 0 ? std::span<float>(back) : std::span<float>())
-            .ok());
-  });
-  EXPECT_EQ(back, source);
-}
-
-TEST(ThreadedCollectiveTest, AllToAllTransposesBlocks) {
-  const int world = 4;
-  const std::size_t block = 3;
-  transport::InProcTransport tr(world);
-  // send[r][d*block + i] = r * 100 + d * 10 + i.
-  std::vector<std::vector<float>> send(world);
-  std::vector<std::vector<float>> recv(world,
-                                       std::vector<float>(world * block));
-  for (int r = 0; r < world; ++r) {
-    for (int d = 0; d < world; ++d) {
-      for (std::size_t i = 0; i < block; ++i) {
-        send[static_cast<std::size_t>(r)].push_back(
-            static_cast<float>(r * 100 + d * 10 + static_cast<int>(i)));
-      }
-    }
-  }
-  RunAllRanks(world, [&](int rank) {
-    Comm comm{&tr, rank, world, 0};
-    EXPECT_TRUE(
-        AllToAll(comm, send[static_cast<std::size_t>(rank)],
-                 recv[static_cast<std::size_t>(rank)]).ok());
-  });
-  // recv[d][s*block + i] must equal send[s][d*block + i].
-  for (int d = 0; d < world; ++d) {
-    for (int s = 0; s < world; ++s) {
-      for (std::size_t i = 0; i < block; ++i) {
-        EXPECT_EQ(recv[static_cast<std::size_t>(d)]
-                      [static_cast<std::size_t>(s) * block + i],
-                  static_cast<float>(s * 100 + d * 10 + static_cast<int>(i)));
-      }
-    }
-  }
 }
 
 TEST(ChunkBeginTest, CoversBufferExactly) {
@@ -680,54 +499,10 @@ TEST(ShutdownUnblocksTest, HierarchicalAllReduce) {
   });
 }
 
-TEST(ShutdownUnblocksTest, ReduceScatter) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> d(32, 1.0f);
-    return ReduceScatter(c, d, ReduceOp::kSum);
-  });
-}
-
-TEST(ShutdownUnblocksTest, AllGather) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> d(32, 1.0f);
-    return AllGather(c, d);
-  });
-}
-
 TEST(ShutdownUnblocksTest, BroadcastFromMissingRoot) {
   ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
     std::vector<float> d(32, 1.0f);
     return Broadcast(c, /*root=*/3, d);
-  });
-}
-
-TEST(ShutdownUnblocksTest, ReduceToRoot) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> d(32, 1.0f);
-    return Reduce(c, /*root=*/0, d, ReduceOp::kSum);
-  });
-}
-
-TEST(ShutdownUnblocksTest, GatherMissingContribution) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> mine(8, 1.0f);
-    std::vector<float> gathered(c.rank == 0 ? 32 : 0);
-    return Gather(c, /*root=*/0, mine, gathered);
-  });
-}
-
-TEST(ShutdownUnblocksTest, ScatterFromMissingRoot) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> chunk(8);
-    return Scatter(c, /*root=*/3, {}, chunk);
-  });
-}
-
-TEST(ShutdownUnblocksTest, AllToAll) {
-  ExpectUnblocksOnShutdown(4, 3, [](const Comm& c) {
-    std::vector<float> send(32, 1.0f);
-    std::vector<float> recv(32);
-    return AllToAll(c, send, recv);
   });
 }
 
@@ -740,12 +515,12 @@ TEST(ShutdownUnblocksTest, MultiChannelAllReduce) {
 
 // --------------------------------------- pooled hot path: bit-exactness --
 //
-// The zero-allocation hot path (buffer pooling, payload forwarding, fused
-// RecvReduce) must not change a single bit of any result. Each collective is
-// compared with exact float equality, not a tolerance, against a serial
-// reference in this file that performs the same elementwise operations in
-// the same order: the ring folds each chunk rank by rank in ring order, and
-// the data-movement collectives are plain copies.
+// The zero-allocation hot path (buffer pooling, payload forwarding) must
+// not change a single bit of any result. Each collective is compared with
+// exact float equality, not a tolerance, against a serial reference in this
+// file that performs the same elementwise operations in the same order: the
+// ring folds each chunk rank by rank in ring order, and a broadcast is a
+// plain copy of the root's buffer.
 
 std::span<const float> ChunkOf(const std::vector<float>& v, int n, int c) {
   const std::size_t b = ChunkBegin(v.size(), n, c);
@@ -833,103 +608,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ReduceOp::kSum, ReduceOp::kAvg,
                                          ReduceOp::kMin, ReduceOp::kMax)));
 
-TEST(PooledBitExactTest, OtherCollectivesMatchSerialReferenceBitwise) {
+TEST(PooledBitExactTest, BroadcastMatchesRootBitwise) {
   const int world = 5;
-  const std::size_t len = 35;    // odd per-rank chunk
-  const std::size_t full = len * world;
-  const auto data = MakeRankData(world, full, 4242);
-  const auto block = [&](int r, int b) {
-    return std::span<const float>(data[static_cast<std::size_t>(r)])
-        .subspan(static_cast<std::size_t>(b) * len, len);
-  };
-
-  // Broadcast, reduce-scatter (own chunk only — scratch regions are
-  // unspecified), all-gather, reduce, gather, scatter and all-to-all, each
-  // run once on identical inputs.
-  struct PathResult {
-    std::vector<std::vector<float>> bcast, rs_chunk, ag, red, gat, sct, a2a;
-  };
-  PathResult got;
-  got.bcast = data;
-  got.rs_chunk.assign(world, {});
-  got.ag = data;  // chunk r of rank r's buffer seeds the all-gather
-  got.red = data;
-  got.gat.assign(world, std::vector<float>());
-  got.gat[0].resize(full);
-  got.sct.assign(world, std::vector<float>(len));
-  got.a2a.assign(world, std::vector<float>(full));
+  const std::size_t len = 175;
+  const auto data = MakeRankData(world, len, 4242);
+  auto got = data;
   transport::InProcTransport tr(world);
   common::BufferPool pool;
   RunAllRanks(world, [&](int rank) {
-    const auto r = static_cast<std::size_t>(rank);
     Comm comm{&tr, rank, world, /*tag_base=*/0, /*timeout_ms=*/0, &pool};
-    EXPECT_TRUE(Broadcast(comm, /*root=*/2, got.bcast[r]).ok());
-    std::vector<float> rs = data[r];
-    EXPECT_TRUE(ReduceScatter(comm, rs, ReduceOp::kSum).ok());
-    const auto own = ChunkOf(rs, world, rank);
-    got.rs_chunk[r].assign(own.begin(), own.end());
-    EXPECT_TRUE(AllGather(comm, got.ag[r]).ok());
-    EXPECT_TRUE(Reduce(comm, /*root=*/1, got.red[r], ReduceOp::kAvg).ok());
-    EXPECT_TRUE(Gather(comm, /*root=*/0, block(rank, 0), got.gat[r]).ok());
-    const std::span<const float> to_scatter =
-        rank == 3 ? std::span<const float>(data[3])
-                  : std::span<const float>();
-    EXPECT_TRUE(Scatter(comm, /*root=*/3, to_scatter, got.sct[r]).ok());
-    EXPECT_TRUE(AllToAll(comm, data[r], got.a2a[r]).ok());
+    EXPECT_TRUE(
+        Broadcast(comm, /*root=*/2, got[static_cast<std::size_t>(rank)]).ok());
   });
-
-  PathResult want;
-  want.bcast.assign(world, data[2]);
-  const std::vector<float> ring = SerialRingReference(data, ReduceOp::kSum);
-  want.ag.assign(world, std::vector<float>(full));
-  for (int r = 0; r < world; ++r) {
-    const auto chunk = ChunkOf(ring, world, r);
-    want.rs_chunk.emplace_back(chunk.begin(), chunk.end());
-    const auto owned = ChunkOf(data[static_cast<std::size_t>(r)], world, r);
-    for (auto& v : want.ag) {
-      std::copy(owned.begin(), owned.end(),
-                v.begin() + static_cast<std::ptrdiff_t>(
-                                ChunkBegin(full, world, r)));
-    }
-  }
-  // Reduce chains along the ring from root+1 to the root: each rank folds
-  // its values into the partial it received, and the root folds the
-  // partial into its own buffer; non-root buffers stay untouched.
-  want.red = data;
-  {
-    const int root = 1;
-    std::vector<float> partial = data[static_cast<std::size_t>(root + 1)];
-    for (int k = 2; k < world; ++k) {
-      Accumulate(partial, data[static_cast<std::size_t>((root + k) % world)],
-                 ReduceOp::kSum);
-    }
-    std::vector<float>& at_root = want.red[static_cast<std::size_t>(root)];
-    Accumulate(at_root, partial, ReduceOp::kSum);
-    FinalizeAvg(at_root, world, ReduceOp::kAvg);
-  }
-  want.gat.assign(world, std::vector<float>());
-  want.sct.assign(world, std::vector<float>());
-  want.a2a.assign(world, std::vector<float>());
-  for (int r = 0; r < world; ++r) {
-    const auto mine = block(r, 0);
-    want.gat[0].insert(want.gat[0].end(), mine.begin(), mine.end());
-    const auto scattered = block(3, r);
-    want.sct[static_cast<std::size_t>(r)].assign(scattered.begin(),
-                                                 scattered.end());
-    for (int s = 0; s < world; ++s) {
-      const auto sent = block(s, r);
-      want.a2a[static_cast<std::size_t>(r)].insert(
-          want.a2a[static_cast<std::size_t>(r)].end(), sent.begin(),
-          sent.end());
-    }
-  }
-  ExpectBitIdentical(want.bcast, got.bcast);
-  ExpectBitIdentical(want.rs_chunk, got.rs_chunk);
-  ExpectBitIdentical(want.ag, got.ag);
-  ExpectBitIdentical(want.red, got.red);
-  ExpectBitIdentical(want.gat, got.gat);
-  ExpectBitIdentical(want.sct, got.sct);
-  ExpectBitIdentical(want.a2a, got.a2a);
+  ExpectBitIdentical(std::vector<std::vector<float>>(world, data[2]), got);
 }
 
 TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
@@ -1438,99 +1129,6 @@ TEST(ThreadedCollectiveTest, PackedSyncBitsMatchLegacyMinEncoding) {
   EXPECT_EQ(legacy_tr.TotalMessages(), packed_tr.TotalMessages());
   EXPECT_EQ(legacy_tr.TotalPayloadBytes(),
             32 * packed_tr.TotalPayloadBytes());
-}
-
-// ------------------------------------------- gather: completion-order drain
-
-/// Transport decorator recording, per receiving rank, the source order of
-/// successful receives — lets the test observe which peer the Gather root
-/// actually consumed first.
-class RecvOrderRecorder final : public transport::Transport {
- public:
-  explicit RecvOrderRecorder(transport::Transport& inner) : inner_(inner) {}
-
-  [[nodiscard]] int world_size() const noexcept override {
-    return inner_.world_size();
-  }
-  void Send(int src, int dst, int tag, transport::Payload payload) override {
-    inner_.Send(src, dst, tag, std::move(payload));
-  }
-  Result<transport::Payload> Recv(int rank, int src, int tag) override {
-    auto result = inner_.Recv(rank, src, tag);
-    if (result.ok()) Record(rank, src);
-    return result;
-  }
-  Result<transport::Payload> RecvFor(
-      int rank, int src, int tag, std::chrono::milliseconds timeout) override {
-    auto result = inner_.RecvFor(rank, src, tag, timeout);
-    if (result.ok()) Record(rank, src);
-    return result;
-  }
-  std::optional<transport::Payload> TryRecv(int rank, int src,
-                                            int tag) override {
-    auto result = inner_.TryRecv(rank, src, tag);
-    if (result.has_value()) Record(rank, src);
-    return result;
-  }
-  void Shutdown() override { inner_.Shutdown(); }
-  [[nodiscard]] bool IsShutdown() const noexcept override {
-    return inner_.IsShutdown();
-  }
-  Status Barrier() override { return inner_.Barrier(); }
-  [[nodiscard]] std::uint64_t TotalMessages() const override {
-    return inner_.TotalMessages();
-  }
-
-  std::vector<int> OrderAtRank(int rank) const {
-    common::MutexLock lock(mu_);
-    std::vector<int> order;
-    for (const auto& [r, src] : receives_) {
-      if (r == rank) order.push_back(src);
-    }
-    return order;
-  }
-
- private:
-  void Record(int rank, int src) {
-    common::MutexLock lock(mu_);
-    receives_.emplace_back(rank, src);
-  }
-
-  transport::Transport& inner_;
-  mutable common::Mutex mu_{"test-recv-order"};
-  std::vector<std::pair<int, int>> receives_ GUARDED_BY(mu_);
-};
-
-TEST(GatherOrderTest, RootDrainsPeersInCompletionOrder) {
-  // Rank 1 is a straggler: it enters the gather ~80ms late. A root that
-  // drains peers in rank order would sit blocked on rank 1 the whole time;
-  // the completion-order drain must consume rank 2's ready contribution
-  // first.
-  const int world = 3;
-  const std::size_t len = 16;
-  transport::InProcTransport inner(world);
-  RecvOrderRecorder tr(inner);
-  const auto data = MakeRankData(world, len, 808);
-  std::vector<float> gathered(len * world);
-  RunAllRanks(world, [&](int rank) {
-    if (rank == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    }
-    Comm comm{&tr, rank, world, 0};
-    std::span<float> out =
-        rank == 0 ? std::span<float>(gathered) : std::span<float>();
-    EXPECT_TRUE(
-        Gather(comm, /*root=*/0,
-               data[static_cast<std::size_t>(rank)], out)
-            .ok());
-  });
-  for (int r = 0; r < world; ++r) {
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_EQ(gathered[static_cast<std::size_t>(r) * len + i],
-                data[static_cast<std::size_t>(r)][i]);
-    }
-  }
-  EXPECT_EQ(tr.OrderAtRank(0), (std::vector<int>{2, 1}));
 }
 
 }  // namespace

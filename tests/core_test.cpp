@@ -1,4 +1,4 @@
-// Core-module unit tests: gradient registry, packing planner (merge/split
+// Core-module unit tests: gradient registry, streaming packer (merge/split
 // round-trips, property sweeps), sync protocols' cost structure, optimizers'
 // math, NaN detection, checkpoint round-trips and corruption handling.
 #include <gtest/gtest.h>
@@ -81,10 +81,23 @@ GradientRegistry MakeRegistry(const std::vector<std::size_t>& sizes) {
   return reg;
 }
 
+/// Add `ids` with their registered sizes, flush and drain: the units an
+/// engine dispatches for one iteration whose gradients became ready in
+/// this order.
+std::vector<AllReduceUnit> PackIds(StreamingPacker& packer,
+                                   const GradientRegistry& reg,
+                                   const std::vector<int>& ids) {
+  for (int id : ids) packer.Add(id, reg.Get(id).bytes);
+  packer.Flush();
+  std::vector<AllReduceUnit> units;
+  while (packer.HasReadyUnit()) units.push_back(packer.PopReadyUnit());
+  return units;
+}
+
 TEST(PackingTest, MergesSmallGradients) {
   auto reg = MakeRegistry({100, 100, 100, 100});
-  PackingPlanner planner(400);
-  auto units = planner.Pack(reg, {0, 1, 2, 3});
+  StreamingPacker packer(400);
+  auto units = PackIds(packer, reg, {0, 1, 2, 3});
   ASSERT_EQ(units.size(), 1u);
   EXPECT_EQ(units[0].segments.size(), 4u);
   EXPECT_EQ(units[0].TotalBytes(), 400u);
@@ -92,8 +105,8 @@ TEST(PackingTest, MergesSmallGradients) {
 
 TEST(PackingTest, SplitsLargeGradient) {
   auto reg = MakeRegistry({1000});
-  PackingPlanner planner(256);
-  auto units = planner.Pack(reg, {0});
+  StreamingPacker packer(256);
+  auto units = PackIds(packer, reg, {0});
   ASSERT_EQ(units.size(), 4u);  // 256+256+256+232
   EXPECT_EQ(units[0].TotalBytes(), 256u);
   EXPECT_EQ(units[3].TotalBytes(), 232u);
@@ -111,8 +124,8 @@ TEST(PackingTest, SplitsLargeGradient) {
 
 TEST(PackingTest, MixedMergeAndSplit) {
   auto reg = MakeRegistry({50, 500, 60});
-  PackingPlanner planner(200);
-  auto units = planner.Pack(reg, {0, 1, 2});
+  StreamingPacker packer(200);
+  auto units = PackIds(packer, reg, {0, 1, 2});
   // Every byte exactly once.
   std::vector<std::size_t> covered(3, 0);
   for (const auto& u : units) {
@@ -126,8 +139,8 @@ TEST(PackingTest, MixedMergeAndSplit) {
 
 TEST(PackingTest, AlignmentKeepsElementBoundaries) {
   auto reg = MakeRegistry({10, 10});  // not multiples of granularity
-  PackingPlanner planner(16);
-  auto units = planner.Pack(reg, {0, 1}, /*alignment=*/4);
+  StreamingPacker packer(16, /*alignment=*/4);
+  auto units = PackIds(packer, reg, {0, 1});
   for (const auto& u : units) {
     for (const auto& seg : u.segments) {
       EXPECT_EQ(seg.offset % 4, 0u);
@@ -139,8 +152,8 @@ TEST(PackingTest, AlignmentKeepsElementBoundaries) {
 
 TEST(PackingTest, RespectsReadySubset) {
   auto reg = MakeRegistry({100, 100, 100});
-  PackingPlanner planner(1000);
-  auto units = planner.Pack(reg, {0, 2});
+  StreamingPacker packer(1000);
+  auto units = PackIds(packer, reg, {0, 2});
   ASSERT_EQ(units.size(), 1u);
   EXPECT_EQ(units[0].segments.size(), 2u);
   EXPECT_EQ(units[0].segments[0].gradient_id, 0);
@@ -149,9 +162,9 @@ TEST(PackingTest, RespectsReadySubset) {
 
 TEST(PackingTest, UnitIdsAreUniqueAcrossCalls) {
   auto reg = MakeRegistry({100});
-  PackingPlanner planner(50);
-  auto u1 = planner.Pack(reg, {0});
-  auto u2 = planner.Pack(reg, {0});
+  StreamingPacker packer(50);
+  auto u1 = PackIds(packer, reg, {0});
+  auto u2 = PackIds(packer, reg, {0});
   std::vector<std::uint64_t> ids;
   for (const auto& u : u1) ids.push_back(u.unit_id);
   for (const auto& u : u2) ids.push_back(u.unit_id);
@@ -170,10 +183,10 @@ TEST_P(PackingPropertyP, EveryByteExactlyOnceAndOrdered) {
     sizes.push_back(static_cast<std::size_t>(rng.UniformInt(4, 100000)) & ~3u);
   }
   auto reg = MakeRegistry(sizes);
-  PackingPlanner planner(granularity);
+  StreamingPacker packer(granularity);
   std::vector<int> ready(static_cast<std::size_t>(n_grads));
   std::iota(ready.begin(), ready.end(), 0);
-  auto units = planner.Pack(reg, ready);
+  auto units = PackIds(packer, reg, ready);
 
   std::vector<std::size_t> covered(sizes.size(), 0);
   std::size_t total = 0;
@@ -293,8 +306,8 @@ TEST(PackingTest, GatherScatterRoundTrip) {
   // Tensors of 8, 16 and 4 floats packed into 48-byte units: the first
   // unit merges tensor 0 with the head of tensor 1, which splits.
   auto reg = MakeRegistry({32, 64, 16});
-  PackingPlanner planner(48);
-  auto units = planner.Pack(reg, {0, 1, 2});
+  StreamingPacker packer(48);
+  auto units = PackIds(packer, reg, {0, 1, 2});
   ASSERT_GT(units.size(), 1u);
 
   std::vector<std::vector<float>> grads = {

@@ -1,5 +1,5 @@
-// Hot-path regression tests: the size-classed BufferPool, the vectorized /
-// fused reduction kernels, the zero-allocation steady state of the pooled
+// Hot-path regression tests: the size-classed BufferPool, the vectorized
+// reduction kernels, the zero-allocation steady state of the pooled
 // collectives, the persistent multi-channel worker pool, and the shared
 // tag-namespace layout. Runs under the tsan preset (the pool and worker
 // pool are cross-thread by design).
@@ -205,22 +205,6 @@ TEST(AccumulateTest, EmptySpansAreANoOp) {
                          std::span<const float>(), ReduceOp::kMax);
   EXPECT_EQ(acc[0], 1.0f);
   EXPECT_EQ(acc[1], 2.0f);
-}
-
-TEST(RecvReduceTest, FusesCheckAndAccumulate) {
-  std::vector<float> acc{1.0f, 2.0f, 3.0f};
-  std::vector<float> received{10.0f, 20.0f, 30.0f};
-  EXPECT_TRUE(collective::RecvReduce(acc, received, ReduceOp::kSum).ok());
-  EXPECT_EQ(acc[0], 11.0f);
-  EXPECT_EQ(acc[2], 33.0f);
-}
-
-TEST(RecvReduceTest, SizeMismatchIsInternalError) {
-  std::vector<float> acc{1.0f, 2.0f};
-  std::vector<float> received{1.0f};
-  const Status st = collective::RecvReduce(acc, received, ReduceOp::kSum);
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  EXPECT_EQ(acc[0], 1.0f);  // untouched on mismatch
 }
 
 // ---------------------------------------------- zero-allocation steady state

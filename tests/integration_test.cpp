@@ -18,6 +18,7 @@
 #include "core/checkpoint.h"
 #include "core/packing.h"
 #include "core/perseus.h"
+#include "core/registry.h"
 #include "dnn/mlp.h"
 
 namespace aiacc {
@@ -220,9 +221,13 @@ TEST(PackedSimulatedPipelineTest, RealBytesThroughUnitsAndSimRings) {
     expected.push_back(std::move(avg));
   }
 
-  core::PackingPlanner planner(600);  // forces merge AND split
-  std::vector<int> ready = {0, 1, 2, 3};
-  auto units = planner.Pack(registry, ready);
+  core::StreamingPacker packer(600);  // forces merge AND split
+  for (int id = 0; id < registry.size(); ++id) {
+    packer.Add(id, registry.Get(id).bytes);
+  }
+  packer.Flush();
+  std::vector<core::AllReduceUnit> units;
+  while (packer.HasReadyUnit()) units.push_back(packer.PopReadyUnit());
   ASSERT_GT(units.size(), 1u);
 
   sim::Engine engine;

@@ -121,8 +121,9 @@ TEST(ReliableTransportTest, ExactlyOnceUnderCombinedChaos) {
   EXPECT_GT(s.retransmits, 0u);
 }
 
-// AllToAll runs both directions of a rank pair on one tag; the kind lane
-// must demux each side's acks from the other side's data.
+// On a 2-rank ring next == prev, so both directions of a rank pair share
+// one tag; the kind lane must demux each side's acks from the other side's
+// data.
 TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
   FaultSpec spec;
   spec.seed = 21;

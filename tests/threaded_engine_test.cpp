@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/buffer_pool.h"
+#include "compress/codec.h"
 #include "core/sync_bits.h"
 #include "core/threaded_engine.h"
 #include "dnn/mlp.h"
@@ -131,18 +132,29 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
   const int steps = 5;
   // The MLP's 4 gradients, and 2000 two-float tensors: PushAll enqueues
   // every id and the flush marker as one batch, so the MPI process agrees
-  // on all of them in one sync round however many there are.
-  for (const std::size_t many : {std::size_t{0}, std::size_t{2000}}) {
+  // on all of them in one sync round however many there are. The MLP runs
+  // once more over a top-k codec, whose units reduce on a work copy.
+  struct Case {
+    std::size_t many;
+    bool sparse;
+  };
+  for (const Case c : {Case{0, false}, Case{2000, false}, Case{0, true}}) {
+    const std::size_t many = c.many;
+    config.codec = c.sparse ? compress::CodecSpec{compress::CodecKind::kTopK,
+                                                  0.25f}
+                            : compress::CodecSpec{};
     const std::size_t n_grads =
         many > 0 ? many
                  : dnn::Mlp({kIn, 12, kOut}, 42).GradientTensors().size();
+    const std::string label =
+        std::to_string(n_grads) + " tensors" + (c.sparse ? ", top-k" : "");
     // Pool buffers acquired over the whole run, and units reduced on all
     // ranks, indexed by retry_units.
     std::uint64_t acquired[2] = {0, 0};
     std::uint64_t units[2] = {0, 0};
     // Unit retry (tier 2) must not change the sync-round wire format.
     for (const bool retry_units : {false, true}) {
-      SCOPED_TRACE(std::to_string(n_grads) + " tensors, " +
+      SCOPED_TRACE(label + ", " +
                    (retry_units ? "degrade_before_abort" : "default"));
       const auto pool_acquires = [] {
         const auto st = common::BufferPool::Global().stats();
@@ -213,12 +225,14 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
                   stats.sync_rounds * SyncWordCount(n_grads));
       }
     }
-    // Staging exists only for retries: without tier 2 the ring reads the
-    // tensors directly, one pooled buffer fewer per unit and rank, and
-    // nothing else the engine acquires changes.
-    SCOPED_TRACE(std::to_string(n_grads) + " tensors");
+    // Staging exists only for ring retries: without tier 2 the ring reads
+    // the tensors directly, one pooled buffer fewer per unit and rank, and
+    // nothing else the engine acquires changes. A sparse unit reduces on a
+    // work copy on every attempt, so tier 2 stages nothing for it.
+    SCOPED_TRACE(label);
     EXPECT_EQ(units[false], units[true]);
-    EXPECT_EQ(acquired[true] - acquired[false], units[true]);
+    EXPECT_EQ(acquired[true] - acquired[false],
+              c.sparse ? std::uint64_t{0} : units[true]);
   }
 }
 

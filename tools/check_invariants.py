@@ -22,10 +22,7 @@ without a compiler or libclang:
      member's line. Catches "added a field, forgot the lock" drift that
      GCC builds (no thread-safety analysis) would never see.
 
-  4. legacy-counter ban: the HotPathCounters struct was replaced by the
-     telemetry metrics registry (src/telemetry/metrics.h); any reappearance
-     of `HotPathCounters` / `GlobalHotPathCounters` in src/, tests/, or
-     bench/ is a regression to the pre-registry side-channel.
+  4. (retired; the numbers are kept so each check keeps its name)
 
   5. hot-path raw-alloc ban: `new` / `malloc` / `calloc` / `realloc` may
      not appear in src/transport/ or src/compress/. Every payload and codec
@@ -169,23 +166,6 @@ def check_raw_primitives(errors: list[str]) -> None:
 # Check 2 (tag-layout cross-check) moved to tools/aiacc_analyzer — the
 # `tag-collision` check there folds arbitrary constant expressions over
 # the tags.h environment instead of only literal `tag_base + N` offsets.
-
-
-# --- check 4: legacy hot-path counter ban ---------------------------------
-
-LEGACY_COUNTER = re.compile(r"\b(?:Global)?HotPathCounters\b")
-
-
-def check_legacy_counters(errors: list[str]) -> None:
-    for path in cpp_files("src", "tests", "bench"):
-        code = strip_comments(open(path, encoding="utf-8").read())
-        for lineno, line in enumerate(code.splitlines(), 1):
-            if LEGACY_COUNTER.search(line):
-                errors.append(
-                    f"{relpath(path)}:{lineno}: HotPathCounters was replaced "
-                    f"by the telemetry metrics registry — use "
-                    f"MetricsRegistry handles (src/telemetry/metrics.h)"
-                )
 
 
 # --- check 5: transport raw-alloc ban --------------------------------------
@@ -335,7 +315,6 @@ def main() -> int:
     errors: list[str] = []
     check_raw_primitives(errors)
     check_guarded_members(errors)
-    check_legacy_counters(errors)
     check_transport_allocs(errors)
     if errors:
         for e in errors:
