@@ -35,8 +35,8 @@
 //               index order, so the selection is deterministic.
 //
 // All scratch is acquired from a common::BufferPool — the codec layer
-// preserves the repo's zero-steady-state-allocation guarantee (the raw-alloc
-// lint ban in tools/check_invariants.py covers this directory).
+// preserves the repo's zero-steady-state-allocation guarantee (the
+// analyzer's hot-path-alloc check covers this directory).
 #pragma once
 
 #include <cstddef>

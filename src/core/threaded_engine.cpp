@@ -707,26 +707,25 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // nor a scatter-back.
     UnitPieces(*unit, state.tensors, pieces);
     // Sparse codecs and the hierarchical all-reduce compute in place, on a
-    // pooled work copy of the input, and finish through WritePieces.
+    // pooled work copy of the tensors, and finish through WritePieces. The
+    // work copy reaches the tensors only after success, so they are intact
+    // for every later attempt.
     std::vector<float> work;
     const bool sparse_unit = compress::IsSparse(unit->codec.kind);
-    // A unit that tier 2 may retry on the ring reduces from pooled staging,
-    // gathered once: no collective writes its input, so every attempt
-    // reduces from these same bytes even after a failed attempt has partly
-    // overwritten the tensors. A sparse unit needs none: every attempt runs
-    // on the work copy, which reaches the tensors only after success.
+    const bool hierarchical_first =
+        !sparse_unit &&
+        config_.algorithm == collective::Algorithm::kHierarchical &&
+        world_size_ % 2 == 0 && world_size_ > 2;
+    // A ring attempt that tier 2 may retry reduces from pooled staging,
+    // gathered just before the unit's first ring attempt: no collective
+    // writes its input, so every ring attempt reduces from these same bytes
+    // even after a failed attempt has partly overwritten the tensors.
     // Without tier 2 a failed unit aborts the engine, and the tensors may
     // hold a partial result, as they would anyway.
-    const bool staged = retry_units && !sparse_unit;
+    bool staged = false;
     std::vector<float> staging;
     std::span<float> staging_piece;
-    std::span<const std::span<float>> input = pieces;
-    if (staged) {
-      staging = buffer_pool.Acquire(len);
-      collective::ReadPieces(pieces, staging);
-      staging_piece = staging;
-      input = std::span(&staging_piece, 1);
-    }
+    std::span<const std::span<float>> ring_input = pieces;
     // Sparse codecs carry an error-feedback residual alongside the data.
     // CompressedAllReduce updates its residual span before the ring runs,
     // so every attempt re-gathers it from the persistent copy, which is
@@ -738,7 +737,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     }
     auto reduce_work_copy = [&](auto&& all_reduce) {
       if (work.empty()) work = buffer_pool.Acquire(len);
-      collective::ReadPieces(input, work);
+      collective::ReadPieces(pieces, work);
       const Status result = all_reduce(std::span<float>(work));
       if (result.ok()) collective::WritePieces(work, pieces);
       return result;
@@ -785,15 +784,20 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
               comm, data, collective::ReduceOp::kAvg,
               std::span<float>(residual_staging));
         });
-      } else if (attempt == 0 &&
-                 config_.algorithm == collective::Algorithm::kHierarchical &&
-                 world_size_ % 2 == 0 && world_size_ > 2) {
+      } else if (attempt == 0 && hierarchical_first) {
         st = reduce_work_copy([&](std::span<float> data) {
           return collective::HierarchicalAllReduce(
               comm, /*gpus_per_host=*/2, data, collective::ReduceOp::kAvg);
         });
       } else {
-        st = collective::RingAllReduce(comm, input, pieces,
+        if (retry_units && !staged) {
+          staging = buffer_pool.Acquire(len);
+          collective::ReadPieces(pieces, staging);
+          staging_piece = staging;
+          ring_input = std::span(&staging_piece, 1);
+          staged = true;
+        }
+        st = collective::RingAllReduce(comm, ring_input, pieces,
                                        collective::ReduceOp::kAvg);
       }
       if (st.ok()) break;

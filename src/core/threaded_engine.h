@@ -14,13 +14,15 @@
 //     Algorithm 1 with actual threads instead of CUDA streams);
 //   * each unit's ring reads its slices straight from the caller's tensors
 //     and writes the averaged slices straight back (no gather, no
-//     scatter-back pass); only a ring unit that tier 2 may retry
-//     (FailureConfig::degrade_before_abort) is first gathered once into
-//     pooled staging, so every attempt reruns from the pre-ring bytes (a
-//     sparse-codec unit reduces on a work copy and needs none). The
-//     comm thread then does the unit's accounting under the rank mutex, and
-//     the worker unblocks when every registered gradient is reduced,
-//     applies the optimizer, and starts the next iteration.
+//     scatter-back pass); only a unit that tier 2 may retry
+//     (FailureConfig::degrade_before_abort) is gathered once into pooled
+//     staging, just before its first ring attempt, so every ring attempt
+//     reruns from the pre-ring bytes (sparse-codec and hierarchical
+//     attempts reduce on a work copy that reaches the tensors only on
+//     success, so they need none). The comm thread then does the unit's
+//     accounting under the rank mutex, and the worker unblocks when every
+//     registered gradient is reduced, applies the optimizer, and starts
+//     the next iteration.
 //
 // Failure semantics (paper §IV reliability posture, made real): when a
 // FailureConfig enables detection, each rank's comm side also runs a
@@ -93,10 +95,12 @@ struct FailureConfig {
   /// construction: a unit collective that fails on one rank fails on all
   /// (same ring), so every rank retries in lockstep. It also decides
   /// whether a unit is staged: a retry must rerun from the pre-ring bytes,
-  /// so with it on every ring unit is first gathered into pooled staging;
-  /// with it off the ring reads the tensors directly. Sparse-codec units
-  /// are never staged: each attempt reduces a fresh work copy of the
-  /// tensors, which it writes back only on success.
+  /// so with it on a unit is gathered into pooled staging just before its
+  /// first ring attempt; with it off the ring reads the tensors directly.
+  /// Sparse-codec units are never staged, and a hierarchical unit only
+  /// when its attempt 0 fails into a ring retry: those attempts reduce a
+  /// fresh work copy of the tensors, which they write back only on
+  /// success.
   bool degrade_before_abort = false;
 
   /// Observability tier: stack a TracingTransport on top of the stack so

@@ -1,9 +1,8 @@
-// Minimal self-contained stubs mirroring the repo's idioms so analyzer
-// fixtures compile standalone under the clang frontend (no repo headers,
-// no link step). The lite frontend never needs this header — it resolves
-// Send/Recv/Acquire/... signatures from the real src/ tree — but the
-// names and return types here MUST stay in sync with src/common and
-// src/transport or the two frontends would disagree on the fixtures.
+// Minimal self-contained stubs mirroring the repo's idioms, so each
+// analyzer fixture reads as standalone C++ (no repo headers, no link
+// step). The analyzer never reads this header: it resolves
+// Send/Recv/Acquire/... signatures from the real src/ tree, so the names
+// and return types here follow src/common and src/transport.
 #pragma once
 
 #include <cstddef>

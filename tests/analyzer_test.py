@@ -8,18 +8,15 @@ Four layers:
      good file.
   2. Suppression: inline ANALYZER-OK annotations silence findings (same
      line and line-above placements).
-  3. Degraded mode: --frontend clang without libclang must skip cleanly
-     (exit 0, "SKIPPED" in the output) rather than fail the build —
-     forced here via AIACC_ANALYZER_FORCE_NO_LIBCLANG so the test is
-     deterministic on hosts that do have libclang.
-  4. Frontend agreement: when libclang IS available, the clang frontend
-     must reproduce the lite frontend's golden findings (check,file,line)
-     over the same fixtures.
-  5. Header-lane audit: the tag-collision check cross-checks the tracing
+  3. Header-lane audit: the tag-collision check cross-checks the tracing
      stamp magic (src/telemetry/trace_context.h) against the reliable
      layer's frame-kind lanes (src/transport/reliable.cpp). A synthetic
      repo whose magic equals a kind value must be flagged; the repaired
      repo must pass.
+  4. Line-rule scopes: in a synthetic repo, raw-sync-primitive exempts
+     src/common/sync.h and covers examples/, hot-path-alloc covers
+     src/transport/ but not src/core/, and NOLOCK(...) / NOALLOC(...)
+     exempt their line.
 
 Exit 0 on success, 1 with a failure list otherwise.
 """
@@ -41,6 +38,9 @@ CHECK_STEMS = {
     "tag-collision": "tag_collision",
     "codec-record-validation": "codec_validation",
     "priority-ordering": "priority_ordering",
+    "raw-sync-primitive": "raw_sync_primitive",
+    "guarded-member": "guarded_member",
+    "hot-path-alloc": "hot_path_alloc",
 }
 
 failures: list[str] = []
@@ -51,11 +51,9 @@ def fail(msg: str) -> None:
     print("FAIL:", msg)
 
 
-def run(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run(args):
     return subprocess.run([sys.executable, ANALYZE] + args,
-                          capture_output=True, text=True, env=env, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO)
 
 
 def findings_of(json_path):
@@ -64,7 +62,7 @@ def findings_of(json_path):
     return sorted(f"{x['file']}:{x['line']}" for x in data["findings"])
 
 
-def golden_pass(frontend: str) -> None:
+def golden_pass() -> None:
     with open(os.path.join(REPO, FIXDIR, "expected_findings.json"),
               encoding="utf-8") as f:
         expected = {k: sorted(v) for k, v in json.load(f).items()
@@ -75,46 +73,38 @@ def golden_pass(frontend: str) -> None:
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tf:
             out_json = tf.name
         try:
-            p = run(["--frontend", frontend, "--no-baseline",
-                     "--check", check, "--json", out_json, bad, good])
+            p = run(["--no-baseline", "--check", check, "--json", out_json,
+                     bad, good])
             if p.returncode != 1:
-                fail(f"[{frontend}] {check}: expected exit 1 over bad+good "
+                fail(f"{check}: expected exit 1 over bad+good "
                      f"fixtures, got {p.returncode}\n{p.stdout}{p.stderr}")
                 continue
             got = findings_of(out_json)
             if got != expected[check]:
-                fail(f"[{frontend}] {check}: findings mismatch\n"
+                fail(f"{check}: findings mismatch\n"
                      f"  want: {expected[check]}\n  got:  {got}")
-            p_good = run(["--frontend", frontend, "--no-baseline",
-                          "--check", check, good])
+            p_good = run(["--no-baseline", "--check", check, good])
             if p_good.returncode != 0:
-                fail(f"[{frontend}] {check}: good fixture not clean "
+                fail(f"{check}: good fixture not clean "
                      f"(exit {p_good.returncode})\n"
                      f"{p_good.stdout}{p_good.stderr}")
         finally:
             os.unlink(out_json)
 
 
-# --- 1. fixture goldens (lite frontend: always available) ---------------
-golden_pass("lite")
+# --- 1. fixture goldens -------------------------------------------------
+golden_pass()
 
 # --- 2. inline suppression ----------------------------------------------
-p = run(["--frontend", "lite", "--no-baseline", "--check", "dropped-status",
+p = run(["--no-baseline", "--check", "dropped-status",
          os.path.join(FIXDIR, "suppressed.cc")])
 if p.returncode != 0 or "suppressed" not in p.stdout + p.stderr:
     fail(f"suppressed.cc: expected clean exit with suppression note, got "
          f"exit {p.returncode}\n{p.stdout}{p.stderr}")
 
-# --- 3. degraded mode ----------------------------------------------------
-p = run(["--frontend", "clang", os.path.join(FIXDIR, "dropped_status_bad.cc")],
-        env_extra={"AIACC_ANALYZER_FORCE_NO_LIBCLANG": "1"})
-if p.returncode != 0 or "SKIPPED" not in p.stdout + p.stderr:
-    fail(f"degraded mode: expected exit 0 + SKIPPED, got exit "
-         f"{p.returncode}\n{p.stdout}{p.stderr}")
-
 
 def header_lane_audit_pass(fake_repo: str) -> None:
-    """Layer 5: synthetic repo — real tags.h (so the tag relations stay
+    """Layer 3: synthetic repo — real tags.h (so the tag relations stay
     green), a minimal reliable.cpp, and a trace_context.h whose stamp
     magic varies per sub-case. The audit keys off repo files, not the
     analyzed translation units, so any clean .cc probe works as input."""
@@ -140,40 +130,79 @@ def header_lane_audit_pass(fake_repo: str) -> None:
                     f"inline constexpr std::uint32_t kStampMagic = {magic};\n")
 
     write_stamp("2")  # collides with kKindAck
-    p = run(["--repo", fake_repo, "--frontend", "lite", "--no-baseline",
-             "--check", "tag-collision", probe])
+    p = run(["--repo", fake_repo, "--no-baseline", "--check",
+             "tag-collision", probe])
     if p.returncode != 1 or "masquerade" not in p.stdout + p.stderr:
         fail(f"header-lane audit: expected exit 1 + masquerade finding for "
              f"colliding stamp magic, got exit {p.returncode}\n"
              f"{p.stdout}{p.stderr}")
 
     write_stamp("0x2000000")  # disjoint from the kinds but not float-exact
-    p = run(["--repo", fake_repo, "--frontend", "lite", "--no-baseline",
-             "--check", "tag-collision", probe])
+    p = run(["--repo", fake_repo, "--no-baseline", "--check",
+             "tag-collision", probe])
     if p.returncode != 1 or "float-representable" not in p.stdout + p.stderr:
         fail(f"header-lane audit: expected exit 1 + float-representable "
              f"finding for wide stamp magic, got exit {p.returncode}\n"
              f"{p.stdout}{p.stderr}")
 
     write_stamp("0xA1ACC")  # the real layout: disjoint and exact
-    p = run(["--repo", fake_repo, "--frontend", "lite", "--no-baseline",
-             "--check", "tag-collision", probe])
+    p = run(["--repo", fake_repo, "--no-baseline", "--check",
+             "tag-collision", probe])
     if p.returncode != 0:
         fail(f"header-lane audit: repaired repo not clean "
              f"(exit {p.returncode})\n{p.stdout}{p.stderr}")
 
-# --- 4. frontend agreement when libclang is present ----------------------
-sys.path.insert(0, os.path.join(REPO, "tools", "aiacc_analyzer"))
-import frontend_clang  # noqa: E402
 
-if frontend_clang.available():
-    golden_pass("clang")
-else:
-    print("note: libclang not available; frontend-agreement layer skipped")
+def line_rule_scope_pass(fake_repo: str) -> None:
+    """Layer 4: synthetic repo — the path scopes and line markers of the
+    three line rules. Each case is one file holding one candidate line;
+    each check runs once over its cases and must flag exactly the files
+    marked True."""
+    open(os.path.join(fake_repo, "ROADMAP.md"), "w").close()  # pins repo root
+    member = "class C {{\n  common::Mutex mu_;\n  int n_ = 0;{}\n}};"
+    cases = {
+        "raw-sync-primitive": [
+            ("src/common/sync.h", "std::mutex mu;", False),
+            ("src/core/a.cpp", "std::mutex mu;", True),
+            ("examples/demo.cpp", "std::condition_variable cv;", True),
+        ],
+        "hot-path-alloc": [
+            ("src/transport/a.cpp", "int* p = new int(1);", True),
+            ("src/compress/a.cpp", "void* p = malloc(8);", True),
+            ("src/core/a.cpp", "int* p = new int(1);", False),
+            ("src/transport/b.cpp",
+             "int* p = new int(1);  // NOALLOC(one-time setup)", False),
+        ],
+        "guarded-member": [
+            ("src/core/c.h", member.format(""), True),
+            ("src/core/d.h", member.format("  // NOLOCK(set before start)"),
+             False),
+            ("tools/e.h", member.format(""), False),
+        ],
+    }
+    out_json = os.path.join(fake_repo, "findings.json")
+    for check, files in cases.items():
+        for rel, text, _ in files:
+            path = os.path.join(fake_repo, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+        run(["--repo", fake_repo, "--no-baseline", "--check", check,
+             "--json", out_json] + [rel for rel, _, _ in files])
+        with open(out_json, encoding="utf-8") as f:
+            got = sorted({x["file"] for x in json.load(f)["findings"]})
+        want = sorted(rel for rel, _, flagged in files if flagged)
+        if got != want:
+            fail(f"line-rule scope: {check} flagged {got}, want {want}")
 
-# --- 5. header-lane audit -------------------------------------------------
+
+# --- 3. header-lane audit -------------------------------------------------
 with tempfile.TemporaryDirectory() as td:
     header_lane_audit_pass(td)
+
+# --- 4. line-rule scopes --------------------------------------------------
+with tempfile.TemporaryDirectory() as td:
+    line_rule_scope_pass(td)
 
 if failures:
     print(f"\n{len(failures)} analyzer self-test failure(s)")

@@ -266,8 +266,10 @@ TEST(ChaosSoakTest, EngineSurvivesDropChaosWhereSeedAborts) {
 // Tier 2: units whose primary tag namespace is blackholed are retried on
 // fresh epoch tags at depth 1, and the results stay bit-exact (ring retries
 // rerun from the unit's staging, sparse retries from a fresh work copy of
-// the untouched tensors). The contrast leg shows the coverage is tier 2's
-// alone: without unit retry the same schedule aborts.
+// the untouched tensors; a failed hierarchical attempt 0 leaves the tensors
+// untouched too, so its ring retry stages from them). The contrast leg
+// shows the coverage is tier 2's alone: without unit retry the same
+// schedule aborts.
 TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
   const int world = 2;
   const int iters = 6;
@@ -326,8 +328,32 @@ TEST(ChaosSoakTest, EngineRetriesUnitsOnFreshEpochs) {
     EXPECT_GT(unit_retries, 0u) << "no unit retries recorded";
   }
 
-  // Contrast: the blackhole without unit retry aborts (tier 3).
+  // World 4, hierarchical: the blackhole fails every hierarchical attempt
+  // 0, which touched only its work copy, and each retry runs on the ring.
+  // RunEngine's dyadic inputs make the ring and hierarchical averages exact
+  // in any order, so the retried run must match the clean one bit for bit.
   failure.faults->per_tag[0].faults.drop_prob = 1.0;
+  {
+    SCOPED_TRACE("world 4, hierarchical, primary-namespace blackhole");
+    CommConfig hier_config = config;
+    hier_config.algorithm = collective::Algorithm::kHierarchical;
+    const auto clean_hier =
+        RunEngine(4, hier_config, FailureConfig{}, iters, &failed);
+    ASSERT_FALSE(failed);
+    std::uint64_t unit_retries = 0;
+    const auto result =
+        RunEngine(4, hier_config, failure, iters, &failed,
+                  [&](ThreadedAiaccEngine& engine) {
+                    unit_retries = engine.metrics()
+                                       .GetCounter("engine.unit_retries")
+                                       .Value();
+                  });
+    EXPECT_FALSE(failed) << "engine aborted instead of retrying units";
+    EXPECT_EQ(result, clean_hier) << "unit retries changed the numerics";
+    EXPECT_GT(unit_retries, 0u) << "no unit retries recorded";
+  }
+
+  // Contrast: the blackhole without unit retry aborts (tier 3).
   failure.degrade_before_abort = false;
   RunEngine(world, config, failure, iters, &failed);
   EXPECT_TRUE(failed) << "expected the engine to abort without unit retry";

@@ -133,21 +133,28 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
   // The MLP's 4 gradients, and 2000 two-float tensors: PushAll enqueues
   // every id and the flush marker as one batch, so the MPI process agrees
   // on all of them in one sync round however many there are. The MLP runs
-  // once more over a top-k codec, whose units reduce on a work copy.
+  // once more over a top-k codec, and once on 4 ranks with the
+  // hierarchical all-reduce; both reduce on a work copy.
   struct Case {
     std::size_t many;
     bool sparse;
+    bool hierarchical;
   };
-  for (const Case c : {Case{0, false}, Case{2000, false}, Case{0, true}}) {
+  for (const Case c : {Case{0, false, false}, Case{2000, false, false},
+                       Case{0, true, false}, Case{0, false, true}}) {
     const std::size_t many = c.many;
+    const int world = c.hierarchical ? 4 : 2;
     config.codec = c.sparse ? compress::CodecSpec{compress::CodecKind::kTopK,
                                                   0.25f}
                             : compress::CodecSpec{};
+    config.algorithm = c.hierarchical ? collective::Algorithm::kHierarchical
+                                      : collective::Algorithm::kRing;
     const std::size_t n_grads =
         many > 0 ? many
                  : dnn::Mlp({kIn, 12, kOut}, 42).GradientTensors().size();
-    const std::string label =
-        std::to_string(n_grads) + " tensors" + (c.sparse ? ", top-k" : "");
+    const std::string label = std::to_string(n_grads) + " tensors" +
+                              (c.sparse ? ", top-k" : "") +
+                              (c.hierarchical ? ", hierarchical" : "");
     // Pool buffers acquired over the whole run, and units reduced on all
     // ranks, indexed by retry_units.
     std::uint64_t acquired[2] = {0, 0};
@@ -161,14 +168,14 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
         return st.hits + st.misses;
       };
       const std::uint64_t acquires_before = pool_acquires();
-      ThreadedAiaccEngine engine(2, config, [&] {
+      ThreadedAiaccEngine engine(world, config, [&] {
         FailureConfig failure;
         failure.degrade_before_abort = retry_units;
         return failure;
       }());
       std::vector<std::thread> threads;
-      const int shard = ds.num_samples / 2;
-      for (int r = 0; r < 2; ++r) {
+      const int shard = ds.num_samples / world;
+      for (int r = 0; r < world; ++r) {
         threads.emplace_back([&, r] {
           auto& worker = engine.worker(r);
           dnn::Mlp model({kIn, 12, kOut}, 42);
@@ -207,7 +214,7 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
       }
       for (auto& t : threads) t.join();
       acquired[retry_units] = pool_acquires() - acquires_before;
-      for (int r = 0; r < 2; ++r) {
+      for (int r = 0; r < world; ++r) {
         const auto& stats = engine.worker(r).stats();
         units[retry_units] += stats.units_reduced;
         EXPECT_EQ(stats.iterations, static_cast<std::uint64_t>(steps));
@@ -228,11 +235,12 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
     // Staging exists only for ring retries: without tier 2 the ring reads
     // the tensors directly, one pooled buffer fewer per unit and rank, and
     // nothing else the engine acquires changes. A sparse unit reduces on a
-    // work copy on every attempt, so tier 2 stages nothing for it.
+    // work copy on every attempt, and a hierarchical attempt 0 does too, so
+    // on a fault-free run tier 2 stages nothing for either.
     SCOPED_TRACE(label);
     EXPECT_EQ(units[false], units[true]);
     EXPECT_EQ(acquired[true] - acquired[false],
-              c.sparse ? std::uint64_t{0} : units[true]);
+              c.sparse || c.hierarchical ? std::uint64_t{0} : units[true]);
   }
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""aiacc-analyzer — AST-level protocol & resource checks for the repo.
+"""aiacc-analyzer — the repo's source lint: protocol, resource and
+concurrency rules (see DESIGN.md "Static analysis").
 
-Six checks regex cannot express (see DESIGN.md "Static analysis"):
+Six checks walk a function-level IR that a dependency-free structural
+frontend (frontend_lite.py) builds from the source text:
   dropped-status            Status/Result values discarded or overwritten
                             before inspection
   pool-leak                 BufferPool::Acquire without Release/move-out on
@@ -19,23 +21,22 @@ Six checks regex cannot express (see DESIGN.md "Static analysis"):
                             ReadySetScheduler::Push/PopFor — a raw
                             BlockingQueue<AllReduceUnit> (or Push/Pop on
                             one) bypasses priority order and aging
-
-Frontends:
-  clang  libclang (Python clang.cindex) over build/compile_commands.json —
-         the full-fidelity frontend CI runs. If libclang is missing the
-         tool SKIPs cleanly (exit 0) so dev boxes without clang never
-         fail the lint lane.
-  lite   dependency-free structural frontend lowering to the same IR —
-         always available, used for local runs and the fixture self-test.
-  auto   clang when importable, else lite (default).
+Three are line rules over the comment- and string-stripped text:
+  raw-sync-primitive        std::mutex / condition_variable / notify_* only
+                            in src/common/sync.h
+  guarded-member            a Mutex-owning class in src/ marks each mutable
+                            member GUARDED_BY(...) or NOLOCK(reason)
+  hot-path-alloc            no new / malloc / calloc / realloc in
+                            src/transport/ or src/compress/ unless the line
+                            says NOALLOC(reason)
 
 Usage:
   python3 tools/aiacc_analyzer/analyze.py                 # all of src/
-  python3 tools/aiacc_analyzer/analyze.py src/compress    # a subtree
-  python3 tools/aiacc_analyzer/analyze.py --json out.json --frontend lite
+  python3 tools/aiacc_analyzer/analyze.py src tests bench examples
+  python3 tools/aiacc_analyzer/analyze.py --json out.json src/compress
   python3 tools/aiacc_analyzer/analyze.py --update-baseline
 
-Exit codes: 0 clean (or skipped), 1 findings, 2 usage/internal error.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 Suppressions: `// ANALYZER-OK(check: reason)` on the finding's line or the
 line above; checked-in waivers live in tools/aiacc_analyzer/baseline.json.
 """
@@ -50,6 +51,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import checks as checks_mod  # noqa: E402
 import findings as findings_mod  # noqa: E402
+import frontend_lite  # noqa: E402
 
 TOOL = "aiacc-analyzer"
 DEFAULT_BASELINE = os.path.join("tools", "aiacc_analyzer", "baseline.json")
@@ -88,27 +90,12 @@ def collect_files(repo: str, paths: list[str]) -> list[str]:
     return sorted(set(rels))
 
 
-def clang_available() -> bool:
-    if os.environ.get("AIACC_ANALYZER_FORCE_NO_LIBCLANG"):
-        return False
-    try:
-        import frontend_clang  # noqa: F401
-        return frontend_clang.available()
-    except Exception:
-        return False
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog=TOOL, description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="*", default=None,
                     help="files/dirs to analyze (default: src/)")
     ap.add_argument("--repo", default=None, help="repository root")
-    ap.add_argument("--build-dir", default="build",
-                    help="build dir holding compile_commands.json "
-                         "(clang frontend)")
-    ap.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                    default="auto")
     ap.add_argument("--check", action="append", default=None,
                     metavar="NAME", help="run only this check (repeatable)")
     ap.add_argument("--json", default=None, metavar="OUT",
@@ -134,23 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{TOOL}: no C++ files to analyze")
         return 0
 
-    # -- frontend selection -------------------------------------------------
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "clang" if clang_available() else "lite"
-    if frontend == "clang" and not clang_available():
-        print(f"{TOOL}: SKIPPED: libclang (python clang.cindex) is not "
-              f"available on this machine; install libclang or rerun with "
-              f"--frontend lite")
-        return 0
-
-    if frontend == "clang":
-        import frontend_clang
-        project = frontend_clang.load_project(repo, files, args.build_dir)
-    else:
-        import frontend_lite
-        project = frontend_lite.load_project(repo, files)
-
+    project = frontend_lite.load_project(repo, files)
     ctx = checks_mod.Context(repo)
     all_findings = checks_mod.run_checks(project, ctx, only=args.check)
 
@@ -193,15 +164,14 @@ def main(argv: list[str] | None = None) -> int:
         out_path = args.json if os.path.isabs(args.json) else os.path.join(
             os.getcwd(), args.json)
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(findings_mod.to_json(kept, TOOL, frontend))
+            fh.write(findings_mod.to_json(kept, TOOL))
 
     note = f" ({suppressed} suppressed/baselined)" if suppressed else ""
     if kept:
-        print(f"{TOOL}: {len(kept)} finding(s) over {len(files)} file(s) "
-              f"[frontend={frontend}]{note}", file=sys.stderr)
+        print(f"{TOOL}: {len(kept)} finding(s) over {len(files)} "
+              f"file(s){note}", file=sys.stderr)
         return 1
-    print(f"{TOOL}: clean over {len(files)} file(s) "
-          f"[frontend={frontend}]{note}")
+    print(f"{TOOL}: clean over {len(files)} file(s){note}")
     return 0
 
 

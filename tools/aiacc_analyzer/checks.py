@@ -1,9 +1,11 @@
-"""The six aiacc-analyzer checks, all operating on the frontend IR.
+"""The nine aiacc-analyzer checks.
 
 Each check is a function `(project, ctx) -> list[Finding]`. `ctx` carries
-repo paths and the parsed tag-layout environment. Checks must be
-frontend-agnostic: they see only ir.py shapes and treat type/receiver
-fields as spellings.
+repo paths, the parsed tag-layout environment and a cache of file texts.
+Checks 1-6 walk the frontend IR and treat its type/receiver fields as
+spellings. Checks 7-9 are line rules over the comment- and string-stripped
+file text, since a class member or a `new` outside any function body never
+reaches the IR.
 """
 
 from __future__ import annotations
@@ -20,6 +22,23 @@ class Context:
     def __init__(self, repo: str):
         self.repo = repo
         self.tag_env = parse_tag_env(repo)
+        self._sources: dict[str, tuple[list[str], list[str]]] = {}
+
+    def source(self, rel: str) -> tuple[list[str], list[str]]:
+        """(raw lines, stripped lines) of a repo file; both empty when it
+        cannot be read. The stripped text blanks comments and literal
+        contents, so markers like NOLOCK(...) are read from the raw line."""
+        if rel not in self._sources:
+            try:
+                with open(os.path.join(self.repo, rel),
+                          encoding="utf-8") as fh:
+                    raw = fh.read()
+            except OSError:
+                raw = ""
+            self._sources[rel] = (
+                raw.splitlines(),
+                strip_comments_and_strings(raw).splitlines())
+        return self._sources[rel]
 
 
 def word_in(word: str, text: str) -> bool:
@@ -623,8 +642,7 @@ def check_tag_collision(project, ctx) -> list[Finding]:
             message="could not parse constants: " + ", ".join(missing)))
         return out
 
-    # Layout relations (supersedes check_invariants.py check 2): the
-    # namespace carve-up must nest without overlap.
+    # Layout relations: the namespace carve-up must nest without overlap.
     def relation(cond: bool, msg: str) -> None:
         if not cond:
             out.append(Finding(check="tag-collision", file=_TAGS_REL, line=1,
@@ -842,13 +860,7 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
         # Raw-text pass for declarations: class members never appear in the
         # function IR, so the IR alone cannot see the queue come into
         # existence.
-        try:
-            with open(os.path.join(ctx.repo, fir.path),
-                      encoding="utf-8") as fh:
-                text = strip_comments_and_strings(fh.read())
-        except OSError:
-            text = ""
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(ctx.source(fir.path)[1], 1):
             m = _UNIT_QUEUE_DECL.search(line)
             if m is None:
                 continue
@@ -879,6 +891,188 @@ def check_priority_ordering(project, ctx) -> list[Finding]:
 
 
 # ==========================================================================
+# Check 7: raw-sync-primitive
+# ==========================================================================
+
+# The annotated wrapper layer: the one file that may spell the raw types.
+_SYNC_HEADER = "src/common/sync.h"
+_RAW_SYNC = ("std::mutex", "std::recursive_mutex", "std::shared_mutex",
+             "std::condition_variable", "notify_one(", "notify_all(")
+
+
+def _raw_sync_scope(path: str) -> bool:
+    # The fixtures live under tests/, so they need no basename escape.
+    norm = path.replace("\\", "/")
+    return (norm != _SYNC_HEADER and norm.split("/", 1)[0]
+            in ("src", "tests", "bench", "examples"))
+
+
+def check_raw_sync_primitive(project, ctx) -> list[Finding]:
+    """Every lock must be a common::Mutex / CondVar so the lock-order
+    detector and Clang's thread-safety analysis see it."""
+    out: list[Finding] = []
+    for fir in project.files:
+        if not _raw_sync_scope(fir.path):
+            continue
+        for lineno, line in enumerate(ctx.source(fir.path)[1], 1):
+            for token in _RAW_SYNC:
+                if token not in line:
+                    continue
+                name = token.rstrip("(")
+                out.append(Finding(
+                    check="raw-sync-primitive", file=fir.path, line=lineno,
+                    symbol=name,
+                    message=f"raw '{name}' outside {_SYNC_HEADER}; use "
+                            f"common::Mutex / common::CondVar"))
+    return out
+
+
+# ==========================================================================
+# Check 8: guarded-member
+# ==========================================================================
+
+# Top-level class lines that are never data members.
+_MEMBER_SKIP = re.compile(
+    r"^\s*(?:"
+    r"static\b|using\b|typedef\b|friend\b|public:|private:|protected:|"
+    r"template\b|enum\b|struct\b|class\b|return\b|if\b|for\b|while\b|"
+    r"switch\b|case\b|#"
+    r")"
+)
+
+# A member needs no lock when its type is a synchronization primitive or
+# an atomic, or when it is const (immutable after construction).
+_EXEMPT_TYPE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:"
+    r"(?:common::|aiacc::common::)?(?:Mutex|CondVar|MutexLock)\b|"
+    r"std::atomic\b|"
+    r"const\b|"
+    r"(?:[\w:<>,\s*&]+\s)?const\s+[\w:]+\s*(?:\*\s*)?const\b"
+    r")"
+)
+
+_MEMBER_DECL = re.compile(
+    r"^\s*(?:mutable\s+)?[\w:<>,\s*&\[\]~]+?[\s*&]"
+    r"(\w+)\s*(?:\{[^;]*\}|=[^;]*)?;"
+)
+
+_FN_DECL = re.compile(r"\)\s*(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?"
+                      r"(?:=\s*(?:default|delete|0)\s*)?;")
+
+_CLASS_OPEN = re.compile(r"^\s*(?:class|struct)\s+\w+[^;{]*\{")
+
+_NOLOCK = re.compile(r"NOLOCK\([^)]+\)")
+
+
+def _guarded_scope(path: str) -> bool:
+    norm = path.replace("\\", "/")
+    if norm == _SYNC_HEADER:
+        return False
+    return norm.startswith("src/") or "guarded_member" in os.path.basename(norm)
+
+
+def _mutex_class_bodies(lines: list[str]):
+    """Yield the top-level lines, as (index, line), of every class/struct
+    body that declares a Mutex member. Top level means brace depth one
+    inside the class and no unclosed parenthesis: method bodies, nested
+    structs and wrapped parameter lists are excluded. Brace counting is
+    enough for this codebase's clang-format style."""
+    stack = []  # [depth at open, top-level lines]
+    depth = 0
+    parens = 0
+    for idx, line in enumerate(lines):
+        if _CLASS_OPEN.match(line) and "}" not in line and parens == 0:
+            stack.append([depth, []])
+        else:
+            for open_depth, members in stack:
+                if depth == open_depth + 1 and parens == 0:
+                    members.append((idx, line))
+        depth += line.count("{") - line.count("}")
+        parens += line.count("(") - line.count(")")
+        while stack and depth <= stack[-1][0]:
+            members = stack.pop()[1]
+            if re.search(r"\b(?:common::)?Mutex\s+\w+",
+                         "\n".join(l for _, l in members)):
+                yield members
+
+
+def check_guarded_member(project, ctx) -> list[Finding]:
+    """A class in src/ that owns a common::Mutex must mark each mutable
+    data member GUARDED_BY(...) or carry NOLOCK(reason) on its line; GCC
+    builds run no thread-safety analysis, so "added a field, forgot the
+    lock" would otherwise go unseen."""
+    out: list[Finding] = []
+    for fir in project.files:
+        if not _guarded_scope(fir.path):
+            continue
+        raw_lines, lines = ctx.source(fir.path)
+        if not any("Mutex" in line for line in lines):
+            continue
+        for body in _mutex_class_bodies(lines):
+            for idx, line in body:
+                if (_MEMBER_SKIP.match(line) or "operator" in line
+                        or _FN_DECL.search(line)):
+                    continue
+                m = _MEMBER_DECL.match(line)
+                if not m or _EXEMPT_TYPE.match(line) or "GUARDED_BY" in line:
+                    continue
+                if idx < len(raw_lines) and _NOLOCK.search(raw_lines[idx]):
+                    continue
+                # clang-format may wrap the annotation onto the next line.
+                context = "\n".join(l for i, l in body if abs(i - idx) <= 1)
+                if f"{m.group(1)} GUARDED_BY" in context:
+                    continue
+                out.append(Finding(
+                    check="guarded-member", file=fir.path, line=idx + 1,
+                    symbol=m.group(1),
+                    message=f"member '{m.group(1)}' in a Mutex-owning class "
+                            f"lacks GUARDED_BY(...); annotate it or mark the "
+                            f"line with NOLOCK(reason)"))
+    return out
+
+
+# ==========================================================================
+# Check 9: hot-path-alloc
+# ==========================================================================
+
+# Every payload and codec scratch buffer on the steady-state hot path must
+# come from common::BufferPool: the zero-alloc chaos and codec assertions
+# depend on it.
+_HOT_PATH_DIRS = ("src/transport/", "src/compress/")
+_RAW_ALLOC = re.compile(r"\bnew\b|\b(?:malloc|calloc|realloc)\s*\(")
+_NOALLOC = re.compile(r"NOALLOC\([^)]+\)")
+
+
+def _hot_path_scope(path: str) -> bool:
+    norm = path.replace("\\", "/")
+    return (norm.startswith(_HOT_PATH_DIRS)
+            or "hot_path_alloc" in os.path.basename(norm))
+
+
+def check_hot_path_alloc(project, ctx) -> list[Finding]:
+    out: list[Finding] = []
+    for fir in project.files:
+        if not _hot_path_scope(fir.path):
+            continue
+        raw_lines, lines = ctx.source(fir.path)
+        for idx, line in enumerate(lines):
+            m = _RAW_ALLOC.search(line)
+            if m is None:
+                continue
+            if idx < len(raw_lines) and _NOALLOC.search(raw_lines[idx]):
+                continue
+            name = m.group(0).rstrip("(").strip()
+            out.append(Finding(
+                check="hot-path-alloc", file=fir.path, line=idx + 1,
+                symbol=name,
+                message=f"raw '{name}' on the hot path; payload buffers must "
+                        f"come from common::BufferPool (steady-state "
+                        f"zero-alloc invariant); mark a deliberate exception "
+                        f"with NOALLOC(reason)"))
+    return out
+
+
+# ==========================================================================
 
 ALL_CHECKS = {
     "dropped-status": check_dropped_status,
@@ -887,6 +1081,9 @@ ALL_CHECKS = {
     "tag-collision": check_tag_collision,
     "codec-record-validation": check_codec_record_validation,
     "priority-ordering": check_priority_ordering,
+    "raw-sync-primitive": check_raw_sync_primitive,
+    "guarded-member": check_guarded_member,
+    "hot-path-alloc": check_hot_path_alloc,
 }
 
 

@@ -3,7 +3,7 @@
 The JSON artifact format is shared with tools/run_clang_tidy.py
 (--fix-notes) so CI consumes one findings shape from both linters:
 
-    {"version": 1, "tool": "...", "frontend": "...",
+    {"version": 1, "tool": "...",
      "findings": [{"check","file","line","message","symbol"}...]}
 
 Baselines match on (check, file, symbol, message) — never on line, so
@@ -36,12 +36,11 @@ class Finding:
         return (self.check, self.file, self.symbol, self.message)
 
 
-def to_json(findings: list[Finding], tool: str, frontend: str) -> str:
+def to_json(findings: list[Finding], tool: str) -> str:
     return json.dumps(
         {
             "version": FORMAT_VERSION,
             "tool": tool,
-            "frontend": frontend,
             "findings": [asdict(f) for f in findings],
         },
         indent=2,

@@ -1,12 +1,11 @@
-"""Structural (non-libclang) frontend.
+"""The analyzer's structural frontend.
 
 Lowers the repo's C++ to the analyzer IR with a brace/paren-driven scan:
 no preprocessor, no templates instantiation, no overload resolution —
 just the statement structure, calls, and declarations the checks need.
-It exists so the analyzer runs (and its fixtures test) on machines
-without libclang; frontend_clang.py is the full-fidelity twin and CI's
-canonical frontend. Both must produce the same findings on the fixture
-corpus (tests/analyzer_test.py asserts this for whichever is available).
+It needs nothing beyond the Python standard library, so the analyzer
+runs wherever the tests do; the fixture goldens in tests/analyzer_test.py
+pin what it reports.
 
 Known, accepted approximations:
   * `Call.returns_status` comes from a repo-wide signature index (any
@@ -769,7 +768,7 @@ def load_project(repo: str, files: list[str]) -> ProjectIR:
             dir_header_cache[d] = hdrs
         return dir_header_cache[d]
 
-    project = ProjectIR(frontend="lite")
+    project = ProjectIR()
     project.signature_index = build_signature_index(texts)
     for rel in files:
         raw = texts[rel]

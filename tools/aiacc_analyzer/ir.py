@@ -1,16 +1,14 @@
-"""The analyzer IR: a function-granular statement tree both frontends
-lower to, and the only shape the checks ever see.
+"""The analyzer IR: a function-granular statement tree the frontend
+(frontend_lite.py) lowers the source to, and the only shape the IR checks
+ever see.
 
-The IR is deliberately small — it models exactly what the five checks
+The IR is deliberately small — it models exactly what the IR checks
 need: statement structure (blocks / branches / loops / returns), the
 calls each statement makes (callee name, receiver text, argument texts),
-and local declarations with their spelled type. The clang frontend
-(frontend_clang.py) fills it from real AST cursors; the lite frontend
-(frontend_lite.py) from a structural scan. Checks must therefore treat
-fields as best-effort spellings, not resolved semantics — with one
-exception: `Call.returns_status`, which the clang frontend resolves from
-the callee's real result type and the lite frontend from the repo-wide
-signature index.
+and local declarations with their spelled type. The frontend fills it
+from a structural scan, so checks must treat fields as best-effort
+spellings, not resolved semantics. `Call.returns_status` is resolved from
+the repo-wide signature index.
 """
 
 from __future__ import annotations
@@ -113,10 +111,9 @@ class FileIR:
 class ProjectIR:
     files: list[FileIR] = field(default_factory=list)
     # function name -> "status" | "result" for every function the project
-    # declares with a Status / Result<T> return type (lite-frontend
-    # fallback for Call.returns_status).
+    # declares with a Status / Result<T> return type (resolves
+    # Call.returns_status).
     signature_index: dict = field(default_factory=dict)
-    frontend: str = "lite"
 
     def functions(self):
         for f in self.files:

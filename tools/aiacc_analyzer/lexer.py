@@ -1,10 +1,11 @@
-"""Lexical utilities shared by the aiacc-analyzer frontends.
+"""Lexical utilities shared by the aiacc-analyzer frontend and its line
+checks.
 
 Everything here operates on plain text and is careful about the C++
 lexical grammar the repo actually uses: //, /* */ comments, ordinary
 string/char literals with escapes, and raw string literals
-(R"delim( ... )delim") — the last being exactly what regex-based lints
-historically mishandled (see tools/check_invariants.py history).
+(R"delim( ... )delim") — the last being exactly what naive regex lints
+mishandle: a `//` or a brace inside one must not read as code.
 """
 
 from __future__ import annotations

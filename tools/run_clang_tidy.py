@@ -98,7 +98,7 @@ def main() -> int:
     if args.fix_notes:
         with open(args.fix_notes, "w", encoding="utf-8") as f:
             json.dump({"version": 1, "tool": "clang-tidy",
-                       "frontend": "clang-tidy", "findings": notes},
+                       "findings": notes},
                       f, indent=2)
             f.write("\n")
         print(f"clang-tidy: {len(notes)} note(s) -> {args.fix_notes}")
