@@ -16,7 +16,7 @@ int main() {
 
   autotune::TuningCache cache;
   TablePrinter table({"model", "GPUs", "streams", "granularity", "algorithm",
-                      "depth", "tuned thr", "default thr", "gain"});
+                      "tuned thr", "default thr", "gain"});
   struct Workload {
     const char* model;
     int batch;
@@ -41,7 +41,6 @@ int main() {
                     std::to_string(cfg.num_streams),
                     FormatBytes(static_cast<double>(cfg.granularity_bytes)),
                     collective::ToString(cfg.algorithm),
-                    std::to_string(cfg.pipeline_depth),
                     FormatDouble(tuned.throughput, 0),
                     FormatDouble(defaults.throughput, 0),
                     FormatDouble(tuned.throughput / defaults.throughput, 2) +

@@ -24,36 +24,15 @@ AutotuneResult Tune(const Objective& objective, AutotuneOptions options) {
 
   int step_no = 0;
 
-  // Evaluate one config, penalizing flakiness: the raw reward is divided by
-  // (1 + penalty * fault_events), where fault_events is the configured
-  // fault-pressure probe's delta across the evaluation. A config that hit
-  // its throughput only by leaning on retransmits/retries reports a lower
-  // effective reward, so the solver steers toward configs that run clean.
-  auto evaluate = [&](const core::CommConfig& config,
-                      std::uint64_t* fault_events) {
-    const std::uint64_t before =
-        options.fault_pressure ? options.fault_pressure() : 0;
-    double score = objective(config);
-    const std::uint64_t delta =
-        options.fault_pressure ? options.fault_pressure() - before : 0;
-    *fault_events = delta;
-    if (delta > 0 && options.flakiness_penalty > 0.0) {
-      score /= 1.0 + options.flakiness_penalty * static_cast<double>(delta);
-    }
-    return score;
-  };
-
   // Seed from the tuning cache when a similar deployment is known.
   if (options.cache != nullptr) {
     AIACC_CHECK(options.model != nullptr && options.topology.has_value());
     if (auto seed =
             options.cache->LookupSimilar(*options.model, *options.topology)) {
       AIACC_TRACE_INSTANT("autotune", "cache-seed");
-      std::uint64_t fault_events = 0;
-      const double score = evaluate(*seed, &fault_events);
+      const double score = objective(*seed);
       result.history.push_back(
-          TuneRecord{step_no++, "cache-seed", *seed, score, true,
-                     fault_events});
+          TuneRecord{step_no++, "cache-seed", *seed, score, true});
       result.best_config = *seed;
       result.best_score = score;
       result.seeded_from_cache = true;
@@ -66,10 +45,9 @@ AutotuneResult Tune(const Objective& objective, AutotuneOptions options) {
   while (auto step = solver.NextStep()) {
     const std::string& searcher = solver.SearcherName(step->searcher_index);
     double score = 0.0;
-    std::uint64_t fault_events = 0;
     {
       AIACC_TRACE_SPAN_IDX("autotune.step", "step", step->searcher_index);
-      score = evaluate(step->config, &fault_events);
+      score = objective(step->config);
     }
     solver.Report(*step, score);
     steps.Add();
@@ -83,8 +61,8 @@ AutotuneResult Tune(const Objective& objective, AutotuneOptions options) {
       best_gauge.Set(score);
       AIACC_TRACE_INSTANT("autotune", "new-best");
     }
-    result.history.push_back(TuneRecord{step_no++, searcher, step->config,
-                                        score, new_best, fault_events});
+    result.history.push_back(
+        TuneRecord{step_no++, searcher, step->config, score, new_best});
   }
   result.searcher_usage = solver.UsageCounts();
 

@@ -5,7 +5,6 @@
 // computation cycle is wasted".
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 
@@ -20,10 +19,6 @@ struct TuneRecord {
   core::CommConfig config;
   double score = 0.0;
   bool new_best = false;
-  /// Fault-pressure delta observed while evaluating this config (0 when no
-  /// fault_pressure probe is configured): in-band repair events — unit
-  /// retries, retransmits, CRC failures — this evaluation triggered.
-  std::uint64_t fault_events = 0;
 };
 
 struct AutotuneResult {
@@ -47,17 +42,6 @@ struct AutotuneOptions {
   TuningCache* cache = nullptr;
   const dnn::ModelDescriptor* model = nullptr;   // required when cache set
   std::optional<net::Topology> topology;          // required when cache set
-
-  /// Optional monotonic fault-pressure probe (e.g.
-  /// ThreadedAiaccEngine::FaultPressure): sampled before and after each
-  /// evaluation; the delta is the repair work (retransmits, unit retries,
-  /// CRC failures) that config caused. Its reward is then divided by
-  /// (1 + flakiness_penalty * delta), so a config that only scores well
-  /// while leaning on the reliability machinery stops being re-selected —
-  /// aggressive depth/stream settings must *earn* their throughput through
-  /// clean rounds, not through retransmit luck.
-  std::function<std::uint64_t()> fault_pressure;
-  double flakiness_penalty = 0.0;
 };
 
 AutotuneResult Tune(const Objective& objective, AutotuneOptions options);

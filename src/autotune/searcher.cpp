@@ -57,15 +57,9 @@ core::CommConfig PbtSearcher::Perturb(const core::CommConfig& base,
         static_cast<std::int64_t>(idx) + dir, 0, n - 1);
     value = options[static_cast<std::size_t>(next)];
   };
-  switch (rng.UniformInt(0, 6)) {
+  switch (rng.UniformInt(0, 2)) {
     case 0: nudge(out.num_streams, space_.stream_options); break;
     case 1: nudge(out.granularity_bytes, space_.granularity_options); break;
-    case 2: nudge(out.pipeline_depth, space_.pipeline_depth_options); break;
-    case 3: nudge(out.codec, space_.codec_options); break;
-    case 4:
-      nudge(out.priority_urgent_fraction, space_.priority_urgent_options);
-      break;
-    case 5: nudge(out.priority_aging_ms, space_.priority_aging_options); break;
     default:
       out.algorithm = out.algorithm == collective::Algorithm::kRing
                           ? collective::Algorithm::kHierarchical
@@ -123,11 +117,8 @@ BayesSearcher::BayesSearcher(core::CommConfigSpace space)
     : Searcher(std::move(space)) {}
 
 std::vector<double> BayesSearcher::Encode(const core::CommConfig& c) const {
-  // Normalize to [0,1]^7: log2(streams)/5, position of granularity on its
-  // log scale, algorithm as a binary coordinate, log2(pipeline depth)/3,
-  // the codec's position in the option list (ordinal — neighbours in the
-  // list are the most similar wire formats), and the two scheduler axes as
-  // ordinal positions in their option lists.
+  // Normalize to [0,1]^3: log2(streams)/5, position of granularity on its
+  // log scale, and the algorithm as a binary coordinate.
   const double s = std::log2(static_cast<double>(c.num_streams)) / 5.0;
   const double lo =
       std::log2(static_cast<double>(space_.granularity_options.front()));
@@ -137,30 +128,7 @@ std::vector<double> BayesSearcher::Encode(const core::CommConfig& c) const {
       (std::log2(static_cast<double>(c.granularity_bytes)) - lo) /
       std::max(1.0, hi - lo);
   const double a = c.algorithm == collective::Algorithm::kRing ? 0.0 : 1.0;
-  const double p = std::log2(static_cast<double>(c.pipeline_depth)) / 3.0;
-  double codec_pos = 0.0;
-  for (std::size_t i = 0; i < space_.codec_options.size(); ++i) {
-    if (space_.codec_options[i] == c.codec) {
-      codec_pos = static_cast<double>(i) /
-                  std::max<double>(1.0, space_.codec_options.size() - 1.0);
-      break;
-    }
-  }
-  const auto ordinal = [](const auto& options, const auto& value) {
-    double pos = 0.0;
-    for (std::size_t i = 0; i < options.size(); ++i) {
-      if (options[i] == value) {
-        pos = static_cast<double>(i) /
-              std::max<double>(1.0, options.size() - 1.0);
-        break;
-      }
-    }
-    return pos;
-  };
-  const double urgent =
-      ordinal(space_.priority_urgent_options, c.priority_urgent_fraction);
-  const double aging = ordinal(space_.priority_aging_options, c.priority_aging_ms);
-  return {s, g, a, p, codec_pos, urgent, aging};
+  return {s, g, a};
 }
 
 namespace {
@@ -317,85 +285,6 @@ void HyperbandSearcher::Observe(const Observation& obs) {
   ++next_in_rung_;
 }
 
-// -------------------------------------------------------------- Random ----
-
-core::CommConfig RandomSearcher::Propose(Rng& rng) {
-  return space_.ConfigAt(static_cast<std::size_t>(rng.UniformInt(
-      0, static_cast<std::int64_t>(space_.NumPoints()) - 1)));
-}
-
-// ----------------------------------------------------------- Annealing ----
-
-AnnealingSearcher::AnnealingSearcher(core::CommConfigSpace space,
-                                     double initial_temp, double cooling)
-    : Searcher(std::move(space)),
-      temperature_(initial_temp),
-      cooling_(cooling) {
-  AIACC_CHECK(initial_temp > 0.0 && cooling > 0.0 && cooling < 1.0);
-}
-
-core::CommConfig AnnealingSearcher::Neighbour(const core::CommConfig& base,
-                                              Rng& rng) const {
-  core::CommConfig out = base;
-  auto step = [&rng](auto& value, const auto& options) {
-    std::size_t idx = 0;
-    for (std::size_t i = 0; i < options.size(); ++i) {
-      if (options[i] == value) idx = i;
-    }
-    const std::int64_t dir = rng.Chance(0.5) ? 1 : -1;
-    const auto n = static_cast<std::int64_t>(options.size());
-    const std::int64_t to = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(idx) + dir, 0, n - 1);
-    value = options[static_cast<std::size_t>(to)];
-  };
-  switch (rng.UniformInt(0, 6)) {
-    case 0: step(out.num_streams, space_.stream_options); break;
-    case 1: step(out.granularity_bytes, space_.granularity_options); break;
-    case 2: step(out.pipeline_depth, space_.pipeline_depth_options); break;
-    case 3: step(out.codec, space_.codec_options); break;
-    case 4:
-      step(out.priority_urgent_fraction, space_.priority_urgent_options);
-      break;
-    case 5: step(out.priority_aging_ms, space_.priority_aging_options); break;
-    default:
-      out.algorithm = out.algorithm == collective::Algorithm::kRing
-                          ? collective::Algorithm::kHierarchical
-                          : collective::Algorithm::kRing;
-  }
-  out.min_bucket_bytes = std::min<std::size_t>(out.granularity_bytes, 1u << 20);
-  return out;
-}
-
-core::CommConfig AnnealingSearcher::Propose(Rng& rng) {
-  if (!has_current_) {
-    proposed_ = space_.ConfigAt(static_cast<std::size_t>(rng.UniformInt(
-        0, static_cast<std::int64_t>(space_.NumPoints()) - 1)));
-  } else {
-    proposed_ = Neighbour(current_, rng);
-  }
-  return proposed_;
-}
-
-void AnnealingSearcher::Observe(const Observation& obs) {
-  // Metropolis acceptance on the (normalized) score difference. Scores are
-  // throughputs, so normalize by the incumbent to keep the temperature
-  // scale meaningful across workloads.
-  if (!has_current_ || obs.score >= current_score_) {
-    current_ = obs.config;
-    current_score_ = obs.score;
-    has_current_ = true;
-  } else if (current_score_ > 0.0) {
-    const double delta = (current_score_ - obs.score) / current_score_;
-    // Deterministic threshold (the meta-solver already injects exploration);
-    // accept when the relative loss is under the temperature.
-    if (delta < temperature_ * 0.1) {
-      current_ = obs.config;
-      current_score_ = obs.score;
-    }
-  }
-  temperature_ *= cooling_;
-}
-
 // -------------------------------------------------------------- Factory ----
 
 std::vector<std::unique_ptr<Searcher>> MakeDefaultEnsemble(
@@ -405,14 +294,6 @@ std::vector<std::unique_ptr<Searcher>> MakeDefaultEnsemble(
   out.push_back(std::make_unique<PbtSearcher>(space));
   out.push_back(std::make_unique<BayesSearcher>(space));
   out.push_back(std::make_unique<HyperbandSearcher>(space));
-  return out;
-}
-
-std::vector<std::unique_ptr<Searcher>> MakeExtendedEnsemble(
-    const core::CommConfigSpace& space) {
-  auto out = MakeDefaultEnsemble(space);
-  out.push_back(std::make_unique<RandomSearcher>(space));
-  out.push_back(std::make_unique<AnnealingSearcher>(space));
   return out;
 }
 

@@ -119,46 +119,8 @@ class HyperbandSearcher final : public Searcher {
   bool bracket_active_ = false;
 };
 
-/// Uniform random sampling — the baseline any learned searcher must beat,
-/// and the simplest demonstration that "other search techniques can be
-/// added" to the ensemble (§VI).
-class RandomSearcher final : public Searcher {
- public:
-  explicit RandomSearcher(core::CommConfigSpace space)
-      : Searcher(std::move(space)) {}
-  core::CommConfig Propose(Rng& rng) override;
-  void Observe(const Observation& obs) override { (void)obs; }
-  [[nodiscard]] std::string Name() const override { return "random"; }
-};
-
-/// Simulated annealing: random walk over grid neighbours, accepting worse
-/// moves with a temperature-decayed probability.
-class AnnealingSearcher final : public Searcher {
- public:
-  AnnealingSearcher(core::CommConfigSpace space, double initial_temp = 1.0,
-                    double cooling = 0.92);
-  core::CommConfig Propose(Rng& rng) override;
-  void Observe(const Observation& obs) override;
-  [[nodiscard]] std::string Name() const override { return "annealing"; }
-
- private:
-  core::CommConfig Neighbour(const core::CommConfig& base, Rng& rng) const;
-
-  double temperature_;
-  double cooling_;
-  bool has_current_ = false;
-  core::CommConfig current_;
-  double current_score_ = 0.0;
-  core::CommConfig proposed_;
-};
-
 /// The ensemble the paper uses: grid, PBT, Bayesian optimization, Hyperband.
 std::vector<std::unique_ptr<Searcher>> MakeDefaultEnsemble(
-    const core::CommConfigSpace& space);
-
-/// Extended ensemble (default + random + annealing) — exercised by the
-/// meta-solver tests to show arm count is not hard-wired.
-std::vector<std::unique_ptr<Searcher>> MakeExtendedEnsemble(
     const core::CommConfigSpace& space);
 
 }  // namespace aiacc::autotune

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "common/file_io.h"
 
 namespace aiacc::autotune {
 namespace {
@@ -89,15 +90,11 @@ std::optional<core::CommConfig> TuningCache::LookupSimilar(
 
 namespace {
 constexpr std::uint32_t kCacheMagic = 0xA1ACCCA5;
-// Version 2 added CommConfig::pipeline_depth to every entry.
-// Version 3 added the wire codec (kind + top-k ratio) and the per-tensor
-// codec override list.
-// Version 4 added the priority-dispatch axes (urgent fraction + aging).
-// The format is append-only per entry, so Deserialize still accepts
-// versions 2 and 3: their entries load with the fields their versions
-// lacked defaulted to the behavior they were measured under.
-constexpr std::uint32_t kCacheVersion = 4;
-constexpr std::uint32_t kOldestReadableVersion = 2;
+// Version 5 persists only the fields the tuner chooses (CommConfigSpace's
+// axes plus the min_bucket_bytes derived from granularity); every other
+// CommConfig field loads at its default. Earlier versions also stored
+// fields the tuner never varied and are rejected, not migrated.
+constexpr std::uint32_t kCacheVersion = 5;
 }  // namespace
 
 std::vector<std::uint8_t> TuningCache::Serialize() const {
@@ -119,17 +116,6 @@ std::vector<std::uint8_t> TuningCache::Serialize() const {
     w.WriteU64(e.config.granularity_bytes);
     w.WriteU8(static_cast<std::uint8_t>(e.config.algorithm));
     w.WriteU64(e.config.min_bucket_bytes);
-    w.WriteI64(e.config.pipeline_depth);
-    w.WriteU8(static_cast<std::uint8_t>(e.config.codec.kind));
-    w.WriteF64(static_cast<double>(e.config.codec.topk_ratio));
-    w.WriteU64(e.config.codec_overrides.size());
-    for (const auto& [tensor, spec] : e.config.codec_overrides) {
-      w.WriteString(tensor);
-      w.WriteU8(static_cast<std::uint8_t>(spec.kind));
-      w.WriteF64(static_cast<double>(spec.topk_ratio));
-    }
-    w.WriteF64(static_cast<double>(e.config.priority_urgent_fraction));
-    w.WriteI64(e.config.priority_aging_ms);
     w.WriteF64(e.score);
   }
   return std::move(w).Take();
@@ -142,7 +128,7 @@ Status TuningCache::Deserialize(const std::vector<std::uint8_t>& bytes) {
   if (*magic != kCacheMagic) return DataLoss("bad tuning-cache magic");
   auto version = r.ReadU32();
   if (!version.ok()) return version.status();
-  if (*version < kOldestReadableVersion || *version > kCacheVersion) {
+  if (*version != kCacheVersion) {
     return Unimplemented("unsupported tuning-cache version");
   }
   auto count = r.ReadU64();
@@ -182,50 +168,10 @@ Status TuningCache::Deserialize(const std::vector<std::uint8_t>& bytes) {
     if (!algo.ok()) return algo.status();
     auto bucket = r.ReadU64();
     if (!bucket.ok()) return bucket.status();
-    auto depth = r.ReadI64();
-    if (!depth.ok()) return depth.status();
     e.config.num_streams = static_cast<int>(*streams);
     e.config.granularity_bytes = static_cast<std::size_t>(*gran);
     e.config.algorithm = static_cast<collective::Algorithm>(*algo);
     e.config.min_bucket_bytes = static_cast<std::size_t>(*bucket);
-    e.config.pipeline_depth = static_cast<int>(*depth);
-    if (*version >= 3) {
-      auto codec_kind = r.ReadU8();
-      if (!codec_kind.ok()) return codec_kind.status();
-      auto codec_ratio = r.ReadF64();
-      if (!codec_ratio.ok()) return codec_ratio.status();
-      e.config.codec.kind = static_cast<compress::CodecKind>(*codec_kind);
-      e.config.codec.topk_ratio = static_cast<float>(*codec_ratio);
-      auto n_overrides = r.ReadU64();
-      if (!n_overrides.ok()) return n_overrides.status();
-      for (std::uint64_t o = 0; o < *n_overrides; ++o) {
-        auto tensor = r.ReadString();
-        if (!tensor.ok()) return tensor.status();
-        auto okind = r.ReadU8();
-        if (!okind.ok()) return okind.status();
-        auto oratio = r.ReadF64();
-        if (!oratio.ok()) return oratio.status();
-        e.config.codec_overrides.emplace_back(
-            std::move(*tensor),
-            compress::CodecSpec{static_cast<compress::CodecKind>(*okind),
-                                static_cast<float>(*oratio)});
-      }
-    } else {
-      // Pre-codec entries were measured on the uncompressed wire format.
-      e.config.codec = compress::CodecSpec{};
-    }
-    if (*version >= 4) {
-      auto urgent = r.ReadF64();
-      if (!urgent.ok()) return urgent.status();
-      auto aging = r.ReadI64();
-      if (!aging.ok()) return aging.status();
-      e.config.priority_urgent_fraction = static_cast<float>(*urgent);
-      e.config.priority_aging_ms = static_cast<int>(*aging);
-    } else {
-      // Pre-scheduler entries were measured under FIFO dispatch; load them
-      // with priority dispatch off so their scores keep their meaning.
-      e.config.priority_urgent_fraction = 0.0f;
-    }
     auto score = r.ReadF64();
     if (!score.ok()) return score.status();
     e.score = *score;
@@ -237,26 +183,13 @@ Status TuningCache::Deserialize(const std::vector<std::uint8_t>& bytes) {
 }
 
 Status TuningCache::SaveTo(const std::string& path) const {
-  const auto bytes = Serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Unavailable("cannot open " + path);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const int rc = std::fclose(f);
-  if (written != bytes.size() || rc != 0) return DataLoss("short write");
-  return Status::Ok();
+  return common::WriteFileAtomic(path, Serialize());
 }
 
 Status TuningCache::LoadFrom(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return NotFound("no tuning cache at " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) return DataLoss("short read");
-  return Deserialize(bytes);
+  auto bytes = common::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return Deserialize(*bytes);
 }
 
 }  // namespace aiacc::autotune

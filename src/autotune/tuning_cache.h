@@ -54,8 +54,9 @@ class TuningCache {
   }
 
   /// Persistence (§VI: the cloud service "stores the previously-found best
-  /// parameter setting" across deployments). Versioned binary format with a
-  /// checksum; Load replaces the current contents.
+  /// parameter setting" across deployments). Versioned binary format that
+  /// keeps the fields the tuner chooses; the others load at their defaults.
+  /// Load replaces the current contents.
   [[nodiscard]] std::vector<std::uint8_t> Serialize() const;
   ::aiacc::Status Deserialize(const std::vector<std::uint8_t>& bytes);
   ::aiacc::Status SaveTo(const std::string& path) const;

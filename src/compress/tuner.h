@@ -15,7 +15,7 @@
 // 99%-sparse tensor scores ~0.99 - eps while on a dense tensor its error
 // term dominates and fp16 (tiny error, 0.5 savings) wins — exactly the
 // split the paper's CTR workloads want. Converged choices are exported as
-// `CommConfig::codec_overrides` and persisted in the tuning cache (v3).
+// `CommConfig::codec_overrides`.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "core/checkpoint.h"
 
-#include <cstdio>
-#include <filesystem>
+#include "common/file_io.h"
 
 namespace aiacc::core {
 namespace {
@@ -99,33 +98,13 @@ Result<Checkpoint> DeserializeCheckpoint(
 }
 
 Status SaveCheckpoint(const Checkpoint& ckpt, const std::string& path) {
-  const std::vector<std::uint8_t> bytes = SerializeCheckpoint(ckpt);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Unavailable("cannot open " + tmp);
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != bytes.size() || close_rc != 0) {
-    std::remove(tmp.c_str());
-    return DataLoss("short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) return Unavailable("rename failed: " + ec.message());
-  return Status::Ok();
+  return common::WriteFileAtomic(path, SerializeCheckpoint(ckpt));
 }
 
 Result<Checkpoint> LoadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return NotFound("no checkpoint at " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) return DataLoss("short read from " + path);
-  return DeserializeCheckpoint(bytes);
+  auto bytes = common::ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return DeserializeCheckpoint(*bytes);
 }
 
 }  // namespace aiacc::core

@@ -21,8 +21,8 @@ std::string CommConfig::ToString() const {
       << ", min_bucket=" << (min_bucket_bytes >> 10) << "KiB"
       << ", depth=" << pipeline_depth
       << ", codec=" << compress::ToString(codec);
-  // Both scheduler axes always print (0 = FIFO dispatch) so every config in
-  // the search space renders to a distinct string.
+  // Both scheduler knobs always print (0 = FIFO dispatch) so configs that
+  // differ only in dispatch policy render to distinct strings.
   out << ", sched=" << priority_urgent_fraction << "/" << priority_aging_ms
       << "ms";
   if (!codec_overrides.empty()) {
@@ -41,26 +41,13 @@ std::vector<CommConfig> CommConfigSpace::AllConfigs() const {
 
 CommConfig CommConfigSpace::ConfigAt(std::size_t index) const {
   AIACC_CHECK(index < NumPoints());
-  const std::size_t n_streams = stream_options.size();
-  const std::size_t n_gran = granularity_options.size();
-  const std::size_t n_algo = algorithm_options.size();
   CommConfig cfg;
-  cfg.num_streams = stream_options[index % n_streams];
-  index /= n_streams;
-  cfg.granularity_bytes = granularity_options[index % n_gran];
-  index /= n_gran;
-  cfg.algorithm = algorithm_options[index % n_algo];
-  index /= n_algo;
-  const std::size_t n_depth = pipeline_depth_options.size();
-  cfg.pipeline_depth = pipeline_depth_options[index % n_depth];
-  index /= n_depth;
-  const std::size_t n_codec = codec_options.size();
-  cfg.codec = codec_options[index % n_codec];
-  index /= n_codec;
-  const std::size_t n_urgent = priority_urgent_options.size();
-  cfg.priority_urgent_fraction = priority_urgent_options[index % n_urgent];
-  index /= n_urgent;
-  cfg.priority_aging_ms = priority_aging_options[index];
+  cfg.num_streams = stream_options[index % stream_options.size()];
+  index /= stream_options.size();
+  cfg.granularity_bytes =
+      granularity_options[index % granularity_options.size()];
+  index /= granularity_options.size();
+  cfg.algorithm = algorithm_options[index];
   cfg.min_bucket_bytes = std::min<std::size_t>(cfg.granularity_bytes, 1u << 20);
   return cfg;
 }

@@ -1,7 +1,9 @@
-// Communication hyperparameters that AIACC-Training auto-tunes at runtime
-// (§VI): the number of concurrent communication streams, the gradient
+// Communication hyperparameters of AIACC-Training. The auto-tuner (§VI)
+// searches the number of concurrent communication streams, the gradient
 // communication granularity (all-reduce unit size), and the all-reduce
-// algorithm. These form the search space of the auto-tuner.
+// algorithm (CommConfigSpace). The remaining fields are set by the caller:
+// the threaded engine honours them, the simulated engine does not model
+// them, so the tuner's objective could not tell their values apart.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +34,7 @@ struct CommConfig {
   /// Bit-identical at every depth; the default pipelines the engine's unit
   /// rings without changing any numerics.
   int pipeline_depth = 4;
-  /// Default wire codec for gradient collectives (compress/codec.h): the
-  /// global config dimension the grid/PBT/Bayes searchers explore. kNone
+  /// Default wire codec for gradient collectives (compress/codec.h). kNone
   /// keeps the raw-fp32 wire.
   compress::CodecSpec codec{};
   /// Per-tensor codec overrides by gradient name, the output of the
@@ -61,37 +62,19 @@ struct CommConfig {
   friend bool operator==(const CommConfig&, const CommConfig&) = default;
 };
 
-/// The discrete search space used by the auto-tuner and benches.
+/// The auto-tuner's discrete search space: the paper's three §VI axes. An
+/// axis belongs here only if the tuner's objective, one simulated
+/// AiaccEngine iteration, reads it; any other would add only tied points.
 struct CommConfigSpace {
   std::vector<int> stream_options = {1, 2, 4, 8, 12, 16, 24, 32};
   std::vector<std::size_t> granularity_options = {
       1u << 20, 2u << 20, 4u << 20, 8u << 20, 16u << 20, 32u << 20, 64u << 20};
   std::vector<collective::Algorithm> algorithm_options = {
       collective::Algorithm::kRing, collective::Algorithm::kHierarchical};
-  std::vector<int> pipeline_depth_options = {1, 2, 4, 8};
-  /// Wire codecs the global searchers explore. Axes are appended to the
-  /// mixed-radix flat index in the order they were introduced (codec, then
-  /// the priority axes), so indices below an older space size map to
-  /// exactly the configurations they did before the newer axes existed.
-  std::vector<compress::CodecSpec> codec_options = {
-      compress::CodecSpec{compress::CodecKind::kNone},
-      compress::CodecSpec{compress::CodecKind::kFp16},
-      compress::CodecSpec{compress::CodecKind::kOneBit},
-      compress::CodecSpec{compress::CodecKind::kTopK, 0.01f}};
-  /// Priority-dispatch axes (appended after the codec axis in the
-  /// mixed-radix flat index, so pre-existing indices map to exactly the
-  /// configurations they did before — the tuning-cache v4 rule). 0 = the
-  /// FIFO baseline stays searchable.
-  /// 1.0 = the whole id space is the urgent class: full forward-order
-  /// transmission (the paper's layer-priority scheme, strongest overlap).
-  std::vector<float> priority_urgent_options = {0.0f, 0.25f, 0.5f, 1.0f};
-  std::vector<int> priority_aging_options = {10, 50, 200};
 
   [[nodiscard]] std::size_t NumPoints() const noexcept {
     return stream_options.size() * granularity_options.size() *
-           algorithm_options.size() * pipeline_depth_options.size() *
-           codec_options.size() * priority_urgent_options.size() *
-           priority_aging_options.size();
+           algorithm_options.size();
   }
   /// Enumerate every configuration (grid order).
   [[nodiscard]] std::vector<CommConfig> AllConfigs() const;

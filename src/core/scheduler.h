@@ -62,7 +62,7 @@
 
 namespace aiacc::core {
 
-/// Dispatch policy knobs (autotuner dimensions; see CommConfig).
+/// Dispatch policy knobs (set from CommConfig by the caller).
 struct SchedulerPolicy {
   /// Fraction of the gradient-id space counted as "urgent" (consumed
   /// earliest by the next forward). 0 disables priority dispatch entirely:

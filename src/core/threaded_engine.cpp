@@ -200,15 +200,6 @@ std::vector<int> ThreadedAiaccEngine::SuspectedRanks() const {
   return suspected_;
 }
 
-std::uint64_t ThreadedAiaccEngine::FaultPressure() const {
-  std::uint64_t pressure = unit_retries_->Value();
-  if (reliable_ != nullptr) {
-    const transport::ReliableStats s = reliable_->stats();
-    pressure += s.retransmits + s.crc_failures + s.delivery_failures;
-  }
-  return pressure;
-}
-
 void ThreadedAiaccEngine::Abort(Status status, std::vector<int> suspected) {
   AIACC_CHECK(!status.ok());
   telemetry::FlightRecorder& flight = telemetry::FlightRecorder::Global();

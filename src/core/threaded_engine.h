@@ -264,12 +264,6 @@ class ThreadedAiaccEngine {
     return tracing_.get();
   }
 
-  /// Monotonic fault-pressure signal for autotuning: total in-band repair
-  /// work (unit retries + transport retransmits/CRC failures) this engine
-  /// has performed. A config whose score only held up thanks to nonzero
-  /// pressure delta is penalized by the tuner (autotune/autotuner.h).
-  [[nodiscard]] std::uint64_t FaultPressure() const;
-
  private:
   struct RankState {
     // Registration (worker thread only, until finalized; immutable once the

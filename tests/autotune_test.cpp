@@ -91,26 +91,6 @@ TEST(SearcherTest, BayesExploitsSmoothSurface) {
   EXPECT_EQ(best_cfg.granularity_bytes, 8u << 20);
 }
 
-TEST(SearcherTest, RandomAndAnnealingAlsoImprove) {
-  EXPECT_GT(RunSearcher<RandomSearcher>(40, 2), 75.0);
-  EXPECT_GT(RunSearcher<AnnealingSearcher>(40, 2), 80.0);
-}
-
-TEST(MetaSolverTest, ExtendedEnsemblePlugsIn) {
-  // §VI: "other search techniques can be added" — the meta-solver handles
-  // any arm count; with six arms every one is still exercised.
-  core::CommConfigSpace space;
-  MetaSolverParams params;
-  params.budget = 60;
-  MetaSolver solver(MakeExtendedEnsemble(space), params);
-  EXPECT_EQ(solver.NumSearchers(), 6);
-  while (auto step = solver.NextStep()) {
-    solver.Report(*step, SyntheticScore(step->config));
-  }
-  for (int count : solver.UsageCounts()) EXPECT_GE(count, 1);
-  EXPECT_GT(solver.BestScore(), 90.0);
-}
-
 TEST(MetaSolverTest, RespectsBudget) {
   core::CommConfigSpace space;
   MetaSolverParams params;
@@ -308,101 +288,18 @@ TEST(TuningCacheTest, FileRoundTripAndCorruptionRejected) {
   EXPECT_FALSE(corrupt.Deserialize(bytes).ok());
 }
 
-TEST(TuningCacheTest, SerializeRoundTripPreservesPriorityAxes) {
-  TuningCache cache;
-  net::Topology topo{4, 8, net::TransportKind::kTcp};
-  core::CommConfig cfg;
-  cfg.num_streams = 8;
-  cfg.priority_urgent_fraction = 0.5f;
-  cfg.priority_aging_ms = 200;
-  cache.Store(dnn::MakeResNet50(), topo, cfg, 90.0);
-
-  TuningCache restored;
-  ASSERT_TRUE(restored.Deserialize(cache.Serialize()).ok());
-  auto hit = restored.LookupSimilar(dnn::MakeResNet50(), topo);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FLOAT_EQ(hit->priority_urgent_fraction, 0.5f);
-  EXPECT_EQ(hit->priority_aging_ms, 200);
-}
-
-namespace {
-
-/// Hand-builds the common per-entry prefix shared by every readable cache
-/// version: name, graph, topology, and the v2-era config fields.
-void WriteEntryPrefix(ByteWriter& w, const dnn::ModelDescriptor& model) {
-  w.WriteString(model.name());
-  const auto graph = model.GraphFingerprint();
-  w.WriteU64(graph.size());
-  for (const auto& node : graph) {
-    w.WriteU8(static_cast<std::uint8_t>(node.kind));
-    w.WriteI64(node.param_elements);
-  }
-  w.WriteI64(4);  // num_hosts
-  w.WriteI64(8);  // gpus_per_host
-  w.WriteU8(static_cast<std::uint8_t>(net::TransportKind::kTcp));
-  w.WriteI64(12);                          // num_streams
-  w.WriteU64(16u << 20);                   // granularity_bytes
-  w.WriteU8(static_cast<std::uint8_t>(collective::Algorithm::kRing));
-  w.WriteU64(1u << 20);                    // min_bucket_bytes
-  w.WriteI64(2);                           // pipeline_depth
-}
-
-}  // namespace
-
-// Caches written before the scheduler existed (v3: codec but no priority
-// axes) must still load — with priority dispatch OFF, because that is the
-// dispatch policy their scores were measured under.
-TEST(TuningCacheTest, LoadsVersion3EntriesWithFifoDispatch) {
-  const auto model = dnn::MakeResNet50();
-  ByteWriter w;
-  w.WriteU32(0xA1ACCCA5);  // kCacheMagic
-  w.WriteU32(3);
-  w.WriteU64(1);
-  WriteEntryPrefix(w, model);
-  w.WriteU8(static_cast<std::uint8_t>(compress::CodecKind::kFp16));
-  w.WriteF64(0.01);  // codec.topk_ratio
-  w.WriteU64(0);     // no codec overrides
-  w.WriteF64(42.0);  // score
-
-  TuningCache cache;
-  ASSERT_TRUE(cache.Deserialize(std::move(w).Take()).ok());
-  net::Topology topo{4, 8, net::TransportKind::kTcp};
-  auto hit = cache.LookupSimilar(model, topo);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->num_streams, 12);
-  EXPECT_EQ(hit->codec.kind, compress::CodecKind::kFp16);
-  EXPECT_FLOAT_EQ(hit->priority_urgent_fraction, 0.0f);  // FIFO migration
-}
-
-// v2 predates both the codec and the scheduler: entries load with the
-// uncompressed wire format and FIFO dispatch.
-TEST(TuningCacheTest, LoadsVersion2EntriesWithDefaults) {
-  const auto model = dnn::MakeResNet50();
-  ByteWriter w;
-  w.WriteU32(0xA1ACCCA5);  // kCacheMagic
-  w.WriteU32(2);
-  w.WriteU64(1);
-  WriteEntryPrefix(w, model);
-  w.WriteF64(42.0);  // score
-
-  TuningCache cache;
-  ASSERT_TRUE(cache.Deserialize(std::move(w).Take()).ok());
-  net::Topology topo{4, 8, net::TransportKind::kTcp};
-  auto hit = cache.LookupSimilar(model, topo);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->codec.kind, compress::CodecKind::kNone);
-  EXPECT_FLOAT_EQ(hit->priority_urgent_fraction, 0.0f);
-}
-
 TEST(TuningCacheTest, RejectsUnknownFutureVersion) {
-  ByteWriter w;
-  w.WriteU32(0xA1ACCCA5);
-  w.WriteU32(99);
-  w.WriteU64(0);
-  TuningCache cache;
-  const auto st = cache.Deserialize(std::move(w).Take());
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kUnimplemented);
+  // 4 is the retired format that also stored fields the tuner never varied.
+  for (const std::uint32_t version : {4u, 99u}) {
+    ByteWriter w;
+    w.WriteU32(0xA1ACCCA5);
+    w.WriteU32(version);
+    w.WriteU64(0);
+    TuningCache cache;
+    const auto st = cache.Deserialize(std::move(w).Take());
+    EXPECT_FALSE(st.ok()) << version;
+    EXPECT_EQ(st.code(), StatusCode::kUnimplemented) << version;
+  }
 }
 
 TEST(TuningCacheTest, MissingFileIsNotFound) {
@@ -410,6 +307,13 @@ TEST(TuningCacheTest, MissingFileIsNotFound) {
   const auto st = cache.LoadFrom("/nonexistent/cache.bin");
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
+}
+
+TEST(TuningCacheTest, DirectoryPathIsDataLoss) {
+  TuningCache cache;
+  const auto st = cache.LoadFrom(::testing::TempDir());
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
 
 // -------------------------------------------------------------- Autotune --

@@ -4,8 +4,8 @@
 // error-feedback residual property, a ring bit-exactness matrix over
 // codec x op x world x odd lengths x pipeline depth x channels, the
 // chaos/reliable-transport composition, steady-state allocation checks,
-// codec-aware unit packing, the CommConfig codec axis + tuning-cache v3
-// round-trip, the per-tensor codec bandit, and end-to-end MLP training
+// codec-aware unit packing, per-tensor codec overrides in CommConfig, the
+// per-tensor codec bandit, and end-to-end MLP training
 // parity through the threaded engine under every codec family.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "autotune/tuning_cache.h"
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
@@ -600,37 +599,7 @@ TEST(PackingCodecTest, SplitGradientStampsEveryUnit) {
   }
 }
 
-// ------------------------------------------- config axis + cache v3 ----
-
-TEST(ConfigCodecTest, CodecAxisFollowsDepthInFlatIndex) {
-  core::CommConfigSpace space;
-  const std::size_t base = space.stream_options.size() *
-                           space.granularity_options.size() *
-                           space.algorithm_options.size() *
-                           space.pipeline_depth_options.size();
-  EXPECT_EQ(space.NumPoints(), base * space.codec_options.size() *
-                                   space.priority_urgent_options.size() *
-                                   space.priority_aging_options.size());
-  // Indices below the codec-free space size keep their old meaning
-  // (codec = kNone and FIFO dispatch, exactly how those configs ran before
-  // the newer axes existed), so persisted flat indices stay valid.
-  for (const std::size_t i : {std::size_t{0}, base / 2, base - 1}) {
-    EXPECT_EQ(space.ConfigAt(i).codec.kind, CodecKind::kNone) << i;
-    EXPECT_EQ(space.ConfigAt(i).priority_urgent_fraction,
-              space.priority_urgent_options[0])
-        << i;
-    EXPECT_EQ(space.ConfigAt(i).priority_aging_ms,
-              space.priority_aging_options[0])
-        << i;
-  }
-  EXPECT_EQ(space.ConfigAt(base).codec.kind, space.codec_options[1].kind);
-  // The priority axes are appended after codec: the first index past the
-  // codec-extended space flips urgent_fraction, not any older axis.
-  const std::size_t codec_space = base * space.codec_options.size();
-  EXPECT_EQ(space.ConfigAt(codec_space).codec.kind, CodecKind::kNone);
-  EXPECT_EQ(space.ConfigAt(codec_space).priority_urgent_fraction,
-            space.priority_urgent_options[1]);
-}
+// ----------------------------------------------- per-tensor overrides ----
 
 TEST(ConfigCodecTest, CodecForResolvesOverrides) {
   core::CommConfig cfg;
@@ -640,24 +609,6 @@ TEST(ConfigCodecTest, CodecForResolvesOverrides) {
   EXPECT_EQ(cfg.CodecFor("embedding"), (CodecSpec{CodecKind::kTopK, 0.02f}));
   EXPECT_EQ(cfg.CodecFor("conv1"), (CodecSpec{CodecKind::kFp16}));
   EXPECT_NE(cfg.ToString().find("codec=fp16"), std::string::npos);
-}
-
-TEST(ConfigCodecTest, TuningCacheV3RoundTripsCodec) {
-  autotune::TuningCache cache;
-  net::Topology topo{4, 8, net::TransportKind::kTcp};
-  core::CommConfig cfg;
-  cfg.num_streams = 12;
-  cfg.codec = CodecSpec{CodecKind::kTopK, 0.02f};
-  cfg.codec_overrides.emplace_back("dense", CodecSpec{CodecKind::kFp16});
-  cfg.codec_overrides.emplace_back("emb",
-                                   CodecSpec{CodecKind::kTopK, 0.05f});
-  cache.Store(dnn::MakeResNet50(), topo, cfg, 42.0);
-
-  autotune::TuningCache restored;
-  ASSERT_TRUE(restored.Deserialize(cache.Serialize()).ok());
-  auto hit = restored.LookupSimilar(dnn::MakeResNet50(), topo);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, cfg);
 }
 
 // ------------------------------------------------- per-tensor bandit ----

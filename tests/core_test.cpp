@@ -623,6 +623,12 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+TEST(CheckpointTest, DirectoryPathIsDataLoss) {
+  auto r = LoadCheckpoint(::testing::TempDir());
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+}
+
 // ---------------------------------------------------------------- Config ---
 
 TEST(ConfigTest, SpaceEnumeratesAllPoints) {

@@ -2,6 +2,10 @@
 // parallelism, and the auto-tuned engine path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "trainer/harness.h"
 
 namespace aiacc::trainer {
@@ -119,6 +123,61 @@ TEST(AutotunedRunTest, CacheSeedsSecondDeployment) {
   ASSERT_TRUE(r.tuning.has_value());
   EXPECT_TRUE(r.tuning->seeded_from_cache);
   EXPECT_EQ(r.tuning->history.front().searcher, "cache-seed");
+}
+
+/// The fields of a CommConfig as ToString renders them ("streams=8", ...).
+std::vector<std::string> ConfigFields(const core::CommConfig& cfg) {
+  std::string text = cfg.ToString();
+  text = text.substr(1, text.size() - 2);  // strip the braces
+  std::vector<std::string> fields;
+  for (std::size_t at = 0; at <= text.size();) {
+    const std::size_t comma = std::min(text.find(", ", at), text.size());
+    fields.push_back(text.substr(at, comma - at));
+    at = comma + 2;
+  }
+  return fields;
+}
+
+// A tuner can only tune what its objective measures. For every CommConfig
+// field that varies across the search space, some two configs that differ
+// only in that field must give different one-iteration sim durations
+// (ResNet-50, 32 GPUs); an axis the simulator ignores would only add points
+// with tied scores.
+TEST(AutotuneSpaceTest, EveryAxisMovesTheSimDuration) {
+  const auto configs = core::CommConfigSpace{}.AllConfigs();
+  std::vector<std::vector<std::string>> fields;
+  std::vector<double> durations;
+  for (const auto& cfg : configs) {
+    RunSpec spec;
+    spec.model_name = "resnet50";
+    spec.topology = MakeTopology(32);
+    spec.aiacc_config = cfg;
+    spec.warmup_iterations = 0;
+    spec.measure_iterations = 1;
+    durations.push_back(::aiacc::trainer::Run(spec).iteration_time);
+    fields.push_back(ConfigFields(cfg));
+  }
+  int axes = 0;
+  for (std::size_t f = 0; f < fields.front().size(); ++f) {
+    bool varies = false;
+    bool moves = false;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      for (std::size_t j = i + 1; j < configs.size(); ++j) {
+        bool only_f = fields[i][f] != fields[j][f];
+        for (std::size_t g = 0; only_f && g < fields[i].size(); ++g) {
+          only_f = g == f || fields[i][g] == fields[j][g];
+        }
+        if (!only_f) continue;
+        varies = true;
+        moves = moves || durations[i] != durations[j];
+      }
+    }
+    if (!varies) continue;
+    ++axes;
+    EXPECT_TRUE(moves) << "no pair differing only in " << fields.front()[f]
+                       << " changes the sim duration";
+  }
+  EXPECT_EQ(axes, 3);  // streams, granularity, algorithm
 }
 
 TEST(EngineNameTest, AllKindsStringify) {

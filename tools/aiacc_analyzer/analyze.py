@@ -52,6 +52,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import checks as checks_mod  # noqa: E402
 import findings as findings_mod  # noqa: E402
 import frontend_lite  # noqa: E402
+import ir  # noqa: E402
 
 TOOL = "aiacc-analyzer"
 DEFAULT_BASELINE = os.path.join("tools", "aiacc_analyzer", "baseline.json")
@@ -121,7 +122,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{TOOL}: no C++ files to analyze")
         return 0
 
-    project = frontend_lite.load_project(repo, files)
+    if args.check and set(args.check) <= checks_mod.LINE_CHECKS:
+        project = ir.ProjectIR(files=[ir.FileIR(path=rel) for rel in files])
+    else:
+        project = frontend_lite.load_project(repo, files)
     ctx = checks_mod.Context(repo)
     all_findings = checks_mod.run_checks(project, ctx, only=args.check)
 

@@ -1086,6 +1086,11 @@ ALL_CHECKS = {
     "hot-path-alloc": check_hot_path_alloc,
 }
 
+# The checks that read only ctx.source() text and each FileIR's path, never
+# the function IR: a run that selects nothing else needs no frontend.
+LINE_CHECKS = frozenset(
+    {"raw-sync-primitive", "guarded-member", "hot-path-alloc"})
+
 
 def run_checks(project, ctx, only=None) -> list[Finding]:
     findings: list[Finding] = []
