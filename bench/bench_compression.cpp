@@ -13,13 +13,10 @@
 // the reduction vs the raw-fp32 wire, per-all-reduce latency, and the
 // relative error of the final iteration against the exact fp32 average.
 //
-// A second section demonstrates the per-tensor codec bandit
-// (compress::PerTensorCodecTuner): after a few dozen observed rounds it must
-// settle on different codecs for the two shapes (fp16 for dense, top-k for
-// the sparse embedding). `--json` prints a machine-readable summary (the
-// checked-in BENCH_compression.json); `--smoke` shrinks the workloads and
-// exits non-zero unless fp16 cuts embedding wire bytes by >= 1.9x, top-k by
-// >= 10x, and the bandit separates the two workloads (wired into ctest).
+// `--json` prints a machine-readable summary (the checked-in
+// BENCH_compression.json); `--smoke` shrinks the workloads and exits
+// non-zero unless fp16 cuts embedding wire bytes by >= 1.9x and top-k by
+// >= 10x (wired into ctest).
 #include <barrier>
 #include <chrono>
 #include <cmath>
@@ -32,7 +29,6 @@
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
 #include "compress/codec.h"
-#include "compress/tuner.h"
 #include "transport/inproc.h"
 
 namespace {
@@ -46,7 +42,6 @@ struct BenchConfig {
   std::size_t dense_elems = 1u << 18;
   std::size_t embed_elems = 1u << 20;
   int iters = 5;
-  int tuner_rounds = 60;
 };
 
 // Deterministic per-(rank, index) gradient values, so the exact fp32
@@ -147,49 +142,6 @@ CodecResult RunCodecPhase(const CodecSpec& spec, int world,
   return result;
 }
 
-/// Local single-shot encode footprint + reconstruction error — the
-/// observation the per-tensor bandit consumes each round.
-void EncodeFootprint(const CodecSpec& spec, std::span<const float> src,
-                     BufferPool& pool, std::size_t* wire_floats,
-                     double* rel_error) {
-  const std::size_t n = src.size();
-  if (spec.kind == CodecKind::kNone) {
-    *wire_floats = n;
-    *rel_error = 0.0;
-    return;
-  }
-  std::vector<float> wire =
-      pool.Acquire(aiacc::compress::MaxWireFloats(spec, n));
-  std::vector<float> decoded = pool.Acquire(n);
-  if (aiacc::compress::IsCast(spec.kind)) {
-    *wire_floats = aiacc::compress::CastWireFloats(n);
-    aiacc::compress::CastEncode(spec.kind, src, wire);
-    aiacc::compress::CastDecode(spec.kind, wire, decoded, n);
-  } else {
-    *wire_floats = aiacc::compress::SparseEncode(
-        spec, src, std::span<float>(wire), pool);
-    std::fill(decoded.begin(), decoded.begin() + static_cast<long>(n), 0.0f);
-    const aiacc::Status st = aiacc::compress::SparseDecodeAccumulate(
-        spec, std::span<const float>(wire.data(), *wire_floats),
-        std::span<float>(decoded.data(), n));
-    if (!st.ok()) {
-      std::fprintf(stderr, "decode failed: %s\n", st.ToString().c_str());
-      std::exit(2);
-    }
-  }
-  double err2 = 0.0;
-  double ref2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d =
-        static_cast<double>(decoded[i]) - static_cast<double>(src[i]);
-    err2 += d * d;
-    ref2 += static_cast<double>(src[i]) * static_cast<double>(src[i]);
-  }
-  *rel_error = ref2 > 0.0 ? std::sqrt(err2 / ref2) : 0.0;
-  pool.Release(std::move(wire));
-  pool.Release(std::move(decoded));
-}
-
 struct WorkloadReport {
   std::string name;
   std::size_t elems = 0;
@@ -197,8 +149,7 @@ struct WorkloadReport {
 };
 
 void PrintJson(const BenchConfig& cfg,
-               const std::vector<WorkloadReport>& workloads,
-               const CodecSpec& dense_pick, const CodecSpec& embed_pick) {
+               const std::vector<WorkloadReport>& workloads) {
   std::printf("{\"world\": %d, \"iters\": %d,\n \"workloads\": [\n",
               cfg.world, cfg.iters);
   for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -221,16 +172,11 @@ void PrintJson(const BenchConfig& cfg,
     }
     std::printf("  ]}%s\n", w + 1 < workloads.size() ? "," : "");
   }
-  std::printf(" ],\n \"tuner\": {\"rounds\": %d, \"dense_conv\": \"%s\", "
-              "\"sparse_embedding\": \"%s\"}}\n",
-              cfg.tuner_rounds,
-              aiacc::compress::ToString(dense_pick).c_str(),
-              aiacc::compress::ToString(embed_pick).c_str());
+  std::printf(" ]}\n");
 }
 
 void PrintText(const BenchConfig& cfg,
-               const std::vector<WorkloadReport>& workloads,
-               const CodecSpec& dense_pick, const CodecSpec& embed_pick) {
+               const std::vector<WorkloadReport>& workloads) {
   std::printf("compression bench: %d ranks, %d iters per codec\n", cfg.world,
               cfg.iters);
   for (const WorkloadReport& wl : workloads) {
@@ -246,11 +192,6 @@ void PrintText(const BenchConfig& cfg,
                   r.rel_error, 1e6 * r.seconds / cfg.iters);
     }
   }
-  std::printf("  per-tensor bandit after %d rounds: dense_conv -> %s, "
-              "sparse_embedding -> %s\n",
-              cfg.tuner_rounds,
-              aiacc::compress::ToString(dense_pick).c_str(),
-              aiacc::compress::ToString(embed_pick).c_str());
 }
 
 double ReductionFor(const WorkloadReport& wl, CodecKind kind) {
@@ -305,39 +246,10 @@ int main(int argc, char** argv) {
         spec, cfg.world, cfg.embed_elems, cfg.iters, EmbeddingValue));
   }
 
-  // Per-tensor bandit demo: observe every round's encode footprint + error
-  // and let UCB1 separate the two shapes.
-  BufferPool tuner_pool;
-  aiacc::compress::PerTensorCodecTuner tuner;
-  const std::size_t dense_id = tuner.RegisterTensor("dense_conv");
-  const std::size_t embed_id = tuner.RegisterTensor("sparse_embedding");
-  std::vector<float> dense_grad(cfg.dense_elems);
-  std::vector<float> embed_grad(cfg.embed_elems);
-  for (std::size_t i = 0; i < cfg.dense_elems; ++i) {
-    dense_grad[i] = DenseValue(0, i);
-  }
-  for (std::size_t i = 0; i < cfg.embed_elems; ++i) {
-    embed_grad[i] = EmbeddingValue(0, i);
-  }
-  for (int round = 0; round < cfg.tuner_rounds; ++round) {
-    for (const auto& [id, grad] :
-         {std::pair<std::size_t, std::span<const float>>{dense_id,
-                                                         dense_grad},
-          {embed_id, embed_grad}}) {
-      const CodecSpec pick = tuner.Choose(id);
-      std::size_t wire = 0;
-      double err = 0.0;
-      EncodeFootprint(pick, grad, tuner_pool, &wire, &err);
-      tuner.Observe(id, wire, grad.size(), err);
-    }
-  }
-  const CodecSpec dense_pick = tuner.Best(dense_id);
-  const CodecSpec embed_pick = tuner.Best(embed_id);
-
   if (json) {
-    PrintJson(cfg, workloads, dense_pick, embed_pick);
+    PrintJson(cfg, workloads);
   } else {
-    PrintText(cfg, workloads, dense_pick, embed_pick);
+    PrintText(cfg, workloads);
   }
 
   if (smoke) {
@@ -355,16 +267,6 @@ int main(int argc, char** argv) {
                    "SMOKE FAILURE: top-k embedding wire reduction %.2fx "
                    "(want >= 10x)\n",
                    topk_red);
-      return 1;
-    }
-    if (dense_pick == embed_pick ||
-        dense_pick.kind != CodecKind::kFp16 ||
-        embed_pick.kind != CodecKind::kTopK) {
-      std::fprintf(stderr,
-                   "SMOKE FAILURE: bandit picked %s for dense_conv and %s "
-                   "for sparse_embedding (want fp16 / topk)\n",
-                   aiacc::compress::ToString(dense_pick).c_str(),
-                   aiacc::compress::ToString(embed_pick).c_str());
       return 1;
     }
   }

@@ -8,9 +8,7 @@
 // iterations/s and retransmit counts — plus a unit-retry probe (primary
 // unit tags blackholed). The sweep exits non-zero unless the robust stack
 // completes every iteration at every drop rate and the probe completes
-// through unit retries. --fault-schedule replays a serialized chaos
-// schedule (tests dump one per failing soak cell) through the reliable
-// engine.
+// through unit retries.
 #include "bench_util.h"
 
 #include <atomic>
@@ -26,7 +24,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace_events.h"
 #include "trainer/elastic.h"
-#include "transport/fault_schedule.h"
 
 using namespace aiacc;
 using namespace aiacc::bench;
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   std::string json_path;
-  std::string schedule_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
@@ -155,40 +151,13 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--fault-schedule") == 0 && i + 1 < argc) {
-      schedule_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace FILE] [--metrics-json FILE|-] "
-                   "[--json FILE|-] [--fault-schedule FILE]\n",
+                   "[--json FILE|-]\n",
                    argv[0]);
       return 1;
     }
-  }
-
-  // Replay a serialized chaos schedule (dumped by a failing soak cell or
-  // written by hand) through the reliable engine, then exit.
-  if (!schedule_path.empty()) {
-    const Result<transport::FaultSpec> spec =
-        transport::LoadFaultSchedule(schedule_path);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "cannot load fault schedule: %s\n",
-                   spec.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("replaying fault schedule %s (seed %llu)\n",
-                schedule_path.c_str(),
-                static_cast<unsigned long long>(spec->seed));
-    const EngineRunResult r =
-        RunReliabilityEngine(2, SweepConfig(), RobustFailureConfig(*spec), 30);
-    std::printf(
-        "  completed %d/30 iters in %.2fs (%s); retransmits=%llu "
-        "crc_failures=%llu unit_retries=%llu\n",
-        r.completed_iters, r.wall_s, r.aborted ? "ABORTED" : "ok",
-        static_cast<unsigned long long>(r.retransmits),
-        static_cast<unsigned long long>(r.crc_failures),
-        static_cast<unsigned long long>(r.unit_retries));
-    return r.aborted ? 2 : 0;
   }
 
   // In-band reliability sweep (--json): contrast the strict seed engine

@@ -39,7 +39,10 @@ Status WriteFileAtomic(const std::string& path,
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  if (ec) return Unavailable("rename failed: " + ec.message());
+  if (ec) {
+    std::remove(tmp.c_str());
+    return Unavailable("rename failed: " + ec.message());
+  }
   return Status::Ok();
 }
 

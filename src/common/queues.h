@@ -4,17 +4,13 @@
 //   * BoundedQueue<T>   — bounded MPMC queue with blocking push/pop (used as
 //                         the gradient message queue between the "GPU worker"
 //                         and the "MPI process" in the threaded backend).
-//   * SpscRing<T>       — wait-free single-producer/single-consumer ring for
-//                         per-channel message delivery on hot paths.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <optional>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/sync.h"
 
@@ -167,50 +163,6 @@ class BoundedQueue {
   common::CondVar not_full_;
   std::deque<T> items_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
-};
-
-/// Wait-free SPSC ring buffer (power-of-two capacity). Producer and consumer
-/// must each be a single thread. Used for per-channel message slots in the
-/// threaded transport, mirroring NCCL's per-connection FIFO.
-template <typename T>
-class SpscRing {
- public:
-  /// `capacity_pow2` must be a power of two >= 2.
-  explicit SpscRing(std::size_t capacity_pow2)
-      : mask_(capacity_pow2 - 1), slots_(capacity_pow2) {}
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  /// Returns false when full.
-  bool TryPush(T item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail > mask_) return false;
-    slots_[head & mask_] = std::move(item);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Returns nullopt when empty.
-  std::optional<T> TryPop() {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return std::nullopt;
-    T item = std::move(slots_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return item;
-  }
-
-  [[nodiscard]] std::size_t SizeApprox() const noexcept {
-    return head_.load(std::memory_order_acquire) -
-           tail_.load(std::memory_order_acquire);
-  }
-
- private:
-  const std::size_t mask_;
-  std::vector<T> slots_;  // ordered by the head_/tail_ acquire-release fences
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
 };
 
 }  // namespace aiacc

@@ -6,13 +6,6 @@
 
 namespace aiacc::core {
 
-compress::CodecSpec CommConfig::CodecFor(const std::string& name) const {
-  for (const auto& [tensor, spec] : codec_overrides) {
-    if (tensor == name) return spec;
-  }
-  return codec;
-}
-
 std::string CommConfig::ToString() const {
   std::ostringstream out;
   out << "{streams=" << num_streams
@@ -25,9 +18,6 @@ std::string CommConfig::ToString() const {
   // differ only in dispatch policy render to distinct strings.
   out << ", sched=" << priority_urgent_fraction << "/" << priority_aging_ms
       << "ms";
-  if (!codec_overrides.empty()) {
-    out << ", overrides=" << codec_overrides.size();
-  }
   out << "}";
   return out.str();
 }

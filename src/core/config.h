@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "collective/simulated.h"
@@ -34,16 +33,9 @@ struct CommConfig {
   /// Bit-identical at every depth; the default pipelines the engine's unit
   /// rings without changing any numerics.
   int pipeline_depth = 4;
-  /// Default wire codec for gradient collectives (compress/codec.h). kNone
+  /// Wire codec for every gradient collective (compress/codec.h). kNone
   /// keeps the raw-fp32 wire.
   compress::CodecSpec codec{};
-  /// Per-tensor codec overrides by gradient name, the output of the
-  /// per-tensor bandit (compress/tuner.h): a sparse embedding gradient can
-  /// run top-k while dense layers run fp16. Applied by name on every rank —
-  /// gradient registration order is deterministic, so all ranks resolve the
-  /// same codec for the same tensor. Kept sorted-insertion-free (small
-  /// linear list; models have few distinct override targets).
-  std::vector<std::pair<std::string, compress::CodecSpec>> codec_overrides;
   /// Priority dispatch (core/scheduler.h): the fraction of the gradient-id
   /// space counted as urgent — the front layers the next forward consumes
   /// first. 0 disables the ready-set scheduler (pure FIFO dispatch): the
@@ -53,9 +45,6 @@ struct CommConfig {
   /// Starvation/latency aging window for the ready set: entries older than
   /// this outrank everything younger on the priority streams.
   int priority_aging_ms = 50;
-
-  /// Codec for gradient `name`: its override when present, else `codec`.
-  [[nodiscard]] compress::CodecSpec CodecFor(const std::string& name) const;
 
   [[nodiscard]] std::string ToString() const;
 

@@ -6,11 +6,7 @@
 
 namespace aiacc::core {
 
-void StreamingPacker::Add(int gradient_id, std::size_t bytes,
-                          compress::CodecSpec codec) {
-  if (!current_.segments.empty() && current_.codec != codec) {
-    CloseCurrent();
-  }
+void StreamingPacker::Add(int gradient_id, std::size_t bytes) {
   std::size_t offset = 0;
   while (offset < bytes) {
     std::size_t room = granularity_ - current_bytes_;
@@ -20,9 +16,6 @@ void StreamingPacker::Add(int gradient_id, std::size_t bytes,
       continue;
     }
     const std::size_t take = std::min(room, bytes - offset);
-    // Stamp (and re-stamp after a mid-gradient close) so every unit a split
-    // gradient spans carries the gradient's codec.
-    current_.codec = codec;
     current_.segments.push_back(UnitSegment{gradient_id, offset, take});
     current_bytes_ += take;
     offset += take;

@@ -6,12 +6,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <span>
 #include <vector>
 
 #include "common/logging.h"
-#include "compress/codec.h"
 
 namespace aiacc::core {
 
@@ -28,12 +28,6 @@ struct UnitSegment {
 struct AllReduceUnit {
   std::uint64_t unit_id = 0;
   std::vector<UnitSegment> segments;
-  /// Wire codec every rank must use for this unit's collective. It is
-  /// derived from agreed state only (the shared config resolved per
-  /// gradient name in registration order), so all ranks stamp the same
-  /// codec on the same unit. Gradients with different codecs never
-  /// share a unit — the packer closes the open unit on a codec change.
-  compress::CodecSpec codec{};
 
   [[nodiscard]] std::size_t TotalBytes() const noexcept {
     std::size_t n = 0;
@@ -60,12 +54,8 @@ class StreamingPacker {
     AIACC_CHECK(alignment_ > 0);
   }
 
-  /// Append a ready gradient (in agreement order). `codec` is the wire
-  /// codec this gradient's collective must use; a gradient whose codec
-  /// differs from the open unit's closes that unit first, so one unit is
-  /// always encoded uniformly.
-  void Add(int gradient_id, std::size_t bytes,
-           compress::CodecSpec codec = compress::CodecSpec{});
+  /// Append a ready gradient (in agreement order).
+  void Add(int gradient_id, std::size_t bytes);
 
   /// Close the current partial unit (if any) so it becomes ready.
   void Flush();

@@ -262,15 +262,14 @@ void ThreadedAiaccEngine::Worker::Finalize() {
   // Tensor lookup by registry id (name-sorted order, identical on every
   // rank — the paper's sorted registration).
   state.tensors.resize(static_cast<std::size_t>(state.registry.size()));
-  state.codecs.resize(static_cast<std::size_t>(state.registry.size()));
   state.residuals.resize(static_cast<std::size_t>(state.registry.size()));
+  const bool error_feedback =
+      compress::UsesErrorFeedback(engine_->config_.codec.kind);
   for (const auto& [name, span] : state.pending_reg) {
     auto id = state.registry.IdOf(name);
     AIACC_CHECK(id.ok());
     state.tensors[static_cast<std::size_t>(*id)] = span;
-    const compress::CodecSpec spec = engine_->config_.CodecFor(name);
-    state.codecs[static_cast<std::size_t>(*id)] = spec;
-    if (compress::UsesErrorFeedback(spec.kind)) {
+    if (error_feedback) {
       state.residuals[static_cast<std::size_t>(*id)].assign(span.size(), 0.0f);
     }
   }
@@ -583,8 +582,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
       if (SyncBitSet(sync_vector, static_cast<std::size_t>(i)) &&
           local_ready.Test(static_cast<std::size_t>(i))) {
         local_ready.Clear(static_cast<std::size_t>(i));
-        packer.Add(i, state.registry.Get(i).bytes,
-                   state.codecs[static_cast<std::size_t>(i)]);
+        packer.Add(i, state.registry.Get(i).bytes);
         ++agreed_total;
       }
     }
@@ -644,6 +642,14 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
   Worker& worker = *workers_[static_cast<std::size_t>(rank)];
   auto& buffer_pool = common::BufferPool::Global();
   const bool retry_units = failure_.degrade_before_abort;
+  // Sparse codecs and the hierarchical all-reduce compute in place, on a
+  // pooled work copy of the tensors, and finish through WritePieces. The
+  // work copy reaches the tensors only after success, so they are intact
+  // for every later attempt.
+  const bool sparse = compress::IsSparse(config_.codec.kind);
+  const bool hierarchical_first =
+      !sparse && config_.algorithm == collective::Algorithm::kHierarchical &&
+      world_size_ % 2 == 0 && world_size_ > 2;
   // The current unit's tensor segments, reused across units so the steady
   // state allocates nothing.
   std::vector<std::span<float>> pieces;
@@ -697,16 +703,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // writes the averaged slice straight back, so there is neither a gather
     // nor a scatter-back.
     UnitPieces(*unit, state.tensors, pieces);
-    // Sparse codecs and the hierarchical all-reduce compute in place, on a
-    // pooled work copy of the tensors, and finish through WritePieces. The
-    // work copy reaches the tensors only after success, so they are intact
-    // for every later attempt.
     std::vector<float> work;
-    const bool sparse_unit = compress::IsSparse(unit->codec.kind);
-    const bool hierarchical_first =
-        !sparse_unit &&
-        config_.algorithm == collective::Algorithm::kHierarchical &&
-        world_size_ % 2 == 0 && world_size_ > 2;
     // A ring attempt that tier 2 may retry reduces from pooled staging,
     // gathered just before the unit's first ring attempt: no collective
     // writes its input, so every ring attempt reduces from these same bytes
@@ -722,7 +719,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // so every attempt re-gathers it from the persistent copy, which is
     // committed only after success.
     std::vector<float> residual_staging;
-    if (sparse_unit) {
+    if (sparse) {
       UnitPieces(*unit, state.residuals, residual_pieces);
       residual_staging = buffer_pool.Acquire(len);
     }
@@ -744,7 +741,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     Status st;
     int epoch = 0;  // outlives the loop: names the failing tag on abort
     for (int attempt = 0;; ++attempt) {
-      if (sparse_unit) {
+      if (sparse) {
         collective::ReadPieces(residual_pieces, residual_staging);
       }
 
@@ -764,10 +761,8 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       // *agreed*, so depth 1 is the only value every rank can assume
       // without coordination.
       comm.pipeline_depth = attempt == 0 ? config_.pipeline_depth : 1;
-      // The unit's agreed wire codec (stamped by the packer from the shared
-      // config; identical on every rank).
-      comm.codec = unit->codec;
-      if (sparse_unit) {
+      comm.codec = config_.codec;
+      if (sparse) {
         // Sparse codecs need the error-feedback residual and use one
         // record-all-gather regardless of algorithm/depth.
         st = reduce_work_copy([&](std::span<float> data) {
@@ -821,7 +816,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     auto release_buffers = [&] {
       if (staged) buffer_pool.Release(std::move(staging));
       if (!work.empty()) buffer_pool.Release(std::move(work));
-      if (sparse_unit) buffer_pool.Release(std::move(residual_staging));
+      if (sparse) buffer_pool.Release(std::move(residual_staging));
     };
     if (!st.ok()) {
       release_buffers();
@@ -842,7 +837,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
     // Commit the updated error-feedback residual only now that the
     // collective succeeded (a retried attempt must not see a residual that
     // was already consumed by a failed ring).
-    if (sparse_unit) collective::WritePieces(residual_staging, residual_pieces);
+    if (sparse) collective::WritePieces(residual_staging, residual_pieces);
     release_buffers();
 
     // The tensor bytes are written; account for completed gradients. The

@@ -271,15 +271,11 @@ class ThreadedAiaccEngine {
     std::vector<std::pair<std::string, std::span<float>>> pending_reg;  // NOLOCK(registration phase only)
     GradientRegistry registry;              // NOLOCK(frozen before service threads start)
     std::vector<std::span<float>> tensors;  // NOLOCK(frozen before service threads start)
-    // Per-gradient wire codec, resolved from CommConfig::CodecFor at
-    // Finalize (registration order is deterministic, so every rank resolves
-    // the same codec per id).
-    std::vector<compress::CodecSpec> codecs;  // NOLOCK(frozen before service threads start)
-    // Error-feedback residual shadow tensors, one per gradient using a
-    // sparse codec (empty otherwise). Each comm stream touches only its
-    // unit's segments — units partition gradient bytes disjointly — and a
-    // failed attempt re-gathers from here, so retries never double-apply
-    // the residual.
+    // Error-feedback residual shadow tensors, one per gradient when the
+    // engine codec uses error feedback (empty otherwise). Each comm stream
+    // touches only its unit's segments — units partition gradient bytes
+    // disjointly — and a failed attempt re-gathers from here, so retries
+    // never double-apply the residual.
     std::vector<std::vector<float>> residuals;  // NOLOCK(comm streams access disjoint unit segments; a commit happens-before the next gather via mu)
     // Every gradient id then kFlush: PushAll's one queue batch.
     std::vector<int> push_all_batch;  // NOLOCK(frozen before service threads start)

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 
 namespace aiacc::telemetry {
@@ -112,13 +112,7 @@ std::string FlightRecorder::ToJson() const {
 }
 
 Status FlightRecorder::DumpTo(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Unavailable("cannot open " + path);
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int rc = std::fclose(f);
-  if (written != json.size() || rc != 0) return DataLoss("short write");
-  return Status::Ok();
+  return common::WriteFileAtomic(path, ToJson());
 }
 
 Status FlightRecorder::DumpToEnvDir(const char* reason) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/buffer_pool.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 
 namespace aiacc::telemetry {
@@ -130,13 +131,7 @@ Status DumpMetrics(const RegistrySnapshot& snapshot, const std::string& dest) {
     std::fputs(table.c_str(), stderr);
     return Status::Ok();
   }
-  std::FILE* f = std::fopen(dest.c_str(), "wb");
-  if (f == nullptr) return Unavailable("cannot open " + dest);
-  const std::string json = snapshot.ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int rc = std::fclose(f);
-  if (written != json.size() || rc != 0) return DataLoss("short write");
-  return Status::Ok();
+  return common::WriteFileAtomic(dest, snapshot.ToJson());
 }
 
 RuntimeTracer& RuntimeTracer::Global() {

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/stats.h"
 
@@ -135,13 +136,7 @@ std::string ToChromeJson(const std::vector<SpanEvent>& spans,
 }
 
 Status WriteChromeTrace(const std::string& path, const ChromeTraceDoc& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Unavailable("cannot open " + path);
-  const std::string json = ToChromeJson(doc);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int rc = std::fclose(f);
-  if (written != json.size() || rc != 0) return DataLoss("short write");
-  return Status::Ok();
+  return common::WriteFileAtomic(path, ToChromeJson(doc));
 }
 
 Status WriteChromeTrace(const std::string& path,

@@ -19,8 +19,7 @@
 //
 // Which messages are perturbed is a pure function of (seed, src, dst, tag,
 // sequence number), so a fault schedule replays identically across runs —
-// chaos tests are reproducible by seed, and a schedule serializes to JSON
-// for replay across processes (transport/fault_schedule.h).
+// chaos tests are reproducible by seed.
 //
 // Delivery semantics, selected by FaultSpec::delivery:
 //

@@ -18,17 +18,25 @@ Four layers:
      src/transport/ but not src/core/, and NOLOCK(...) / NOALLOC(...)
      exempt their line.
 
+Every analyzer run is an in-process call of analyze.main, so the src/
+signature index is scanned once per file for the whole suite, not once
+per run.
+
 Exit 0 on success, 1 with a failure list otherwise.
 """
+import contextlib
+import io
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ANALYZE = os.path.join(REPO, "tools", "aiacc_analyzer", "analyze.py")
+sys.path.insert(0, os.path.join(REPO, "tools", "aiacc_analyzer"))
+import analyze  # noqa: E402
+
 FIXDIR = os.path.join("tests", "analyzer_fixtures")
 
 CHECK_STEMS = {
@@ -52,8 +60,20 @@ def fail(msg: str) -> None:
 
 
 def run(args):
-    return subprocess.run([sys.executable, ANALYZE] + args,
-                          capture_output=True, text=True, cwd=REPO)
+    """analyze.py `args` run from the repo root: returncode, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = analyze.main(args)
+            except SystemExit as e:  # usage errors exit from argparse
+                code = e.code
+    finally:
+        os.chdir(cwd)
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
 
 
 def findings_of(json_path):

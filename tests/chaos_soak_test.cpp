@@ -4,16 +4,17 @@
 // (threaded_engine.cpp) — asserting bit-exact results throughout, with *no*
 // checkpoint recovery involved.
 //
-// Every schedule is seeded; when a soak cell fails, its FaultSpec is
-// serialized to JSON (AIACC_FAULT_DUMP_DIR or the test temp dir) so the
-// exact schedule replays under a debugger via transport/fault_schedule.h.
-// The seed sweep is bounded by AIACC_CHAOS_SEEDS (CI sets it).
+// Every schedule is seeded. A soak cell's FaultSpec is a pure function of
+// its place in the sweep, so a failing cell reruns with the same spec by
+// seed: its failure message names the cell, the faults injected into it
+// and the command that reruns it. The seed sweep is bounded by AIACC_CHAOS_SEEDS
+// (CI sets it).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iomanip>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "common/rng.h"
 #include "compress/codec.h"
 #include "core/threaded_engine.h"
-#include "transport/fault_schedule.h"
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
@@ -50,18 +50,23 @@ int EnvInt(const char* name, int fallback) {
   return std::atoi(v);
 }
 
-/// Serialize a failing cell's schedule for replay and point at it from the
-/// test output (CI uploads the dump dir as an artifact).
-void DumpSchedule(const FaultSpec& spec, const std::string& cell) {
-  const char* dir = std::getenv("AIACC_FAULT_DUMP_DIR");
-  const std::string path = (dir != nullptr && *dir != '\0'
-                                ? std::string(dir) + "/"
-                                : ::testing::TempDir()) +
-                           "fault_schedule_" + cell + ".json";
-  const Status st = transport::WriteFaultSchedule(path, spec);
-  ADD_FAILURE() << "chaos cell '" << cell << "' failed; schedule "
-                << (st.ok() ? "saved to " + path
-                            : "dump failed: " + st.ToString());
+/// Fail with everything needed to rerun soak cell `s`: its spec, what the
+/// fault layer injected into it, and the command that replays it (cells
+/// before it pass, so sweeping seeds 0..s reaches it with the same spec).
+void ReportFailedCell(int s, double rate, int channels, int depth,
+                      const FaultSpec& spec, const transport::FaultStats& st) {
+  ADD_FAILURE() << "chaos cell failed: s=" << s << " seed=" << spec.seed
+                << " rate=" << std::setprecision(3) << rate
+                << " channels=" << channels << " depth=" << depth
+                << "\n  injected: dropped=" << st.dropped
+                << " duplicated=" << st.duplicated
+                << " reordered=" << st.reordered
+                << " corrupted=" << st.corrupted << " of " << st.delivered
+                << " delivered frames (retransmit timing moves these slightly"
+                   " run to run)"
+                << "\n  rerun: AIACC_CHAOS_SEEDS=" << s + 1
+                << " ./build/tests/chaos_soak_test"
+                   " --gtest_filter=ChaosSoakTest.CollectiveSoakMatrix";
 }
 
 std::vector<std::vector<float>> MakeRankData(int world, std::size_t len,
@@ -145,10 +150,8 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
         if (!RunSequence(rel, world, shape.channels, shape.depth,
                          /*iters=*/4, /*data_seed=*/spec.seed,
                          /*timeout_ms=*/30000)) {
-          DumpSchedule(spec, "soak_s" + std::to_string(s) + "_r" +
-                                 std::to_string(rate) + "_c" +
-                                 std::to_string(shape.channels) + "_d" +
-                                 std::to_string(shape.depth));
+          ReportFailedCell(s, rate, shape.channels, shape.depth, spec,
+                           faulty.stats());
           return;
         }
       }

@@ -4,9 +4,8 @@
 // error-feedback residual property, a ring bit-exactness matrix over
 // codec x op x world x odd lengths x pipeline depth x channels, the
 // chaos/reliable-transport composition, steady-state allocation checks,
-// codec-aware unit packing, per-tensor codec overrides in CommConfig, the
-// per-tensor codec bandit, and end-to-end MLP training
-// parity through the threaded engine under every codec family.
+// and end-to-end MLP training parity through the threaded engine under
+// every codec family.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,9 +19,7 @@
 #include "common/rng.h"
 #include "compress/codec.h"
 #include "compress/scalar.h"
-#include "compress/tuner.h"
 #include "core/config.h"
-#include "core/packing.h"
 #include "core/threaded_engine.h"
 #include "dnn/mlp.h"
 #include "dnn/zoo.h"
@@ -566,110 +563,6 @@ TEST(RingCodecMatrixTest, ZeroSteadyStateAllocations) {
   }
 }
 
-// ------------------------------------------------- codec-aware packing ----
-
-TEST(PackingCodecTest, CodecChangeClosesUnit) {
-  core::StreamingPacker packer(/*granularity_bytes=*/1024);
-  packer.Add(0, 100, CodecSpec{CodecKind::kFp16});
-  packer.Add(1, 100, CodecSpec{CodecKind::kTopK, 0.01f});
-  packer.Flush();
-  ASSERT_EQ(packer.ReadyUnits(), 2u);
-  const auto a = packer.PopReadyUnit();
-  const auto b = packer.PopReadyUnit();
-  EXPECT_EQ(a.codec, (CodecSpec{CodecKind::kFp16}));
-  EXPECT_EQ(b.codec, (CodecSpec{CodecKind::kTopK, 0.01f}));
-}
-
-TEST(PackingCodecTest, SameCodecStillMerges) {
-  core::StreamingPacker packer(1024);
-  packer.Add(0, 100, CodecSpec{CodecKind::kFp16});
-  packer.Add(1, 100, CodecSpec{CodecKind::kFp16});
-  packer.Flush();
-  ASSERT_EQ(packer.ReadyUnits(), 1u);
-  EXPECT_EQ(packer.PopReadyUnit().segments.size(), 2u);
-}
-
-TEST(PackingCodecTest, SplitGradientStampsEveryUnit) {
-  core::StreamingPacker packer(1024);
-  packer.Add(0, 3000, CodecSpec{CodecKind::kOneBit});
-  packer.Flush();
-  ASSERT_EQ(packer.ReadyUnits(), 3u);
-  while (packer.HasReadyUnit()) {
-    EXPECT_EQ(packer.PopReadyUnit().codec, (CodecSpec{CodecKind::kOneBit}));
-  }
-}
-
-// ----------------------------------------------- per-tensor overrides ----
-
-TEST(ConfigCodecTest, CodecForResolvesOverrides) {
-  core::CommConfig cfg;
-  cfg.codec = CodecSpec{CodecKind::kFp16};
-  cfg.codec_overrides.emplace_back("embedding",
-                                   CodecSpec{CodecKind::kTopK, 0.02f});
-  EXPECT_EQ(cfg.CodecFor("embedding"), (CodecSpec{CodecKind::kTopK, 0.02f}));
-  EXPECT_EQ(cfg.CodecFor("conv1"), (CodecSpec{CodecKind::kFp16}));
-  EXPECT_NE(cfg.ToString().find("codec=fp16"), std::string::npos);
-}
-
-// ------------------------------------------------- per-tensor bandit ----
-
-TEST(CodecTunerTest, SeparatesDenseFromSparse) {
-  compress::PerTensorCodecTuner tuner;
-  const std::size_t dense = tuner.RegisterTensor("conv1");
-  const std::size_t sparse = tuner.RegisterTensor("embedding");
-  EXPECT_EQ(tuner.RegisterTensor("conv1"), dense);  // idempotent
-  EXPECT_EQ(tuner.NumTensors(), 2u);
-
-  common::BufferPool pool;
-  const std::size_t n = 4096;
-  std::vector<float> dense_g(n);
-  std::vector<float> sparse_g(n, 0.0f);
-  Rng rng(13);
-  for (float& x : dense_g) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  for (std::size_t i = 0; i < n; i += 128) {  // 0.8% hot
-    sparse_g[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-
-  auto observe = [&](std::size_t id, std::span<const float> g) {
-    const CodecSpec pick = tuner.Choose(id);
-    std::size_t wire = g.size();
-    double err = 0.0;
-    if (pick.kind != CodecKind::kNone) {
-      std::vector<float> w(compress::MaxWireFloats(pick, g.size()));
-      std::vector<float> d(g.size(), 0.0f);
-      if (compress::IsCast(pick.kind)) {
-        wire = compress::CastWireFloats(g.size());
-        compress::CastEncode(pick.kind, g, w);
-        compress::CastDecode(pick.kind, w, d, g.size());
-      } else {
-        wire = compress::SparseEncode(pick, g, w, pool);
-        ASSERT_TRUE(compress::SparseDecodeAccumulate(
-                        pick, std::span<const float>(w.data(), wire), d)
-                        .ok());
-      }
-      double e2 = 0.0;
-      double r2 = 0.0;
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        const double diff =
-            static_cast<double>(d[i]) - static_cast<double>(g[i]);
-        e2 += diff * diff;
-        r2 += static_cast<double>(g[i]) * static_cast<double>(g[i]);
-      }
-      err = r2 > 0 ? std::sqrt(e2 / r2) : 0.0;
-    }
-    tuner.Observe(id, wire, g.size(), err);
-  };
-  const int rounds = 40;
-  for (int t = 0; t < rounds; ++t) {
-    observe(dense, dense_g);
-    observe(sparse, sparse_g);
-  }
-  EXPECT_EQ(tuner.Plays(dense), static_cast<std::uint64_t>(rounds));
-  EXPECT_EQ(tuner.Best(dense).kind, CodecKind::kFp16);
-  EXPECT_EQ(tuner.Best(sparse).kind, CodecKind::kTopK);
-  EXPECT_EQ(tuner.NameOf(sparse), "embedding");
-}
-
 // ------------------------------------------ engine end-to-end parity ----
 
 constexpr int kIn = 6;
@@ -770,24 +663,6 @@ TEST(EngineCodecTest, SparseCodecsConvergeWithErrorFeedback) {
     }
     const float final_loss = LossOf(*replicas[0], ds);
     EXPECT_LT(final_loss, 0.5f * initial_loss) << compress::ToString(spec);
-  }
-}
-
-// Per-tensor overrides route different units through different codecs in
-// the same iteration; determinism across ranks must survive the mix.
-TEST(EngineCodecTest, PerTensorOverridesStayDeterministic) {
-  const auto ds = dnn::MakeSyntheticDataset(24, kIn, kOut, 11);
-  core::CommConfig config;
-  config.num_streams = 2;
-  config.granularity_bytes = 128;
-  config.codec_overrides.emplace_back("grad000",
-                                      CodecSpec{CodecKind::kFp16});
-  config.codec_overrides.emplace_back("grad001",
-                                      CodecSpec{CodecKind::kTopK, 0.5f});
-  const auto replicas = TrainDistributed(ds, 4, 6, 0.1f, config);
-  for (std::size_t r = 1; r < replicas.size(); ++r) {
-    EXPECT_TRUE(replicas[r]->ParametersEqual(*replicas[0], 0.0f))
-        << "rank " << r << " diverged";
   }
 }
 

@@ -623,7 +623,7 @@ TEST(PooledBitExactTest, BroadcastMatchesRootBitwise) {
   ExpectBitIdentical(std::vector<std::vector<float>>(world, data[2]), got);
 }
 
-TEST(PooledChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
+TEST(PooledChaosTest, BitIdenticalUnderLosslessFaults) {
   // Duplication, reordering and delay — but no drops — over the pooled
   // path: the strict Recv framing de-duplicates and re-orders, so the
   // result must still be bitwise identical to a clean run.
@@ -735,7 +735,7 @@ TEST(PipelinedBitExactTest, HierarchicalMatchesDepthOneBitwise) {
   ExpectBitIdentical(run(1, &base_pool), run(4, &pool));
 }
 
-TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaultSchedule) {
+TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaults) {
   // Duplication, reordering and delay across a depth-4 pipelined run: the
   // strict per-(src,tag) FIFO framing must keep the in-flight slice window
   // coherent, matching a clean depth-1 run bit for bit.

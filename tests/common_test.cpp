@@ -1,15 +1,21 @@
 // Unit tests for the common substrate: status/result, bit vector, queues,
-// thread pool, RNG determinism, stats, serialization, CRC-32.
+// thread pool, RNG determinism, stats, serialization, CRC-32, atomic file
+// writes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/bitvector.h"
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/queues.h"
 #include "common/rng.h"
 #include "common/serialize.h"
@@ -174,39 +180,6 @@ TEST(BoundedQueueTest, PushBatchResumesWhenFull) {
   EXPECT_TRUE(q.PushBatch(batch));
   consumer.join();
   EXPECT_EQ(popped, batch);
-}
-
-TEST(SpscRingTest, PushPopRoundTrip) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(8));  // full
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(ring.TryPop(), i);
-  EXPECT_EQ(ring.TryPop(), std::nullopt);
-}
-
-TEST(SpscRingTest, ConcurrentProducerConsumer) {
-  SpscRing<int> ring(64);
-  constexpr int kCount = 5000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount;) {
-      if (ring.TryPush(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();  // single-core CI: let the consumer run
-      }
-    }
-  });
-  long long sum = 0;
-  for (int received = 0; received < kCount;) {
-    if (auto v = ring.TryPop()) {
-      sum += *v;
-      ++received;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
 }
 
 // ------------------------------------------------------------ ThreadPool ---
@@ -416,6 +389,24 @@ TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBufferAndSplits) {
               whole)
         << "split " << split;
   }
+}
+
+// --------------------------------------------------------------- File I/O ---
+
+TEST(FileIoTest, FailedRenameLeavesNoTempFile) {
+  // The destination is an existing directory: the temp file opens and fills,
+  // then the rename over the directory fails.
+  const std::string dir = ::testing::TempDir() + "common_test_atomic_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::uint8_t bytes[] = {1, 2, 3};
+  const Status st = common::WriteFileAtomic(dir, bytes);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove(dir + ".tmp");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -263,7 +263,7 @@ TEST(NetworkPropertyTest, AggregateRateNeverExceedsCapacity) {
 }  // namespace
 }  // namespace aiacc::trainer
 
-// ----------------------------------------------- fault-schedule property --
+// ------------------------------------------------ seeded-fault property --
 
 namespace aiacc::collective {
 namespace {
@@ -273,16 +273,15 @@ namespace {
 // outcome is all-or-nothing sound: if every rank reports Ok the results are
 // exactly correct; otherwise at least one rank reported a non-OK status.
 // (Lossless schedules — no drops — must always land in the first bucket.)
-struct FaultScheduleOutcome {
+struct FaultOutcome {
   bool all_ok = true;
   int non_ok = 0;
 };
 
 template <typename CollectiveFn>
-FaultScheduleOutcome RunUnderSchedule(int world,
-                                      const transport::FaultSpec& faults,
-                                      std::vector<std::vector<float>>& data,
-                                      const CollectiveFn& op) {
+FaultOutcome RunUnderSchedule(int world, const transport::FaultSpec& faults,
+                              std::vector<std::vector<float>>& data,
+                              const CollectiveFn& op) {
   transport::InProcTransport inner(world);
   transport::FaultyTransport tr(inner, faults);
   std::vector<Status> status(static_cast<std::size_t>(world), Status::Ok());
@@ -295,7 +294,7 @@ FaultScheduleOutcome RunUnderSchedule(int world,
     });
   }
   for (auto& t : threads) t.join();
-  FaultScheduleOutcome outcome;
+  FaultOutcome outcome;
   for (const Status& st : status) {
     if (!st.ok()) {
       outcome.all_ok = false;
@@ -319,7 +318,7 @@ transport::FaultSpec RandomSchedule(std::uint64_t seed, bool allow_drops) {
   return faults;
 }
 
-TEST(FaultScheduleProperty, RingAllReduceExactOrNonOkNeverHangs) {
+TEST(FaultSpecProperty, RingAllReduceExactOrNonOkNeverHangs) {
   const int world = 4;
   const std::size_t len = 96;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -353,7 +352,7 @@ TEST(FaultScheduleProperty, RingAllReduceExactOrNonOkNeverHangs) {
   }
 }
 
-TEST(FaultScheduleProperty, HierarchicalAllReduceExactOrNonOkNeverHangs) {
+TEST(FaultSpecProperty, HierarchicalAllReduceExactOrNonOkNeverHangs) {
   const int world = 4;
   const std::size_t len = 64;
   for (std::uint64_t seed = 101; seed <= 108; ++seed) {

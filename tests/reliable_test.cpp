@@ -1,15 +1,13 @@
 // ReliableTransport tests: exactly-once in-order delivery through every
 // fault mix the chaos layer can throw (drop/dup/reorder/corrupt/straggler,
 // separately and combined), bidirectional traffic on one tag, concurrent
-// senders on one channel, acks reaped by the sender, strict TryRecv, deadline hand-off to the upper tiers, zero steady-state buffer
-// allocations, collectives running bit-exact through chaos at every
-// pipeline depth and channel count, and the fault-schedule JSON replay
-// round-trip.
+// senders on one channel, acks reaped by the sender, strict TryRecv,
+// deadline hand-off to the upper tiers, zero steady-state buffer
+// allocations, and collectives running bit-exact through chaos at every
+// pipeline depth and channel count.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "collective/threaded.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
-#include "transport/fault_schedule.h"
 #include "transport/faulty.h"
 #include "transport/inproc.h"
 #include "transport/reliable.h"
@@ -385,78 +382,6 @@ TEST(ReliableCollectiveTest, MultiChannelAllReduceBitExactThroughChaos) {
       }
     }
   }
-}
-
-// ------------------------------------------- fault-schedule JSON replay ---
-
-TEST(FaultScheduleTest, JsonRoundTripPreservesEveryField) {
-  FaultSpec spec;
-  spec.seed = 424242;
-  spec.delivery = FaultDelivery::kRaw;
-  spec.all_links.drop_prob = 0.125;
-  spec.all_links.dup_prob = 0.0625;
-  spec.all_links.reorder_prob = 0.25;
-  spec.all_links.corrupt_prob = 0.03125;
-  spec.all_links.delay_prob = 0.5;
-  spec.all_links.max_delay_ms = 7.5;
-  LinkFaults lossy;
-  lossy.drop_prob = 1.0;
-  spec.per_link[{0, 2}] = lossy;
-  spec.per_link[{2, 1}] = LinkFaults{};
-  TagFaults window;
-  window.tag_lo = 33;
-  window.tag_hi = 48;
-  window.faults.corrupt_prob = 0.75;
-  spec.per_tag.push_back(window);
-  spec.crash_rank = 2;
-  spec.crash_after_sends = 900;
-  spec.straggler_rank = 1;
-  spec.straggler_delay_ms = 3.25;
-
-  const std::string json = FaultScheduleToJson(spec);
-  auto parsed = FaultScheduleFromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->seed, spec.seed);
-  EXPECT_EQ(parsed->delivery, spec.delivery);
-  EXPECT_EQ(parsed->all_links, spec.all_links);
-  EXPECT_EQ(parsed->per_link, spec.per_link);
-  EXPECT_EQ(parsed->per_tag, spec.per_tag);
-  EXPECT_EQ(parsed->crash_rank, spec.crash_rank);
-  EXPECT_EQ(parsed->crash_after_sends, spec.crash_after_sends);
-  EXPECT_EQ(parsed->straggler_rank, spec.straggler_rank);
-  EXPECT_EQ(parsed->straggler_delay_ms, spec.straggler_delay_ms);
-
-  // And the round-tripped schedule replays the identical fault sequence.
-  FaultSpec simple;
-  simple.seed = 5;
-  simple.all_links.drop_prob = 0.2;
-  auto replay = FaultScheduleFromJson(FaultScheduleToJson(simple));
-  ASSERT_TRUE(replay.ok());
-  auto run_with = [&](const FaultSpec& s) {
-    InProcTransport inner(2);
-    FaultyTransport tr(inner, s);
-    for (int i = 0; i < 200; ++i) tr.Send(0, 1, 0, {static_cast<float>(i)});
-    return tr.stats().dropped;
-  };
-  EXPECT_EQ(run_with(simple), run_with(*replay));
-}
-
-TEST(FaultScheduleTest, FileRoundTripAndErrors) {
-  FaultSpec spec;
-  spec.seed = 7;
-  spec.all_links.drop_prob = 0.5;
-  const std::string path =
-      ::testing::TempDir() + "reliable_test_schedule.json";
-  ASSERT_TRUE(WriteFaultSchedule(path, spec).ok());
-  auto loaded = LoadFaultSchedule(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->seed, 7u);
-  EXPECT_EQ(loaded->all_links.drop_prob, 0.5);
-  std::remove(path.c_str());
-
-  EXPECT_FALSE(FaultScheduleFromJson("not json").ok());
-  EXPECT_FALSE(FaultScheduleFromJson("{\"unknown_key\": 1}").ok());
-  EXPECT_FALSE(LoadFaultSchedule("/nonexistent/schedule.json").ok());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ Known, accepted approximations:
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -53,6 +54,32 @@ ANY_SIG_RE = re.compile(
 CONTROL_BEFORE_PAREN = frozenset(("if", "for", "while", "switch", "return"))
 
 
+@functools.lru_cache(maxsize=None)
+def _file_signatures(raw: str) -> tuple[tuple[tuple[str, str], ...],
+                                        frozenset[str]]:
+    """One file's declarations: every Status/Result one as (name, kind) in
+    source order, and the names declared with any other return. Keyed by
+    content, so a process that analyzes many file sets (the fixture
+    self-tests) strips and scans each src/ file once."""
+    code = strip_comments_and_strings(raw)
+    status = tuple(
+        (m.group("name"), "result" if "Result" in m.group("ret") else "status")
+        for m in SIG_RE.finditer(code))
+    others: set[str] = set()
+    for m in ANY_SIG_RE.finditer(code):
+        ret = m.group("ret").strip()
+        name = m.group("name")
+        if name in CONTROL_BEFORE_PAREN or not ret:
+            continue
+        if re.search(r"\bStatus\b|\bResult\b", ret):
+            continue
+        if ret in ("return", "else", "new", "delete", "case", "do",
+                   "const", "co_return"):
+            continue
+        others.add(name)
+    return status, frozenset(others)
+
+
 def build_signature_index(texts: dict[str, str],
                           with_others: bool = False):
     """texts: repo-relative path -> raw file contents. Two passes: first
@@ -61,32 +88,17 @@ def build_signature_index(texts: dict[str, str],
     in the project is ambiguous and dropped (never flagged). With
     `with_others`, also return the set of names seen with a non-Status
     return (so a caller can mask a broader index with local negatives)."""
-    stripped = {p: strip_comments_and_strings(raw)
-                for p, raw in sorted(texts.items())}
+    sigs = [_file_signatures(raw) for _, raw in sorted(texts.items())]
     status_names: dict[str, str] = {}
     other_names: set[str] = set()
-    for code in stripped.values():
-        for m in SIG_RE.finditer(code):
-            ret = m.group("ret")
-            kind = "result" if "Result" in ret else "status"
-            name = m.group("name")
+    for status, _ in sigs:
+        for name, kind in status:
             prev = status_names.get(name)
             if prev is not None and prev != kind:
                 other_names.add(name)  # Status vs Result under one name
             status_names[name] = kind
-    for code in stripped.values():
-        for m in ANY_SIG_RE.finditer(code):
-            ret = m.group("ret").strip()
-            name = m.group("name")
-            if name in CONTROL_BEFORE_PAREN or not ret:
-                continue
-            if re.search(r"\bStatus\b|\bResult\b", ret):
-                continue
-            if ret in ("return", "else", "new", "delete", "case", "do",
-                       "const", "co_return"):
-                continue
-            if name in status_names:
-                other_names.add(name)
+    for _, others in sigs:
+        other_names.update(n for n in others if n in status_names)
     if with_others:
         ambiguous = {n for n in other_names if n in status_names}
         for name in ambiguous:
