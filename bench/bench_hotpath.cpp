@@ -36,8 +36,8 @@
 #include "common/buffer_pool.h"
 #include "common/logging.h"
 #include "core/threaded_engine.h"
-#include "telemetry/merge.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace_events.h"
 #include "telemetry/tracer.h"
 #include "transport/inproc.h"
 
@@ -170,16 +170,13 @@ PhaseResult RunMultiChannel(BufferPool& pool, const BenchConfig& cfg) {
 }
 
 /// Multi-rank observability smoke (`--trace-dir DIR`): run a 4-rank,
-/// 2-stream traced engine phase with message stamping forced on and a
-/// known synthetic clock skew per rank, then write per-rank traces
-/// (`trace.r<k>.json`, each shifted by its rank's skew so the files look
-/// like they came from machines with disagreeing clocks) plus the aligned
-/// `trace.merged.json` recovered by telemetry::MergeTraces from the
-/// cross-rank flow edges alone. Exits non-zero when no flow edges were
-/// captured or the merged timeline still has a causality violation beyond
-/// the estimator's tolerance — this is what the `observability` ctest and
-/// CI lane consume (tools/trace_analyze.py + tools/trace_lint.py read the
-/// files afterwards).
+/// 2-stream traced engine phase (the engine stacks its stamping transport
+/// because the tracer is on) and write the collected document once, as
+/// `DIR/trace.json`. All ranks are threads of this process, so every event
+/// is timed by the one tracer clock. Exits non-zero unless cross-rank flow
+/// edges were captured — this is what the `observability` ctest and CI
+/// lane consume (tools/trace_lint.py checks the flow graph and
+/// tools/trace_analyze.py the critical path on the file afterwards).
 int RunTraceSmoke(const std::string& dir) {
   using aiacc::telemetry::ChromeTraceDoc;
   using aiacc::telemetry::TraceLevel;
@@ -187,9 +184,6 @@ int RunTraceSmoke(const std::string& dir) {
   constexpr int kIters = 6;
   constexpr std::size_t kElems = 4096;
   constexpr std::size_t kTensors = 4;
-  // Synthetic per-rank clock offsets (seconds): what MergeTraces must
-  // recover. Millisecond-scale, both signs, rank 0 pinned at zero.
-  const std::vector<double> skew_s = {0.0, 1.5e-3, -0.8e-3, 2.2e-3};
 
   auto& tracer = RuntimeTracer::Global();
   tracer.Clear();
@@ -199,17 +193,10 @@ int RunTraceSmoke(const std::string& dir) {
   config.num_streams = 2;           // >= 2 comm channels per rank
   config.granularity_bytes = 8192;  // several units per iteration
   config.pipeline_depth = 2;
-  aiacc::core::FailureConfig failure;
-  failure.trace_messages = 1;  // stamp even if the tracer flips off early
-  failure.trace_rank_skew_ns.resize(kWorld);
-  for (int r = 0; r < kWorld; ++r) {
-    failure.trace_rank_skew_ns[static_cast<std::size_t>(r)] =
-        static_cast<std::int64_t>(skew_s[static_cast<std::size_t>(r)] * 1e9);
-  }
 
   std::atomic<bool> failed{false};
   {
-    aiacc::core::ThreadedAiaccEngine engine(kWorld, config, failure);
+    aiacc::core::ThreadedAiaccEngine engine(kWorld, config);
     std::vector<std::thread> threads;
     threads.reserve(kWorld);
     for (int r = 0; r < kWorld; ++r) {
@@ -261,62 +248,27 @@ int RunTraceSmoke(const std::string& dir) {
 
   ChromeTraceDoc doc;
   tracer.Collect(&doc);
-  auto by_rank = aiacc::telemetry::SplitByRankLabel(doc);
-  std::vector<aiacc::telemetry::RankTrace> traces;
-  traces.reserve(kWorld);
-  for (int r = 0; r < kWorld; ++r) {
-    ChromeTraceDoc rank_doc = std::move(by_rank[r]);
-    // Skew this rank's clock: the per-rank files really disagree, and the
-    // merge has real offsets to recover.
-    aiacc::telemetry::ShiftTimes(rank_doc,
-                                 skew_s[static_cast<std::size_t>(r)]);
-    const std::string path =
-        dir + "/trace.r" + std::to_string(r) + ".json";
-    const aiacc::Status st =
-        aiacc::telemetry::WriteChromeTrace(path, rank_doc);
-    if (!st.ok()) {
-      std::fprintf(stderr, "trace smoke: %s: %s\n", path.c_str(),
-                   st.ToString().c_str());
-      return 1;
-    }
-    traces.push_back({r, std::move(rank_doc)});
-  }
-  const aiacc::telemetry::MergeReport report =
-      aiacc::telemetry::MergeTraces(traces);
-  const std::string merged_path = dir + "/trace.merged.json";
-  const aiacc::Status st =
-      aiacc::telemetry::WriteChromeTrace(merged_path, report.merged);
+  const std::string path = dir + "/trace.json";
+  const aiacc::Status st = aiacc::telemetry::WriteChromeTrace(path, doc);
   if (!st.ok()) {
-    std::fprintf(stderr, "trace smoke: %s: %s\n", merged_path.c_str(),
+    std::fprintf(stderr, "trace smoke: %s: %s\n", path.c_str(),
                  st.ToString().c_str());
     return 1;
   }
 
-  std::printf("trace smoke: %d ranks, %d iters -> %s\n", kWorld, kIters,
-              dir.c_str());
-  std::printf("  flow edges matched: %zu  (unmatched halves: %zu)\n",
-              report.flow_edges, report.unmatched_flows);
-  for (int r = 0; r < kWorld; ++r) {
-    std::printf("  rank %d: injected skew %+8.3f ms, recovered offset "
-                "%+8.3f ms\n",
-                r, 1e3 * skew_s[static_cast<std::size_t>(r)],
-                1e3 * report.offset_seconds[static_cast<std::size_t>(r)]);
+  // The flow graph must not be empty; tools/trace_lint.py (the
+  // `multirank_trace_lint` ctest, zero tolerance) checks on this file that
+  // no end dangles and none precedes its start.
+  std::size_t edges = 0;
+  for (const auto& flow : doc.flows) {
+    if (!flow.start) ++edges;
   }
-  std::printf("  max causality violation after correction: %.1f us\n",
-              1e6 * report.max_causality_violation);
-
-  if (report.flow_edges == 0) {
+  std::printf("trace smoke: %d ranks, %d iters -> %s\n", kWorld, kIters,
+              path.c_str());
+  std::printf("  flow edges: %zu\n", edges);
+  if (edges == 0) {
     std::fprintf(stderr,
                  "TRACE SMOKE FAILURE: no cross-rank flow edges captured\n");
-    return 1;
-  }
-  // The injected skews are milliseconds; the estimator should leave at
-  // most in-process scheduling noise. 1ms of residual means it failed.
-  if (report.max_causality_violation > 1e-3) {
-    std::fprintf(stderr,
-                 "TRACE SMOKE FAILURE: %.1f us causality violation after "
-                 "skew correction\n",
-                 1e6 * report.max_causality_violation);
     return 1;
   }
   return 0;
@@ -374,8 +326,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_dir.empty()) {
     // Standalone mode: the multi-rank causal-trace smoke replaces the
-    // standard phases (DIR must exist; files land as trace.r<k>.json and
-    // trace.merged.json).
+    // standard phases (DIR must exist; the trace lands as DIR/trace.json).
     return RunTraceSmoke(trace_dir);
   }
   if (smoke) {

@@ -1,10 +1,14 @@
 // Byte-buffer serialization used by checkpointing (§IV "fault-tolerance to
 // restart the training process from the last checkpoint") and by the sync
 // protocol's wire messages. Little-endian, append-only writer + cursor reader.
+// Also the float-lane integer parser shared by the transport layers that
+// carry integers in payload lanes (reliable header, trace stamp).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,5 +110,16 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// A float lane that must hold a small non-negative integer below `limit`;
+/// nullopt when it holds anything else (NaN, infinity, negative, fraction,
+/// out of range) — how corruption that hit a header or trailer lane shows.
+[[nodiscard]] inline std::optional<std::uint64_t> IntLane(
+    float v, std::uint64_t limit) noexcept {
+  if (!std::isfinite(v) || v < 0.0f) return std::nullopt;
+  const auto u = static_cast<std::uint64_t>(v);
+  if (static_cast<float>(u) != v || u >= limit) return std::nullopt;
+  return u;
+}
 
 }  // namespace aiacc

@@ -85,18 +85,11 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
   // Observability tier rides on top of everything: the stamp trailer is
   // appended last on send and stripped first on receive, so the reliable
   // layer's CRC covers it and the layers below never see trailer lanes.
-  // trace_messages: -1 auto (stamp iff the tracer records flow-level
-  // events right now), 0 off, 1 forced on.
-  const bool stamp_messages =
-      failure_.trace_messages > 0 ||
-      (failure_.trace_messages < 0 &&
-       telemetry::RuntimeTracer::Global().enabled(
-           telemetry::TraceLevel::kPhase));
-  if (stamp_messages) {
-    transport::TracingOptions topts;
-    topts.rank_skew_ns = failure_.trace_rank_skew_ns;
-    tracing_ =
-        std::make_unique<transport::TracingTransport>(*transport_, topts);
+  // Stacked iff the tracer records flow-level events right now: tracing on
+  // means causal edges wanted, tracing off leaves the stack untouched.
+  if (telemetry::RuntimeTracer::Global().enabled(
+          telemetry::TraceLevel::kPhase)) {
+    tracing_ = std::make_unique<transport::TracingTransport>(*transport_);
     transport_ = tracing_.get();
   }
   workers_.reserve(static_cast<std::size_t>(world_size));

@@ -102,18 +102,6 @@ struct FailureConfig {
   /// fresh work copy of the tensors, which they write back only on
   /// success.
   bool degrade_before_abort = false;
-
-  /// Observability tier: stack a TracingTransport on top of the stack so
-  /// every frame carries a causal trace context (origin, message id, HLC)
-  /// and recv spans bind to their originating sends via Chrome flow events.
-  /// Tri-state: -1 = auto (stamp iff the global tracer is enabled at engine
-  /// construction — the common case: tracing on means causal edges wanted),
-  /// 0 = never stamp (no tracing layer), 1 = always stamp (even with the
-  /// tracer off; tests use this to exercise the wire format alone).
-  int trace_messages = -1;
-  /// Synthetic per-rank clock skew fed to the tracing layer's HLCs (ns);
-  /// test/bench-only — models per-machine clock disagreement in-process.
-  std::vector<std::int64_t> trace_rank_skew_ns;
 };
 
 class ThreadedAiaccEngine {
@@ -258,8 +246,8 @@ class ThreadedAiaccEngine {
     return reliable_.get();
   }
 
-  /// The tracing layer when message tracing is active (tests read its
-  /// stamp/strip stats and HLC values); nullptr otherwise.
+  /// The tracing layer when the global tracer was on at construction
+  /// (tests read its stamp/strip stats); nullptr otherwise.
   [[nodiscard]] transport::TracingTransport* tracing_layer() noexcept {
     return tracing_.get();
   }

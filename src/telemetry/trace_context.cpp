@@ -1,21 +1,11 @@
 #include "telemetry/trace_context.h"
 
-#include <cmath>
+#include "common/serialize.h"
 
 namespace aiacc::telemetry {
 namespace {
 
 constexpr std::uint64_t kLimb = 1ULL << 16;
-
-/// A float lane that must hold a small non-negative integer; nullopt when
-/// it holds anything else (same contract as the reliable layer's header
-/// lanes — see transport/reliable.cpp).
-std::optional<std::uint64_t> IntLane(float v, std::uint64_t limit) noexcept {
-  if (!std::isfinite(v) || v < 0.0f) return std::nullopt;
-  const auto u = static_cast<std::uint64_t>(v);
-  if (static_cast<float>(u) != v || u >= limit) return std::nullopt;
-  return u;
-}
 
 }  // namespace
 
@@ -24,11 +14,6 @@ void WriteStamp(float* lanes, const TraceStamp& stamp) noexcept {
   lanes[1] = static_cast<float>(stamp.origin);
   lanes[2] = static_cast<float>(stamp.msg_id >> 16);
   lanes[3] = static_cast<float>(stamp.msg_id & 0xFFFFu);
-  const auto hlc = static_cast<std::uint64_t>(stamp.hlc);
-  lanes[4] = static_cast<float>((hlc >> 48) & 0xFFFFu);
-  lanes[5] = static_cast<float>((hlc >> 32) & 0xFFFFu);
-  lanes[6] = static_cast<float>((hlc >> 16) & 0xFFFFu);
-  lanes[7] = static_cast<float>(hlc & 0xFFFFu);
 }
 
 std::optional<TraceStamp> ParseStamp(const float* lanes) noexcept {
@@ -38,16 +23,9 @@ std::optional<TraceStamp> ParseStamp(const float* lanes) noexcept {
   const auto id_hi = IntLane(lanes[2], kLimb);
   const auto id_lo = IntLane(lanes[3], kLimb);
   if (!origin || !id_hi || !id_lo) return std::nullopt;
-  std::uint64_t hlc = 0;
-  for (int i = 4; i < 8; ++i) {
-    const auto limb = IntLane(lanes[i], kLimb);
-    if (!limb.has_value()) return std::nullopt;
-    hlc = (hlc << 16) | *limb;
-  }
   TraceStamp stamp;
   stamp.origin = static_cast<int>(*origin);
   stamp.msg_id = static_cast<std::uint32_t>((*id_hi << 16) | *id_lo);
-  stamp.hlc = static_cast<std::int64_t>(hlc);
   return stamp;
 }
 
@@ -57,16 +35,6 @@ std::optional<TraceStamp> StripStamp(std::vector<float>& frame) {
   if (!stamp.has_value()) return std::nullopt;
   frame.resize(frame.size() - kStampLanes);  // shrink, never reallocates
   return stamp;
-}
-
-std::int64_t HybridLogicalClock::AdvancePast(std::int64_t floor) noexcept {
-  std::int64_t prev = last_.load(std::memory_order_relaxed);
-  std::int64_t next;
-  do {
-    next = std::max(prev, floor) + 1;
-  } while (!last_.compare_exchange_weak(prev, next, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed));
-  return next;
 }
 
 }  // namespace aiacc::telemetry

@@ -5,32 +5,26 @@
 // The stamp is a *trailer* of float lanes after the body, mirroring how
 // transport/reliable.{h,cpp} packs seq+CRC into header lanes: every lane
 // holds a small non-negative integer that is exactly representable as a
-// float (ints < 2^24 are exact; wider values are split into 16-bit limbs).
-// A trailer — rather than a header — keeps body lane indices unchanged for
-// every layer below, and because the tracing decorator is the *topmost*
-// layer of the stack (inproc -> faulty -> reliable -> tracing), the
-// reliable layer's CRC covers the stamp like any other body bytes.
+// float (ints < 2^24 are exact; the 32-bit message id is split into 16-bit
+// limbs). A trailer — rather than a header — keeps body lane indices
+// unchanged for every layer below, and because the tracing decorator is
+// the *topmost* layer of the stack (inproc -> faulty -> reliable ->
+// tracing), the reliable layer's CRC covers the stamp like any other body
+// bytes.
 //
 //   [n+0] magic       kStampMagic — guards against stripping a frame that
 //                     was never stamped (mixed stacks, corruption)
 //   [n+1] origin rank
 //   [n+2] msg id hi   upper 16 bits of the per-origin 32-bit message id
 //   [n+3] msg id lo   lower 16 bits
-//   [n+4..n+7] HLC    64-bit hybrid logical clock, 16-bit limbs, most
-//                     significant first
 //
 // The (origin, msg id) pair is globally unique without coordination —
 // each origin numbers its own sends — and is the Chrome flow-event id
-// binding the send span to the recv span. The HLC gives every message a
-// causal order that survives clock skew: it advances with the sender's
-// physical clock but never runs behind any message it has observed, so
-// recv-HLC > send-HLC on every edge even when the receiver's wall clock
-// is behind the sender's (telemetry/merge.h uses this to validate merged
-// timelines).
+// binding the send span to the recv span. The stamp carries no time: every
+// rank is a thread of one process, so both flow ends are timed by the same
+// tracer clock and a recv can never appear to precede its send.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,7 +32,7 @@
 namespace aiacc::telemetry {
 
 /// Trailer lanes appended per frame.
-inline constexpr std::size_t kStampLanes = 8;
+inline constexpr std::size_t kStampLanes = 4;
 
 /// Magic marking a stamped frame. Chosen to be exactly float-representable
 /// (< 2^24) and disjoint from the reliable layer's frame-kind lane values
@@ -51,7 +45,6 @@ inline constexpr std::uint32_t kStampMagic = 0xA1ACC;
 struct TraceStamp {
   int origin = 0;             // sending rank
   std::uint32_t msg_id = 0;   // per-origin send counter (wraps at 2^32)
-  std::int64_t hlc = 0;       // hybrid logical clock at send, ns domain
 };
 
 /// The Chrome flow-event id both ends derive from the stamp. Unique per
@@ -61,7 +54,7 @@ struct TraceStamp {
   return (static_cast<std::uint64_t>(origin + 1) << 32) | msg_id;
 }
 
-/// Write the 8 stamp lanes at `lanes` (caller provides kStampLanes floats).
+/// Write the stamp lanes at `lanes` (caller provides kStampLanes floats).
 void WriteStamp(float* lanes, const TraceStamp& stamp) noexcept;
 
 /// Parse kStampLanes floats; nullopt when the magic or any limb lane does
@@ -74,33 +67,5 @@ void WriteStamp(float* lanes, const TraceStamp& stamp) noexcept;
 /// parsed stamp, or nullopt (frame untouched) when no valid stamp is
 /// present.
 std::optional<TraceStamp> StripStamp(std::vector<float>& frame);
-
-/// 64-bit hybrid logical clock, one per rank. A single hybrid timestamp in
-/// the nanosecond domain: Tick (send) returns max(physical_now, last + 1);
-/// Observe (recv) additionally runs past the remote stamp. Nanosecond
-/// resolution makes the +1 logical component vanish against real clock
-/// advance, so no separate logical counter lane is needed. Lock-free
-/// (CAS-max) — called on the transport hot path.
-class HybridLogicalClock {
- public:
-  /// Timestamp for an outgoing message.
-  std::int64_t Tick(std::int64_t now_ns) noexcept {
-    return AdvancePast(now_ns - 1);
-  }
-  /// Fold in an incoming message's stamp; returns the new local value
-  /// (> remote_hlc and > any previous local value).
-  std::int64_t Observe(std::int64_t now_ns, std::int64_t remote_hlc) noexcept {
-    return AdvancePast(std::max(now_ns - 1, remote_hlc));
-  }
-  [[nodiscard]] std::int64_t last() const noexcept {
-    return last_.load(std::memory_order_relaxed);
-  }
-
- private:
-  /// Atomically set last_ to max(last_ + 1, floor + 1) and return it.
-  std::int64_t AdvancePast(std::int64_t floor) noexcept;
-
-  std::atomic<std::int64_t> last_{0};
-};
 
 }  // namespace aiacc::telemetry

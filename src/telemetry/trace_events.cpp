@@ -38,17 +38,12 @@ std::string Escape(const std::string& s) {
 }  // namespace
 
 std::string ToChromeJson(const ChromeTraceDoc& doc) {
-  // Stable track -> tid mapping in first-appearance order. Tids are unique
-  // across the whole document (not per pid) so a lane keeps its tid even if
-  // a merge re-homes it under another process.
+  // Stable track -> tid mapping in first-appearance order; every lane
+  // lives under pid 1.
   std::map<std::string, int> tids;
   auto tid_of = [&](const std::string& track) {
     auto [it, inserted] = tids.emplace(track, static_cast<int>(tids.size()));
     return it->second;
-  };
-  auto pid_of = [&](const std::string& track) {
-    auto it = doc.track_pids.find(track);
-    return it == doc.track_pids.end() ? 1 : it->second;
   };
 
   std::ostringstream out;
@@ -68,8 +63,7 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
   };
   for (const SpanEvent& s : doc.spans) {
     sep();
-    out << "{\"ph\":\"X\",\"pid\":" << pid_of(s.track)
-        << ",\"tid\":" << tid_of(s.track) << ",";
+    out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid_of(s.track) << ",";
     cat_field(s.cat);
     args_field(s.arg_key, s.arg_val);
     out << "\"name\":\"" << Escape(s.name) << "\",\"ts\":" << s.begin * 1e6
@@ -77,8 +71,7 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
   }
   for (const InstantEvent& i : doc.instants) {
     sep();
-    out << "{\"ph\":\"i\",\"pid\":" << pid_of(i.track)
-        << ",\"tid\":" << tid_of(i.track) << ",";
+    out << "{\"ph\":\"i\",\"pid\":1,\"tid\":" << tid_of(i.track) << ",";
     cat_field(i.cat);
     args_field(i.arg_key, i.arg_val);
     out << "\"s\":\"t\",\"name\":\"" << Escape(i.name)
@@ -91,8 +84,7 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
     sep();
     out << "{\"ph\":\"" << (f.start ? 's' : 'f') << "\",";
     if (!f.start) out << "\"bp\":\"e\",";
-    out << "\"pid\":" << pid_of(f.track) << ",\"tid\":" << tid_of(f.track)
-        << ",";
+    out << "\"pid\":1,\"tid\":" << tid_of(f.track) << ",";
     cat_field(f.cat);
     out << "\"name\":\"" << Escape(f.name) << "\",\"id\":\"0x" << std::hex
         << f.id << std::dec << "\",\"ts\":" << f.time * 1e6 << "}";
@@ -102,15 +94,9 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
   for (const auto& [track, count] : doc.dropped_by_track) tid_of(track);
   for (const auto& [track, tid] : tids) {
     sep();
-    out << "{\"ph\":\"M\",\"pid\":" << pid_of(track) << ",\"tid\":" << tid
+    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
         << Escape(track) << "\"}}";
-  }
-  for (const auto& [pid, name] : doc.process_names) {
-    sep();
-    out << "{\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""
-        << Escape(name) << "\"}}";
   }
   // Per-lane ring-overwrite counts (satellite: truncated traces must be
   // detectable from the JSON alone).
@@ -118,8 +104,7 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
   for (const auto& [track, count] : doc.dropped_by_track) {
     dropped_total += count;
     sep();
-    out << "{\"ph\":\"M\",\"pid\":" << pid_of(track)
-        << ",\"tid\":" << tid_of(track)
+    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid_of(track)
         << ",\"name\":\"trace_dropped_events\",\"args\":{\"count\":" << count
         << "}}";
   }

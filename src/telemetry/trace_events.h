@@ -59,18 +59,15 @@ struct FlowEvent {
   bool start = true;
 };
 
-/// A renderable trace: events plus the lane/process bookkeeping the Chrome
-/// format needs once traces from several ranks share one file. Tracks
-/// absent from `track_pids` render under pid 1 (the single-process case);
-/// `dropped_by_track` carries per-lane ring-overwrite counts so a
-/// truncated trace is detectable from the JSON alone (emitted as
+/// A renderable trace: events plus per-lane ring-overwrite counts. Every
+/// event renders under pid 1 — all ranks are threads of one process, and
+/// a lane's rank is in its "r<k>/..." label. `dropped_by_track` makes a
+/// truncated trace detectable from the JSON alone (emitted as
 /// "trace_dropped_events" metadata records plus an otherData total).
 struct ChromeTraceDoc {
   std::vector<SpanEvent> spans;
   std::vector<InstantEvent> instants;
   std::vector<FlowEvent> flows;
-  std::map<std::string, int> track_pids;       // track -> pid (absent = 1)
-  std::map<int, std::string> process_names;    // pid -> process_name label
   std::map<std::string, std::uint64_t> dropped_by_track;
 };
 

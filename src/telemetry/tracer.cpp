@@ -82,7 +82,7 @@ void RuntimeTracer::Push(const Event& e) noexcept {
   const std::uint64_t seq = ring.head.fetch_add(1, std::memory_order_relaxed);
   if (seq >= ring.events.size()) {
     // Overwriting: make the truncation observable (satellite of the causal
-    // tracing work — silent wraps made merged traces lie about coverage).
+    // tracing work — silent wraps made traces lie about coverage).
     if (ring.dropped_counter == nullptr) {
       ring.dropped_counter =
           &MetricsRegistry::Global().GetCounter(DroppedCounterName(ring.label));

@@ -1,13 +1,13 @@
 #include "transport/reliable.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "common/serialize.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/tracer.h"
@@ -49,15 +49,6 @@ void WriteHeader(Payload& frame, float kind, std::uint64_t seq) {
   frame[1] = static_cast<float>(seq);
   frame[2] = static_cast<float>(crc >> 16);
   frame[3] = static_cast<float>(crc & 0xFFFFu);
-}
-
-/// A float lane that must hold a small non-negative integer; nullopt when
-/// corruption turned it into anything else (NaN, fraction, out of range).
-std::optional<std::uint64_t> IntLane(float v, std::uint64_t limit) {
-  if (!std::isfinite(v) || v < 0.0f) return std::nullopt;
-  const auto u = static_cast<std::uint64_t>(v);
-  if (static_cast<float>(u) != v || u >= limit) return std::nullopt;
-  return u;
 }
 
 // Process-global telemetry: registered once, then relaxed atomic adds.

@@ -18,34 +18,19 @@ constexpr telemetry::TraceLevel kFlowLevel = telemetry::TraceLevel::kPhase;
 
 TracingTransport::TracingTransport(Transport& inner, TracingOptions options)
     : inner_(inner),
-      options_(std::move(options)),
-      pool_(options_.pool != nullptr ? *options_.pool
-                                     : common::BufferPool::Global()),
-      tracer_(options_.tracer != nullptr
-                  ? *options_.tracer
-                  : telemetry::RuntimeTracer::Global()),
-      clocks_(static_cast<std::size_t>(inner.world_size())),
+      pool_(options.pool != nullptr ? *options.pool
+                                    : common::BufferPool::Global()),
+      tracer_(options.tracer != nullptr ? *options.tracer
+                                        : telemetry::RuntimeTracer::Global()),
       next_msg_id_(static_cast<std::size_t>(inner.world_size())) {
   AIACC_CHECK(inner.world_size() >= 1);
 }
 
-std::int64_t TracingTransport::PhysicalNow(int rank) const noexcept {
-  std::int64_t now = tracer_.NowNs();
-  const auto r = static_cast<std::size_t>(rank);
-  if (r < options_.rank_skew_ns.size()) now += options_.rank_skew_ns[r];
-  return now;
-}
-
 void TracingTransport::Send(int src, int dst, int tag, Payload payload) {
-  if (!options_.stamp) {
-    inner_.Send(src, dst, tag, std::move(payload));
-    return;
-  }
   telemetry::TraceStamp stamp;
   stamp.origin = src;
   stamp.msg_id = next_msg_id_[static_cast<std::size_t>(src)].fetch_add(
       1, std::memory_order_relaxed);
-  stamp.hlc = clocks_[static_cast<std::size_t>(src)].Tick(PhysicalNow(src));
   // Pooled copy with room for the trailer; the body's buffer goes back to
   // the pool, so the steady state recycles both size classes.
   Payload wire = pool_.Acquire(payload.size() + telemetry::kStampLanes);
@@ -61,18 +46,15 @@ void TracingTransport::Send(int src, int dst, int tag, Payload payload) {
   inner_.Send(src, dst, tag, std::move(wire));
 }
 
-void TracingTransport::Unstamp(int rank, Payload& payload) {
-  if (!options_.stamp) return;
-  // Stamping is symmetric: every frame on this stack carries a trailer, so
-  // a parse failure means corruption reached the trailer (raw chaos mode
-  // with no reliable layer below). Strip the lanes regardless — the body
-  // must come out at its original size — but only trust parsed stamps.
+void TracingTransport::Unstamp(Payload& payload) {
+  // Every frame on this stack carries a trailer, so a parse failure means
+  // corruption reached the trailer (raw chaos mode with no reliable layer
+  // below). Strip the lanes regardless — the body must come out at its
+  // original size — but only trust parsed stamps.
   if (payload.size() >= telemetry::kStampLanes) {
     const std::optional<telemetry::TraceStamp> stamp =
         telemetry::StripStamp(payload);
     if (stamp.has_value()) {
-      clocks_[static_cast<std::size_t>(rank)].Observe(PhysicalNow(rank),
-                                                      stamp->hlc);
       stripped_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_.enabled(kFlowLevel)) {
         tracer_.RecordFlow("comm.flow", "msg",
@@ -88,20 +70,20 @@ void TracingTransport::Unstamp(int rank, Payload& payload) {
 
 Result<Payload> TracingTransport::Recv(int rank, int src, int tag) {
   Result<Payload> result = inner_.Recv(rank, src, tag);
-  if (result.ok()) Unstamp(rank, *result);
+  if (result.ok()) Unstamp(*result);
   return result;
 }
 
 Result<Payload> TracingTransport::RecvFor(int rank, int src, int tag,
                                           std::chrono::milliseconds timeout) {
   Result<Payload> result = inner_.RecvFor(rank, src, tag, timeout);
-  if (result.ok()) Unstamp(rank, *result);
+  if (result.ok()) Unstamp(*result);
   return result;
 }
 
 std::optional<Payload> TracingTransport::TryRecv(int rank, int src, int tag) {
   std::optional<Payload> payload = inner_.TryRecv(rank, src, tag);
-  if (payload.has_value()) Unstamp(rank, *payload);
+  if (payload.has_value()) Unstamp(*payload);
   return payload;
 }
 

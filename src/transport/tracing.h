@@ -3,32 +3,26 @@
 // (inproc -> faulty -> reliable -> tracing) and gives every frame a wire
 // trace context (telemetry/trace_context.h):
 //
-//   * Send appends the stamp trailer — origin rank, per-origin message id,
-//     hybrid-logical-clock timestamp — and records a Chrome flow *start*
-//     event on the calling thread's lane;
-//   * Recv/RecvFor/TryRecv strip the trailer, fold the sender's HLC into
-//     the receiving rank's clock, and record the matching flow *end* —
-//     binding the recv span to the originating send span across ranks;
+//   * Send appends the stamp trailer — origin rank and per-origin message
+//     id — and records a Chrome flow *start* event on the calling thread's
+//     lane;
+//   * Recv/RecvFor/TryRecv strip the trailer and record the matching flow
+//     *end* — binding the recv span to the originating send span across
+//     ranks;
 //   * both ends derive the flow id from the stamp alone, so no side
 //     channel or coordination exists between sender and receiver.
 //
-// Stamping is decided at construction (`TracingOptions::stamp`), never
-// mid-flight: sender and receiver run through the same decorator instance,
-// so frames are either all stamped or all pass-through — a frame can never
-// race an enable/disable edge and arrive half-interpreted. Flow *events*
-// are additionally gated on the global tracer being enabled, so a stamped
-// stack with tracing off only pays the trailer copy, and an unstamped
-// stack is a pure pass-through.
+// Every frame through this decorator is stamped: sender and receiver run
+// through the same instance, so a frame can never arrive half-interpreted.
+// The engine stacks the decorator only when the tracer is on at
+// construction. Flow *events* are additionally gated on the tracer being
+// enabled, so a stack whose tracer turned off only pays the trailer copy.
+// Both flow ends are timed by the one tracer clock all ranks share.
 //
 // Zero-alloc: the stamped wire copy comes from a BufferPool (the original
 // body is released back), and stripping shrinks in place — the steady
 // state of a fixed communication pattern performs no payload allocations
 // (asserted in tests/observability_test.cpp).
-//
-// Clock skew: per-rank synthetic offsets (`rank_skew_ns`) shift the
-// physical clock feeding each rank's HLC and are how single-process tests
-// and the bench smoke model N machines with disagreeing clocks — the
-// offsets are recovered by telemetry::MergeTraces from the flow edges.
 #pragma once
 
 #include <atomic>
@@ -43,18 +37,10 @@
 namespace aiacc::transport {
 
 struct TracingOptions {
-  /// Append the trace-context trailer to every frame (both endpoints of a
-  /// stack share this decorator, so the setting is symmetric by
-  /// construction). false = pure pass-through.
-  bool stamp = true;
   /// Buffer recycler for the stamped wire copies.
   common::BufferPool* pool = &common::BufferPool::Global();
   /// Tracer receiving flow events (nullptr = the process-global tracer).
   telemetry::RuntimeTracer* tracer = nullptr;
-  /// Synthetic per-rank clock offset added to the physical time feeding
-  /// that rank's HLC (ns; shorter than world -> missing ranks read 0).
-  /// Test-only: models per-machine clock skew inside one process.
-  std::vector<std::int64_t> rank_skew_ns;
 };
 
 /// What the tracing layer did (per instance).
@@ -91,24 +77,15 @@ class TracingTransport final : public Transport {
   }
 
   [[nodiscard]] TracingStats stats() const noexcept;
-  /// Current HLC value of `rank`'s clock (tests assert causal ordering).
-  [[nodiscard]] std::int64_t HlcNow(int rank) const noexcept {
-    return clocks_[static_cast<std::size_t>(rank)].last();
-  }
-  [[nodiscard]] bool stamping() const noexcept { return options_.stamp; }
 
  private:
-  /// Physical ns feeding `rank`'s HLC (tracer clock + injected skew).
-  [[nodiscard]] std::int64_t PhysicalNow(int rank) const noexcept;
   /// Strip + account an inbound frame in place.
-  void Unstamp(int rank, Payload& payload);
+  void Unstamp(Payload& payload);
 
   Transport& inner_;  // NOLOCK(internally synchronized Transport)
-  const TracingOptions options_;
   common::BufferPool& pool_;             // NOLOCK(internally synchronized)
   telemetry::RuntimeTracer& tracer_;     // NOLOCK(internally synchronized)
-  // Per-rank clocks/counters; sized at construction, entries are atomic.
-  std::vector<telemetry::HybridLogicalClock> clocks_;  // NOLOCK(atomic entries)
+  // Per-rank send counters; sized at construction, entries are atomic.
   std::vector<std::atomic<std::uint32_t>> next_msg_id_;  // NOLOCK(atomic entries)
   std::atomic<std::uint64_t> stamped_{0};
   std::atomic<std::uint64_t> stripped_{0};

@@ -146,7 +146,7 @@ def header_lane_audit_pass(fake_repo: str) -> None:
 
     def write_stamp(magic: str) -> None:
         with open(stamp_h, "w", encoding="utf-8") as f:
-            f.write("inline constexpr std::size_t kStampLanes = 8;\n"
+            f.write("inline constexpr std::size_t kStampLanes = 4;\n"
                     f"inline constexpr std::uint32_t kStampMagic = {magic};\n")
 
     write_stamp("2")  # collides with kKindAck

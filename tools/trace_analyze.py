@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Iteration critical-path analyzer for merged AIACC traces.
+"""Iteration critical-path analyzer for multi-rank AIACC traces.
 
-Consumes a (merged, multi-rank) Chrome trace-event JSON — normally
-`trace.merged.json` from `bench_hotpath --trace-dir` or any
-telemetry::MergeTraces output — walks the span + flow-event graph, and
-reports, per iteration and overall:
+Consumes a multi-rank Chrome trace-event JSON — normally `trace.json` from
+`bench_hotpath --trace-dir`, or any RuntimeTracer dump of a threaded engine
+run, where every lane is labelled "r<k>/..." with its rank and all ranks
+share one clock — walks the span + flow-event graph, and reports, per
+iteration and overall:
 
   * wall-time attribution per rank: every microsecond of the rank's
     iteration window lands in exactly one of {compute, overlapped comm
@@ -101,13 +102,8 @@ def parse_flow_id(raw: object) -> int | None:
     return None
 
 
-def rank_of(lane: str, process: str) -> int:
-    """Rank from a "rank N" process_name, else a "r<N>/..." lane label."""
-    if process.startswith("rank "):
-        try:
-            return int(process[5:])
-        except ValueError:
-            pass
+def rank_of(lane: str) -> int:
+    """Rank from a "r<N>/..." lane label; -1 for lanes without one."""
     if lane.startswith("r"):
         head = lane.split("/", 1)[0][1:]
         if head.isdigit():
@@ -119,15 +115,10 @@ def load_trace(path: str) -> Trace:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     events = doc.get("traceEvents", [])
-    lanes: dict[tuple[int, int], str] = {}
-    processes: dict[int, str] = {}
+    lanes: dict[int, str] = {}
     for ev in events:
-        if ev.get("ph") != "M":
-            continue
-        if ev.get("name") == "thread_name":
-            lanes[(ev.get("pid", 1), ev["tid"])] = ev["args"]["name"]
-        elif ev.get("name") == "process_name":
-            processes[ev.get("pid", 1)] = ev["args"]["name"]
+        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
+            lanes[ev["tid"]] = ev["args"]["name"]
     trace = Trace()
     other = doc.get("otherData", {})
     if isinstance(other, dict):
@@ -138,9 +129,9 @@ def load_trace(path: str) -> Trace:
         ph = ev.get("ph")
         if ph not in ("X", "i", "s", "f"):
             continue
-        key = (ev.get("pid", 1), ev.get("tid", 0))
-        lane = lanes.get(key, f"pid{key[0]}/tid{key[1]}")
-        rank = rank_of(lane, processes.get(key[0], ""))
+        tid = ev.get("tid", 0)
+        lane = lanes.get(tid, f"tid{tid}")
+        rank = rank_of(lane)
         ev_args = ev.get("args") if isinstance(ev.get("args"), dict) else {}
         if ph == "X":
             trace.spans.append(
@@ -652,7 +643,7 @@ def render_table(report: dict) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="merged Chrome trace-event JSON")
+    parser.add_argument("trace", help="multi-rank Chrome trace-event JSON")
     parser.add_argument("--json", dest="json_out", help="write report JSON")
     parser.add_argument(
         "--flight",

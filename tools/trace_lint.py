@@ -8,19 +8,18 @@ be machine-consumable:
 
   trace file (Chrome trace-event format):
     * top level is {"traceEvents": [...]} (an "otherData" object is allowed)
-    * every event has ph in {X, i, M, s, f}, an integer tid, and a
-      non-empty name
-    * pid is 1 (single-process trace), or — in a merged multi-rank trace —
-      any pid that has a process_name metadata record (ph=M) naming it
+    * every event has ph in {X, i, M, s, f}, pid 1, an integer tid, and a
+      non-empty name (all ranks are threads of one process; a lane's rank
+      is in its "r<k>/..." label)
     * complete spans (ph=X) have ts >= 0 and dur >= 0; instants (ph=i)
       have ts >= 0
     * flow events: every start (ph=s) has a well-formed unique id; every
       end (ph=f) carries bp="e", references an id with exactly one start,
-      and happens no earlier than its start minus --flow-slack-us; a
-      dangling flow end (no start anywhere) is a violation (a dangling
-      start is not — the message may still have been in flight when the
-      trace was collected)
-    * every (pid, tid) referenced by an event has a thread_name metadata
+      and happens no earlier than that start (every event is timed by the
+      one tracer clock, so no tolerance applies); a dangling flow end (no
+      start anywhere) is a violation (a dangling start is not — the
+      message may still have been in flight when the trace was collected)
+    * every tid referenced by an event has a thread_name metadata
       record (ph=M) naming its lane
     * trace_dropped_events metadata records carry a non-negative integer
       args.count
@@ -35,7 +34,6 @@ be machine-consumable:
       len(bounds) + 1, sum(buckets) == count
 
 Usage: trace_lint.py TRACE.json [--metrics METRICS.json]
-                     [--flow-slack-us US]
 Exit code 0 = clean, 1 = violations (printed one per line).
 """
 
@@ -74,7 +72,7 @@ def parse_flow_id(raw: object) -> int | None:
     return None
 
 
-def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
+def lint_trace(path: str, errors: list[str]) -> None:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -89,10 +87,8 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
         errors.append(f"{path}: traceEvents must be a list")
         return
 
-    used_lanes: set[tuple[int, int]] = set()
-    named_lanes: set[tuple[int, int]] = set()
-    used_pids: set[int] = set()
-    named_pids: set[int] = set()
+    used_tids: set[int] = set()
+    named_tids: set[int] = set()
     # flow id -> list of (event index, ts) per half
     flow_starts: dict[int, list[tuple[int, float]]] = {}
     flow_ends: dict[int, list[tuple[int, float]]] = {}
@@ -108,10 +104,8 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
             )
             continue
         pid = ev.get("pid", 1)
-        if not isinstance(pid, int) or isinstance(pid, bool) or pid < 1:
-            errors.append(
-                f"{where}: pid must be a positive integer (got {pid!r})"
-            )
+        if type(pid) is not int or pid != 1:
+            errors.append(f"{where}: pid must be 1 (got {pid!r})")
             continue
         tid = ev.get("tid")
         if not isinstance(tid, int) or isinstance(tid, bool):
@@ -125,12 +119,7 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
                 lane = ev.get("args", {}).get("name")
                 if not isinstance(lane, str) or not lane:
                     errors.append(f"{where}: thread_name without args.name")
-                named_lanes.add((pid, tid))
-            elif name == "process_name":
-                label = ev.get("args", {}).get("name")
-                if not isinstance(label, str) or not label:
-                    errors.append(f"{where}: process_name without args.name")
-                named_pids.add(pid)
+                named_tids.add(tid)
             elif name == "trace_dropped_events":
                 count = ev.get("args", {}).get("count")
                 if (
@@ -143,8 +132,7 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
                         f"a non-negative integer (got {count!r})"
                     )
             continue
-        used_lanes.add((pid, tid))
-        used_pids.add(pid)
+        used_tids.add(tid)
         ts = ev.get("ts")
         if not isinstance(ts, (int, float)) or ts < 0:
             errors.append(f"{where}: ts must be a number >= 0 (got {ts!r})")
@@ -179,22 +167,13 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
             ):
                 errors.append(f"{where}: unknown category {cat!r}")
 
-    for pid, tid in sorted(used_lanes - named_lanes):
+    for tid in sorted(used_tids - named_tids):
         errors.append(
-            f"{path}: pid {pid} tid {tid} has events but no thread_name "
-            f"metadata record"
+            f"{path}: tid {tid} has events but no thread_name metadata record"
         )
-    multi_process = used_pids != {1} and bool(used_pids)
-    if multi_process:
-        for pid in sorted(used_pids - named_pids):
-            errors.append(
-                f"{path}: pid {pid} has events but no process_name "
-                f"metadata record (required in a merged multi-rank trace)"
-            )
 
     # Flow graph: ids bind exactly one start to its ends; ends never dangle
-    # and never precede their start by more than the allowed slack (the
-    # skew-correction residual in a merged trace).
+    # and never precede their start.
     for flow_id, starts in sorted(flow_starts.items()):
         if len(starts) > 1:
             positions = ", ".join(str(i) for i, _ in starts)
@@ -213,11 +192,10 @@ def lint_trace(path: str, errors: list[str], flow_slack_us: float) -> None:
             continue
         start_ts = min(ts for _, ts in starts)
         for n, end_ts in ends:
-            if end_ts < start_ts - flow_slack_us:
+            if end_ts < start_ts:
                 errors.append(
                     f"{path}: event {n}: flow id {flow_id:#x} ends "
-                    f"{start_ts - end_ts:.1f}us before its start "
-                    f"(allowed slack {flow_slack_us:.1f}us)"
+                    f"{start_ts - end_ts:.1f}us before its start"
                 )
 
 
@@ -281,18 +259,10 @@ def main() -> int:
     parser.add_argument(
         "--metrics", help="RegistrySnapshot::ToJson metrics file"
     )
-    parser.add_argument(
-        "--flow-slack-us",
-        type=float,
-        default=2000.0,
-        help="how much earlier than its start a flow end may appear "
-        "(microseconds; absorbs the skew-correction residual of a merged "
-        "multi-rank trace)",
-    )
     args = parser.parse_args()
 
     errors: list[str] = []
-    lint_trace(args.trace, errors, args.flow_slack_us)
+    lint_trace(args.trace, errors)
     if args.metrics:
         lint_metrics(args.metrics, errors)
     if errors:
