@@ -4,7 +4,7 @@
 // nodes"): recovery-time breakdown after a node failure, the
 // checkpoint-interval trade-off (write overhead vs replay on failure), and
 // the in-band reliability sweep (--json): at each wire drop rate, the
-// strict seed engine vs the reliable+unit-retry stack — recovered
+// tier-1-off engine vs the reliable+unit-retry stack — recovered
 // iterations/s and retransmit counts — plus a unit-retry probe (primary
 // unit tags blackholed). The sweep exits non-zero unless the robust stack
 // completes every iteration at every drop rate and the probe completes
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // In-band reliability sweep (--json): contrast the strict seed engine
+  // In-band reliability sweep (--json): contrast the tier-1-off engine
   // (faults surface as collective timeouts -> abort) with the
   // reliable+unit-retry stack at increasing wire drop rates, then probe
   // unit retry alone. Emitted as JSON so the result can be checked in
@@ -185,21 +185,18 @@ int main(int argc, char** argv) {
       spec.seed = 4242;
       spec.all_links.drop_prob = rate;
 
-      // Fragile leg: the pre-reliability engine. Strict delivery (a dropped
-      // frame is never resequenced) and a finite collective deadline — any
-      // drop on the critical path aborts the iteration.
+      // Fragile leg: tier 1 off. The reliable layer sequences, dedups and
+      // CRC-checks but never resends, and the collective deadline is
+      // finite — any drop on the critical path aborts the iteration.
       core::FailureConfig fragile;
       fragile.faults = spec;
       fragile.collective_timeout_ms = 300;
       const EngineRunResult frail =
           RunReliabilityEngine(2, SweepConfig(), fragile, kIters);
 
-      // Robust leg: same schedule under the reliable transport with unit
-      // retry armed.
-      transport::FaultSpec raw = spec;
-      raw.delivery = transport::FaultDelivery::kRaw;
+      // Robust leg: same schedule with retransmits and unit retry armed.
       const EngineRunResult robust = RunReliabilityEngine(
-          2, SweepConfig(), RobustFailureConfig(raw), kIters);
+          2, SweepConfig(), RobustFailureConfig(spec), kIters);
       if (robust.aborted || robust.completed_iters != kIters) {
         std::fprintf(stderr, "GATE: robust leg completed %d/%d at drop %.3f\n",
                      robust.completed_iters, kIters, rate);

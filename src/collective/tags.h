@@ -13,8 +13,9 @@
 namespace aiacc::collective {
 
 /// Reserved heartbeat channel (core/threaded_engine.cpp HeartbeatLoop).
-/// Heartbeats use datagram-style TryRecv; nothing else may ever send on
-/// this tag, or a strict receiver would steal/corrupt the beat stream.
+/// Heartbeats are unframed datagrams on the wire beneath the reliable
+/// layer; nothing else may ever send on this tag, or the beat reader would
+/// consume its frames and a reliable receiver would reject the beats.
 inline constexpr int kHeartbeatTag = 0;
 
 /// The engine's gradient-synchronization bit-vector rounds (a min

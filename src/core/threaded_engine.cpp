@@ -64,22 +64,21 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
   if (metrics_dump_period_ms_ > 0) {
     service_pool_->Submit([this] { MetricsDumpLoop(); });
   }
-  // Transport stack (bottom to top): inproc -> faulty -> reliable. When the
-  // reliable layer is on, the fault spec is forced to raw delivery — the
-  // reliable layer owns framing/reassembly, and faults must hit its wire
-  // frames (so a flipped bit lands in a CRC-protected frame, not in the
-  // strict-mode reassembly metadata underneath it).
+  // Transport stack (bottom to top): inproc -> faulty -> reliable. Faults
+  // always sit under the reliable layer, the stack's one sequencing layer:
+  // it dedups, resequences and CRC-checks, so a faulty channel yields the
+  // exact stream or a non-OK status. With tier 1 off it never resends, so a
+  // drop surfaces as the receiver's deadline.
   if (failure_.faults.has_value()) {
-    transport::FaultSpec spec = *failure_.faults;
-    if (failure_.reliable_transport) {
-      spec.delivery = transport::FaultDelivery::kRaw;
-    }
-    faulty_ = std::make_unique<transport::FaultyTransport>(inproc_, spec);
+    faulty_ = std::make_unique<transport::FaultyTransport>(inproc_,
+                                                           *failure_.faults);
     transport_ = faulty_.get();
   }
-  if (failure_.reliable_transport) {
+  if (failure_.faults.has_value() || failure_.reliable_transport) {
     reliable_ = std::make_unique<transport::ReliableTransport>(
-        *transport_, failure_.reliable_options);
+        *transport_, failure_.reliable_transport
+                         ? failure_.reliable_options
+                         : transport::WithoutResend(failure_.reliable_options));
     transport_ = reliable_.get();
   }
   // Observability tier rides on top of everything: the stamp trailer is
@@ -433,6 +432,11 @@ void ThreadedAiaccEngine::HeartbeatLoop(int rank) {
       static_cast<std::size_t>(world_size_), Clock::now());
   std::uint64_t beat = 0;
   auto prev_loop = Clock::now();
+  // Heartbeats are datagrams: gaps are fine, silence is not. They run on
+  // the wire beneath the reliable layer, whose in-order TryRecv would stall
+  // behind one dropped beat when it does not resend.
+  transport::Transport& wire =
+      faulty_ ? static_cast<transport::Transport&>(*faulty_) : inproc_;
   while (!shutdown_.load(std::memory_order_acquire) &&
          !aborted_.load(std::memory_order_acquire)) {
     // Starvation guard: if *this* thread was descheduled for a large slice
@@ -448,13 +452,13 @@ void ThreadedAiaccEngine::HeartbeatLoop(int rank) {
       if (peer == rank) continue;
       transport::Payload pulse = pool.Acquire(1);
       pulse[0] = static_cast<float>(beat);
-      transport_->Send(rank, peer, kHeartbeatTag, std::move(pulse));
+      wire.Send(rank, peer, kHeartbeatTag, std::move(pulse));
     }
     ++beat;
     AIACC_TRACE_INSTANT_V("engine.hb", "heartbeat");
     for (int peer = 0; peer < world_size_; ++peer) {
       if (peer == rank) continue;
-      while (auto pulse = transport_->TryRecv(rank, peer, kHeartbeatTag)) {
+      while (auto pulse = wire.TryRecv(rank, peer, kHeartbeatTag)) {
         last_seen[static_cast<std::size_t>(peer)] = Clock::now();
         pool.Release(std::move(*pulse));
       }

@@ -25,14 +25,14 @@
 //     the next iteration.
 //
 // Failure semantics (paper §IV reliability posture, made real): when a
-// FailureConfig enables detection, each rank's comm side also runs a
-// heartbeat thread on a reserved tag channel. A peer that misses its
+// FailureConfig enables detection, each rank's comm side also runs a heartbeat
+// thread on a reserved tag channel of the wire beneath the reliable layer
+// (beats are datagrams: gaps are fine, silence is not). A peer that misses its
 // heartbeat deadline — or a collective receive that misses the configured
-// per-message deadline — aborts the engine: every in-flight collective
-// returns kDeadlineExceeded/kUnavailable instead of hanging, WaitIteration
-// surfaces the abort Status to the caller, and SuspectedRanks() names the
-// peers that went silent so a trainer can rebuild over the survivors
-// (trainer/recovery.h).
+// per-message deadline — aborts the engine: every in-flight collective returns
+// kDeadlineExceeded/kUnavailable instead of hanging, WaitIteration surfaces the
+// abort Status to the caller, and SuspectedRanks() names the peers that went
+// silent so a trainer can rebuild over the survivors (trainer/recovery.h).
 //
 // Everything is real: payloads, reductions, queues, thread concurrency. The
 // integration tests train a real MLP through this engine and require exact
@@ -77,14 +77,20 @@ struct FailureConfig {
   /// The backstop that turns a wedged collective into an abort even when
   /// heartbeat detection is off.
   std::int64_t collective_timeout_ms = 0;
-  /// When set, all engine traffic runs through a seeded FaultyTransport.
+  /// When set, all engine traffic runs through a seeded FaultyTransport,
+  /// always under a ReliableTransport: the reliable layer sequences, dedups
+  /// and CRC-checks every collective frame, so a faulty channel yields the
+  /// exact stream or a non-OK status. Heartbeats run on the faulty wire
+  /// itself, beneath the reliable layer.
   std::optional<transport::FaultSpec> faults;
 
-  /// Tier 1 of the fault story: stack a ReliableTransport over the faulty
-  /// layer so dropped/duplicated/reordered/corrupted messages are repaired
-  /// in-band (retransmit + dedup + CRC) instead of surfacing as collective
-  /// deadline failures. When enabled together with `faults`, the fault spec
-  /// is forced to FaultDelivery::kRaw — the reliable layer owns framing.
+  /// Tier 1 of the fault story: the reliable layer also retransmits, so
+  /// dropped and corrupted frames are repaired in-band instead of surfacing
+  /// as collective deadline failures. Off ("tier 1 off") with `faults` set,
+  /// the engine passes `reliable_options` with the first resend past
+  /// `message_deadline_ms`, so the layer never resends and a drop becomes
+  /// the receiver's deadline. Without `faults`, on stacks the reliable
+  /// layer over the clean wire and off stacks none.
   bool reliable_transport = false;
   transport::ReliableOptions reliable_options;
 
@@ -240,8 +246,8 @@ class ThreadedAiaccEngine {
     return faulty_.get();
   }
 
-  /// The reliable layer when FailureConfig::reliable_transport is set
-  /// (tests read its retransmit/CRC stats); nullptr otherwise.
+  /// The reliable layer when FailureConfig::faults or reliable_transport
+  /// is set (tests read its retransmit/CRC stats); nullptr otherwise.
   [[nodiscard]] transport::ReliableTransport* reliable_layer() noexcept {
     return reliable_.get();
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <map>
 #include <sstream>
 
@@ -47,6 +48,9 @@ std::string ToChromeJson(const ChromeTraceDoc& doc) {
   };
 
   std::ostringstream out;
+  // Microseconds in fixed point to the nanosecond: the stream's default 6
+  // significant digits would coarsen ts to 10 us past 10 s into a run.
+  out << std::fixed << std::setprecision(3);
   out << "{\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {

@@ -1,6 +1,6 @@
 #include "transport/faulty.h"
 
-#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -21,16 +21,20 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (h >> 31);
 }
 
-/// Sequence numbers ride in a float lane; 2^24 is the last exactly
-/// representable integer, far beyond any test's message count.
-constexpr std::uint64_t kMaxSeq = 1ULL << 24;
+/// Content hash of a payload: how the layer recognises a repeat.
+std::uint64_t PayloadHash(const Payload& payload) {
+  std::uint64_t h = payload.size();
+  for (const float lane : payload) {
+    h = Mix(h, std::bit_cast<std::uint32_t>(lane));
+  }
+  return h;
+}
 
 }  // namespace
 
 FaultyTransport::FaultyTransport(Transport& inner, FaultSpec spec)
     : inner_(inner),
       spec_(std::move(spec)),
-      raw_(spec_.delivery == FaultDelivery::kRaw),
       crashed_(static_cast<std::size_t>(inner.world_size()), 0),
       sends_by_rank_(static_cast<std::size_t>(inner.world_size()), 0) {
   AIACC_CHECK(spec_.crash_rank < inner.world_size());
@@ -50,29 +54,22 @@ const LinkFaults& FaultyTransport::FaultsFor(int src, int dst,
 }
 
 Rng FaultyTransport::DecisionRng(int src, int dst, int tag,
-                                 std::uint64_t seq) const {
+                                 std::uint64_t index,
+                                 std::uint64_t ordinal) const {
   std::uint64_t h = Mix(spec_.seed, static_cast<std::uint64_t>(src) + 1);
   h = Mix(h, static_cast<std::uint64_t>(dst) + 1);
   h = Mix(h, static_cast<std::uint64_t>(tag) + 1);
-  h = Mix(h, seq + 1);
+  h = Mix(h, index + 1);
+  // A first copy's stream depends on its index alone, so on a channel that
+  // carries no repeats the index is the send count.
+  if (ordinal > 0) h = Mix(h, ordinal);
   return Rng(h);
 }
 
-Payload FaultyTransport::Frame(std::uint64_t seq, const Payload& data) {
-  AIACC_CHECK(seq < kMaxSeq);
-  Payload framed;
-  framed.reserve(data.size() + 1);
-  framed.push_back(static_cast<float>(seq));
-  framed.insert(framed.end(), data.begin(), data.end());
-  return framed;
-}
-
-void FaultyTransport::CorruptLane(Payload& payload, std::size_t first_lane,
-                                  Rng& rng) {
-  if (payload.size() <= first_lane) return;
-  const auto lane = static_cast<std::size_t>(rng.UniformInt(
-      static_cast<std::int64_t>(first_lane),
-      static_cast<std::int64_t>(payload.size()) - 1));
+void FaultyTransport::CorruptLane(Payload& payload, Rng& rng) {
+  if (payload.empty()) return;
+  const auto lane = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(payload.size()) - 1));
   const auto bit = static_cast<std::uint32_t>(rng.UniformInt(0, 31));
   std::uint32_t word;
   std::memcpy(&word, &payload[lane], sizeof(word));
@@ -110,47 +107,48 @@ void FaultyTransport::Send(int src, int dst, int tag, Payload payload) {
     }
 
     SendChannel& ch = send_channels_[{src, dst, tag}];
-    const std::uint64_t seq = ch.next_seq++;
     const LinkFaults& f = FaultsFor(src, dst, tag);
-    Rng rng = DecisionRng(src, dst, tag, seq);
 
     if (src == spec_.straggler_rank && spec_.straggler_delay_ms > 0.0) {
       sleep_ms += spec_.straggler_delay_ms;
       ++stats_.delayed;
     }
-    if (f.delay_prob > 0.0 && rng.Chance(f.delay_prob)) {
-      sleep_ms += rng.Uniform(0.0, f.max_delay_ms);
-      ++stats_.delayed;
-    }
-
-    if (f.drop_prob > 0.0 && rng.Chance(f.drop_prob)) {
-      // The sequence number is consumed: a strict receiver sees the gap and
-      // times out rather than silently reducing over a short stream.
-      ++stats_.dropped;
+    if (!f.Any()) {
+      out.push_back(std::move(payload));
     } else {
-      Payload wire = raw_ ? std::move(payload) : Frame(seq, payload);
-      if (f.corrupt_prob > 0.0 && rng.Chance(f.corrupt_prob)) {
-        // Strict mode never corrupts the seq header (lane 0): its contract
-        // is exact-stream-or-timeout, and a flipped seq would alias another
-        // message instead of corrupting this one's bytes. Raw mode corrupts
-        // any lane — the reliable layer's CRC covers its whole frame.
-        CorruptLane(wire, raw_ ? 0 : 1, rng);
-        ++stats_.corrupted;
+      const auto it = ch.carried
+                          .try_emplace(PayloadHash(payload),
+                                       Carried{ch.carried.size(), 0})
+                          .first;
+      Rng rng = DecisionRng(src, dst, tag, it->second.index,
+                            it->second.copies++);
+      if (f.delay_prob > 0.0 && rng.Chance(f.delay_prob)) {
+        sleep_ms += rng.Uniform(0.0, f.max_delay_ms);
+        ++stats_.delayed;
       }
-      if (f.reorder_prob > 0.0 && rng.Chance(f.reorder_prob) && !ch.held) {
-        ch.held = std::move(wire);  // delivered after the next send
-        ++stats_.reordered;
+      if (f.drop_prob > 0.0 && rng.Chance(f.drop_prob)) {
+        ++stats_.dropped;
       } else {
-        if (f.dup_prob > 0.0 && rng.Chance(f.dup_prob)) {
-          out.push_back(wire);  // a copy — the duplicate
-          ++stats_.duplicated;
+        if (f.corrupt_prob > 0.0 && rng.Chance(f.corrupt_prob)) {
+          CorruptLane(payload, rng);
+          ++stats_.corrupted;
         }
-        out.push_back(std::move(wire));
-        if (ch.held) {
-          out.push_back(std::move(*ch.held));
-          ch.held.reset();
+        if (f.reorder_prob > 0.0 && rng.Chance(f.reorder_prob) && !ch.held) {
+          // Held until the next send or an empty receive.
+          ch.held = std::move(payload);
+          ++stats_.reordered;
+        } else {
+          if (f.dup_prob > 0.0 && rng.Chance(f.dup_prob)) {
+            out.push_back(payload);  // a copy — the duplicate
+            ++stats_.duplicated;
+          }
+          out.push_back(std::move(payload));
         }
       }
+    }
+    if (ch.held && !out.empty()) {
+      out.push_back(std::move(*ch.held));
+      ch.held.reset();
     }
   }
   if (sleep_ms > 0.0) {
@@ -160,13 +158,16 @@ void FaultyTransport::Send(int src, int dst, int tag, Payload payload) {
   for (Payload& wire : out) inner_.Send(src, dst, tag, std::move(wire));
 }
 
-std::optional<Payload> FaultyTransport::TakeExpectedLocked(RecvChannel& ch) {
-  auto it = ch.stash.find(ch.expected);
-  if (it == ch.stash.end()) return std::nullopt;
-  Payload payload = std::move(it->second);
-  ch.stash.erase(it);
-  ++ch.expected;
-  return payload;
+bool FaultyTransport::ReleaseHeld(int src, int dst, int tag) {
+  std::optional<Payload> held;
+  {
+    common::MutexLock lock(mu_);
+    auto it = send_channels_.find({src, dst, tag});
+    if (it == send_channels_.end() || !it->second.held) return false;
+    held.swap(it->second.held);
+  }
+  inner_.Send(src, dst, tag, *std::move(held));
+  return true;
 }
 
 Result<Payload> FaultyTransport::Recv(int rank, int src, int tag) {
@@ -175,110 +176,18 @@ Result<Payload> FaultyTransport::Recv(int rank, int src, int tag) {
 
 Result<Payload> FaultyTransport::RecvFor(int rank, int src, int tag,
                                          std::chrono::milliseconds timeout) {
-  if (raw_) {
-    // Raw mode: what the wire delivers is what the caller gets. Same
-    // delivery telemetry as the strict path — a message is a message no
-    // matter which semantics handed it over.
-    Result<Payload> raw = inner_.RecvFor(rank, src, tag, timeout);
-    if (raw.ok()) RecordDelivery();
-    return raw;
-  }
-  const bool bounded = timeout > kNoTimeout;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  // Poll quantum: the receiver periodically rechecks the sender's reorder
-  // hold even while the inner transport is silent, so a held message can
-  // never starve a strict receiver (lossless schedules stay lossless).
-  constexpr auto kQuantum = std::chrono::milliseconds(20);
-  while (true) {
-    {
-      common::MutexLock lock(mu_);
-      RecvChannel& ch = recv_channels_[{rank, src, tag}];
-      if (auto payload = TakeExpectedLocked(ch)) {
-        lock.Unlock();
-        RecordDelivery();
-        return *std::move(payload);
-      }
-      // The exact message we need may be sitting in the sender-side reorder
-      // hold with no follow-up send coming to flush it — claim it directly.
-      auto sit = send_channels_.find({src, rank, tag});
-      if (sit != send_channels_.end() && sit->second.held &&
-          static_cast<std::uint64_t>((*sit->second.held)[0]) == ch.expected) {
-        Payload body(sit->second.held->begin() + 1, sit->second.held->end());
-        sit->second.held.reset();
-        ++ch.expected;
-        lock.Unlock();
-        RecordDelivery();
-        return body;
-      }
-    }
-
-    auto wait = kQuantum;
-    if (bounded) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining <= std::chrono::milliseconds::zero()) {
-        return DeadlineExceeded("no in-order message from rank " +
-                                std::to_string(src) + " tag " +
-                                std::to_string(tag));
-      }
-      wait = std::min(wait, remaining);
-    }
-    Result<Payload> raw = inner_.RecvFor(rank, src, tag, wait);
-    if (!raw.ok()) {
-      // Quantum expiry: go around and recheck stash/hold/deadline.
-      if (raw.status().code() == StatusCode::kDeadlineExceeded) continue;
-      return raw.status();
-    }
-    if (raw->empty()) return Internal("unframed message on faulty channel");
-
-    const auto seq = static_cast<std::uint64_t>((*raw)[0]);
-    Payload body(raw->begin() + 1, raw->end());
-    {
-      common::MutexLock lock(mu_);
-      RecvChannel& ch = recv_channels_[{rank, src, tag}];
-      if (seq == ch.expected) {
-        ++ch.expected;
-        lock.Unlock();
-        RecordDelivery();
-        return body;
-      }
-      if (seq > ch.expected) ch.stash[seq] = std::move(body);
-      // seq < expected: a duplicate of something already delivered —
-      // discard.
-    }
-  }
+  if (auto payload = TryRecv(rank, src, tag)) return *std::move(payload);
+  Result<Payload> raw = inner_.RecvFor(rank, src, tag, timeout);
+  if (raw.ok()) RecordDelivery();
+  return raw;
 }
 
 std::optional<Payload> FaultyTransport::TryRecv(int rank, int src, int tag) {
-  if (raw_) {
-    auto raw = inner_.TryRecv(rank, src, tag);
-    if (raw) RecordDelivery();
-    return raw;
+  auto payload = inner_.TryRecv(rank, src, tag);
+  if (!payload && ReleaseHeld(src, rank, tag)) {
+    payload = inner_.TryRecv(rank, src, tag);
   }
-  // Drain every raw arrival into the stash first...
-  while (auto raw = inner_.TryRecv(rank, src, tag)) {
-    if (raw->empty()) continue;
-    const auto seq = static_cast<std::uint64_t>((*raw)[0]);
-    Payload body(raw->begin() + 1, raw->end());
-    common::MutexLock lock(mu_);
-    RecvChannel& ch = recv_channels_[{rank, src, tag}];
-    if (seq >= ch.expected) ch.stash[seq] = std::move(body);
-  }
-  // ...then deliver the oldest one, skipping gaps (datagram semantics: a
-  // heartbeat reader cares that *something recent* arrived, not that every
-  // beat did).
-  std::optional<Payload> payload;
-  {
-    common::MutexLock lock(mu_);
-    RecvChannel& ch = recv_channels_[{rank, src, tag}];
-    if (ch.stash.empty()) return std::nullopt;
-    auto it = ch.stash.begin();
-    payload = std::move(it->second);
-    ch.expected = it->first + 1;
-    ch.stash.erase(it);
-  }
-  RecordDelivery();
+  if (payload) RecordDelivery();
   return payload;
 }
 

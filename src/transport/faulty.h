@@ -3,12 +3,13 @@
 // inner transport with a per-(src, dst) fault policy:
 //
 //   * delay/jitter   — sender-side sleep before delivery;
-//   * drop           — the message is lost (a strict receiver times out);
+//   * drop           — the message is lost;
 //   * duplication    — the message is delivered twice;
 //   * reordering     — the message is held and delivered after its channel's
-//                      next message (a strict receiver that needs the held
-//                      message as its next in-order delivery claims it
-//                      directly, so reordering never turns into loss);
+//                      next message, or as soon as a receive finds the
+//                      channel's inner mailbox empty (so a reorder never
+//                      turns into a loss for a receiver that polls, as
+//                      ReliableTransport does in short quanta);
 //   * corruption     — one bit of one payload lane is flipped in transit
 //                      (the CRC layer in transport/reliable.h exists to
 //                      catch exactly this);
@@ -17,28 +18,21 @@
 //                      only notice via missing heartbeats / timeouts);
 //   * straggling     — a fixed extra delay on every send from one rank.
 //
+// The layer is a pure wire perturber: no framing, no reassembly. Drops,
+// duplicates, reorders and flipped bits reach the receiver exactly as a
+// lossy wire would deliver them. Sequencing, dedup and integrity belong to
+// ReliableTransport, which every fault-bearing engine stack runs on top of
+// this layer.
+//
 // Which messages are perturbed is a pure function of (seed, src, dst, tag,
-// sequence number), so a fault schedule replays identically across runs —
-// chaos tests are reproducible by seed.
-//
-// Delivery semantics, selected by FaultSpec::delivery:
-//
-//   kStrict (default): each (src, dst, tag) channel carries a sequence
-//   number. Recv/RecvFor reassemble: duplicates are discarded, reordered
-//   messages are delivered in order, and a gap (dropped message) makes the
-//   receiver wait until its deadline — so a faulty channel either yields
-//   the exact sent stream or a non-OK status, never a silently corrupted
-//   one. (Corruption in strict mode only ever hits body lanes, never the
-//   sequence header, preserving that contract.) TryRecv is
-//   *datagram-style*: it delivers the oldest available message and skips
-//   gaps, which is what heartbeat freshness checks want. Do not mix the
-//   two styles on one channel.
-//
-//   kRaw: no framing, no reassembly — drops, duplicates, reorders, and
-//   corrupt bits reach the receiver exactly as the wire would deliver
-//   them. This is the mode ReliableTransport decorates: the reliability
-//   layer owns sequencing and integrity, so the chaos layer must not
-//   quietly repair the stream underneath it.
+// the index of the payload's first copy among the distinct payloads the
+// channel has carried, how many identical copies it carried before). A
+// retransmit is an identical payload: it gets a fresh but seeded decision
+// and does not move the index of any first copy after it, so a first
+// transmission's fate does not depend on how many retransmits raced it
+// onto the channel. On a channel without repeats the index is the send
+// count. What stays timing-dependent is the order of first copies that
+// different threads put on one channel (a 2-rank ring's data and acks).
 #pragma once
 
 #include <map>
@@ -83,13 +77,9 @@ struct TagFaults {
   friend bool operator==(const TagFaults&, const TagFaults&) = default;
 };
 
-/// Receiver-side semantics of the chaos layer (see file header).
-enum class FaultDelivery { kStrict, kRaw };
-
 /// A complete seeded fault schedule.
 struct FaultSpec {
   std::uint64_t seed = 1;
-  FaultDelivery delivery = FaultDelivery::kStrict;
   /// Policy applied to every directed pair unless overridden below.
   LinkFaults all_links;
   /// Per-(src, dst) overrides.
@@ -157,40 +147,42 @@ class FaultyTransport final : public Transport {
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
 
  private:
-  struct SendChannel {
-    std::uint64_t next_seq = 0;
-    /// A reorder victim waiting for the channel's next send.
-    std::optional<Payload> held;
+  /// What a channel has carried of one payload: the index of its first
+  /// copy among the channel's distinct payloads, and the copies so far.
+  struct Carried {
+    std::uint64_t index = 0;
+    std::uint64_t copies = 0;
   };
-  struct RecvChannel {
-    std::uint64_t expected = 0;
-    std::map<std::uint64_t, Payload> stash;  // out-of-order arrivals
+  struct SendChannel {
+    /// By payload hash: the (index, ordinal) keying each copy's decision.
+    std::map<std::uint64_t, Carried> carried;
+    /// A reorder victim waiting for the channel's next send or an empty
+    /// receive.
+    std::optional<Payload> held;
   };
 
   using ChannelKey = std::tuple<int, int, int>;  // strict ordering on maps
 
   [[nodiscard]] const LinkFaults& FaultsFor(int src, int dst, int tag) const
       REQUIRES(mu_);
-  /// Deterministic per-message decision stream.
+  /// Deterministic decision stream of the `ordinal`-th copy of the
+  /// `index`-th distinct payload on channel (src, dst, tag).
   [[nodiscard]] Rng DecisionRng(int src, int dst, int tag,
-                                std::uint64_t seq) const;
-  /// Frame/deframe: the wire payload carries [seq, data...].
-  static Payload Frame(std::uint64_t seq, const Payload& data);
-  /// Flip one random bit of one lane in [first_lane, size) (no-op on an
-  /// empty range).
-  static void CorruptLane(Payload& payload, std::size_t first_lane, Rng& rng);
-  /// Stash-aware in-order receive step.
-  std::optional<Payload> TakeExpectedLocked(RecvChannel& ch) REQUIRES(mu_);
+                                std::uint64_t index,
+                                std::uint64_t ordinal) const;
+  /// Flip one random bit of one lane (no-op on an empty payload).
+  static void CorruptLane(Payload& payload, Rng& rng);
+  /// Put the reorder victim held on (src, dst, tag), if any, on the wire.
+  /// Returns whether there was one.
+  bool ReleaseHeld(int src, int dst, int tag) EXCLUDES(mu_);
   /// Count + trace one message handed to a consumer.
   void RecordDelivery() EXCLUDES(mu_);
 
   Transport& inner_;     // NOLOCK(internally synchronized Transport)
   const FaultSpec spec_;
-  const bool raw_;  // delivery == kRaw: no framing, no reassembly
 
   mutable common::Mutex mu_{"faulty-transport", common::lock_rank::kTransport};
   std::map<ChannelKey, SendChannel> send_channels_ GUARDED_BY(mu_);  // (src, dst, tag)
-  std::map<ChannelKey, RecvChannel> recv_channels_ GUARDED_BY(mu_);  // (rank, src, tag)
   std::vector<char> crashed_ GUARDED_BY(mu_);
   std::vector<std::uint64_t> sends_by_rank_ GUARDED_BY(mu_);
   FaultStats stats_ GUARDED_BY(mu_);

@@ -54,9 +54,9 @@ class Transport {
   virtual Result<Payload> RecvFor(int rank, int src, int tag,
                                   std::chrono::milliseconds timeout) = 0;
 
-  /// Non-blocking receive. Decorators may relax delivery to datagram
-  /// semantics on this path (out-of-order arrivals delivered, gaps skipped)
-  /// — it is the heartbeat primitive, where freshness beats completeness.
+  /// Non-blocking receive: the channel's next message, if one is there.
+  /// Below the reliable layer it is the heartbeat primitive: whatever the
+  /// wire delivered, gaps and all, since freshness beats completeness.
   virtual std::optional<Payload> TryRecv(int rank, int src, int tag) = 0;
 
   /// Wake all blocked receivers with an error (teardown / failure

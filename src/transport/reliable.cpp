@@ -76,15 +76,24 @@ telemetry::Counter& AckCounter() {
 
 }  // namespace
 
+ReliableOptions WithoutResend(ReliableOptions options) {
+  AIACC_CHECK(options.message_deadline_ms > 0);
+  options.rto_initial_ms = options.message_deadline_ms + 1;
+  options.rto_max_ms = options.rto_initial_ms;
+  return options;
+}
+
 ReliableTransport::ReliableTransport(Transport& inner, ReliableOptions options)
     : inner_(inner),
       options_(options),
+      resend_(options.message_deadline_ms <= 0 ||
+              options.rto_initial_ms < options.message_deadline_ms),
       pool_(options.pool != nullptr ? *options.pool
                                     : common::BufferPool::Global()) {
   AIACC_CHECK(options_.rto_initial_ms > 0);
   AIACC_CHECK(options_.rto_max_ms >= options_.rto_initial_ms);
   AIACC_CHECK(options_.daemon_tick_ms > 0);
-  daemon_ = std::thread([this] { DaemonLoop(); });
+  if (resend_) daemon_ = std::thread([this] { DaemonLoop(); });
 }
 
 ReliableTransport::~ReliableTransport() {
@@ -123,21 +132,26 @@ void ReliableTransport::Send(int src, int dst, int tag, Payload payload) {
   Payload wire = pool_.Acquire(kHeaderLanes + payload.size());
   std::copy(payload.begin(), payload.end(), wire.begin() + kHeaderLanes);
   WriteHeader(wire, kKindData, seq);
-  Payload clone = pool_.Acquire(wire.size());  // the copy that goes out now
-  std::copy(wire.begin(), wire.end(), clone.begin());
   pool_.Release(std::move(payload));
+  Payload kept;  // the copy retransmits resend until the ack retires it
+  if (resend_) {
+    kept = pool_.Acquire(wire.size());
+    std::copy(wire.begin(), wire.end(), kept.begin());
+  }
   {
     common::MutexLock lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    TxFrame& frame = ch->inflight[seq];
-    frame.wire = std::move(wire);
-    frame.first_sent = now;
-    frame.rto_ms = options_.rto_initial_ms;
-    frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
     ++stats_.data_frames_sent;
+    if (resend_) {
+      const auto now = std::chrono::steady_clock::now();
+      TxFrame& frame = ch->inflight[seq];
+      frame.wire = std::move(kept);
+      frame.first_sent = now;
+      frame.rto_ms = options_.rto_initial_ms;
+      frame.next_resend = now + std::chrono::milliseconds(frame.rto_ms);
+    }
   }
   // Outside the mutex: a fault decorator may sleep inside Send.
-  inner_.Send(src, dst, tag, std::move(clone));
+  inner_.Send(src, dst, tag, std::move(wire));
 }
 
 bool ReliableTransport::HasConsumerLocked(int rank, int src, int tag) const {
@@ -204,9 +218,8 @@ void ReliableTransport::ProcessRawFrame(int rank, int src, int tag,
 
   // Data frame: stash in order, ack unconditionally (a lost ack shows up
   // here as a duplicate — the re-ack is what stops its retransmits). The
-  // body keeps the frame's buffer, header stripped in place.
-  Payload ack = pool_.Acquire(kHeaderLanes);
-  WriteHeader(ack, kKindAck, *seq);
+  // body keeps the frame's buffer, header stripped in place. A layer that
+  // never resends keeps no copies, so it has nothing to ack.
   frame.erase(frame.begin(), frame.begin() + kHeaderLanes);
   std::optional<Payload> duplicate;
   {
@@ -218,9 +231,12 @@ void ReliableTransport::ProcessRawFrame(int rank, int src, int tag,
     } else {
       ch.stash.emplace(*seq, std::move(frame));
     }
-    ++stats_.acks_sent;
+    if (resend_) ++stats_.acks_sent;
   }
   if (duplicate) pool_.Release(*std::move(duplicate));
+  if (!resend_) return;
+  Payload ack = pool_.Acquire(kHeaderLanes);
+  WriteHeader(ack, kKindAck, *seq);
   AckCounter().Add();
   inner_.Send(rank, src, tag, std::move(ack));
 }

@@ -1,8 +1,9 @@
 // Reliable delivery decorator: the in-band retry tier of the three-tier
 // fault story (DESIGN.md "Fault model & recovery"). ReliableTransport sits
-// between the collectives and a lossy transport (a FaultyTransport in *raw*
-// delivery mode today; a real socket transport tomorrow) and restores
-// exactly-once, in-order, integrity-checked delivery:
+// between the collectives and a lossy transport (a FaultyTransport today; a
+// real socket transport tomorrow) and restores exactly-once, in-order,
+// integrity-checked delivery. It is the only sequencing layer of the stack:
+// the fault layer beneath it perturbs the wire and repairs nothing.
 //
 //   * every Send is framed with a per-(src, dst, tag) sequence number and a
 //     CRC32 over the body, split across two 16-bit float lanes (a uint32 is
@@ -17,7 +18,12 @@
 //     (rto_initial_ms doubling to rto_max_ms) until the ack arrives or the
 //     per-message deadline expires — at which point the message is dropped
 //     and the *receiver's* RecvFor deadline surfaces the failure to tier 2
-//     (engine unit retry) or tier 3 (checkpoint recovery);
+//     (engine unit retry) or tier 3 (checkpoint recovery). The daemon
+//     checks the deadline before it resends, so options whose first resend
+//     falls past the deadline (WithoutResend) turn retransmission off and
+//     keep sequencing, dedup and CRC: that is the engine's "tier 1 off"
+//     stack over injected faults. Such a layer keeps no wire copies, so it
+//     sends no acks and runs no daemon;
 //   * a corrupted frame fails its CRC, is counted and discarded, and heals
 //     through the normal retransmit path — corruption is just loss.
 //
@@ -78,6 +84,12 @@ struct ReliableOptions {
   common::BufferPool* pool = &common::BufferPool::Global();
 };
 
+/// Tier 1 off: `options` with the first resend past the message deadline
+/// (which must be finite). The layer still sequences, dedups and
+/// CRC-checks, but never resends, so a drop surfaces as the receiver's
+/// RecvFor deadline.
+[[nodiscard]] ReliableOptions WithoutResend(ReliableOptions options);
+
 /// What the reliability layer did (per instance; the process-global
 /// telemetry counters aggregate across instances).
 struct ReliableStats {
@@ -93,9 +105,7 @@ struct ReliableStats {
 
 class ReliableTransport final : public Transport {
  public:
-  /// `inner` must outlive this decorator. If `inner` is a FaultyTransport
-  /// it must run FaultDelivery::kRaw — strict mode would add a second
-  /// (redundant) sequencing layer under this one.
+  /// `inner` must outlive this decorator.
   explicit ReliableTransport(Transport& inner, ReliableOptions options = {});
   ~ReliableTransport() override;
   ReliableTransport(const ReliableTransport&) = delete;
@@ -111,7 +121,8 @@ class ReliableTransport final : public Transport {
                           std::chrono::milliseconds timeout) override;
   /// Non-blocking, but still strict: delivers only the next in-order frame
   /// (after draining whatever the inner transport has pending). Reliable
-  /// channels never skip gaps — a gap is a retransmit in flight.
+  /// channels never skip gaps — a gap is a retransmit in flight. Datagram
+  /// traffic such as heartbeats belongs on the wire beneath this layer.
   std::optional<Payload> TryRecv(int rank, int src, int tag) override;
 
   void Shutdown() override;
@@ -166,6 +177,9 @@ class ReliableTransport final : public Transport {
 
   Transport& inner_;  // NOLOCK(internally synchronized Transport)
   const ReliableOptions options_;
+  // False when the first resend falls past the message deadline: no wire
+  // copies, no acks, no daemon.
+  const bool resend_;
   common::BufferPool& pool_;  // NOLOCK(internally synchronized)
 
   mutable common::Mutex mu_{"reliable-transport",

@@ -36,7 +36,6 @@ using collective::MultiChannelAllReduce;
 using core::CommConfig;
 using core::FailureConfig;
 using core::ThreadedAiaccEngine;
-using transport::FaultDelivery;
 using transport::FaultSpec;
 using transport::FaultyTransport;
 using transport::InProcTransport;
@@ -139,7 +138,6 @@ TEST(ChaosSoakTest, CollectiveSoakMatrix) {
         spec.seed = 9000 + static_cast<std::uint64_t>(s) * 131 +
                     static_cast<std::uint64_t>(rate * 1000) * 7 +
                     static_cast<std::uint64_t>(shape.channels);
-        spec.delivery = FaultDelivery::kRaw;
         spec.all_links.drop_prob = rate;
         spec.all_links.dup_prob = rate;
         spec.all_links.reorder_prob = rate;
@@ -213,7 +211,7 @@ std::vector<std::vector<float>> RunEngine(
   return out;
 }
 
-// The acceptance contrast: at a drop rate where the strict seed engine
+// The acceptance contrast: at a drop rate where the tier-1-off engine
 // aborts, the reliable stack completes every iteration bit-exactly.
 TEST(ChaosSoakTest, EngineSurvivesDropChaosWhereSeedAborts) {
   const int world = 2;
@@ -231,13 +229,20 @@ TEST(ChaosSoakTest, EngineSurvivesDropChaosWhereSeedAborts) {
   spec.seed = 61;
   spec.all_links.drop_prob = 0.01;
 
-  // Seed behaviour (no reliable layer): strict loss -> recv deadline ->
-  // abort. This is what the reliability tier exists to prevent.
+  // Tier 1 off: the reliable layer never resends, so a loss becomes a recv
+  // deadline and an abort. This is what retransmission exists to prevent.
   FailureConfig fragile;
   fragile.faults = spec;
   fragile.collective_timeout_ms = 300;
-  RunEngine(world, config, fragile, iters, &failed);
+  std::uint64_t fragile_retransmits = 0;
+  RunEngine(world, config, fragile, iters, &failed,
+            [&](ThreadedAiaccEngine& engine) {
+              ASSERT_NE(engine.reliable_layer(), nullptr);
+              fragile_retransmits =
+                  engine.reliable_layer()->stats().retransmits;
+            });
   EXPECT_TRUE(failed) << "expected the unprotected engine to abort at 1% drop";
+  EXPECT_EQ(fragile_retransmits, 0u) << "tier 1 off still resent frames";
 
   // Reliable + unit-retry stack: same chaos, full completion, exact data.
   // A short iteration burst can outrun the default 10ms retransmit timer

@@ -494,7 +494,6 @@ TEST(RingCodecMatrixTest, ChaosReliableComposition) {
 
     transport::FaultSpec fault;
     fault.seed = 4242;
-    fault.delivery = transport::FaultDelivery::kRaw;
     fault.all_links.drop_prob = 0.03;
     fault.all_links.dup_prob = 0.03;
     fault.all_links.reorder_prob = 0.03;

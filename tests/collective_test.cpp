@@ -26,6 +26,7 @@
 #include "compress/codec.h"
 #include "core/sync_bits.h"
 #include "transport/faulty.h"
+#include "transport/reliable.h"
 
 namespace aiacc::collective {
 namespace {
@@ -625,8 +626,8 @@ TEST(PooledBitExactTest, BroadcastMatchesRootBitwise) {
 
 TEST(PooledChaosTest, BitIdenticalUnderLosslessFaults) {
   // Duplication, reordering and delay — but no drops — over the pooled
-  // path: the strict Recv framing de-duplicates and re-orders, so the
-  // result must still be bitwise identical to a clean run.
+  // path: the reliable layer de-duplicates and re-orders, so the result
+  // must still be bitwise identical to a clean run.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
@@ -645,8 +646,9 @@ TEST(PooledChaosTest, BitIdenticalUnderLosslessFaults) {
     spec.all_links.delay_prob = 0.25;
     spec.all_links.max_delay_ms = 2.0;
     transport::FaultyTransport chaotic(inner, spec);
+    transport::ReliableTransport reliable(chaotic);
     common::BufferPool pool;
-    const auto chaos = RunPipeline(chaotic, world, len, op, &pool, seed);
+    const auto chaos = RunPipeline(reliable, world, len, op, &pool, seed);
 
     ExpectBitIdentical(clean, chaos);
     const transport::FaultStats stats = chaotic.stats();
@@ -737,8 +739,8 @@ TEST(PipelinedBitExactTest, HierarchicalMatchesDepthOneBitwise) {
 
 TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaults) {
   // Duplication, reordering and delay across a depth-4 pipelined run: the
-  // strict per-(src,tag) FIFO framing must keep the in-flight slice window
-  // coherent, matching a clean depth-1 run bit for bit.
+  // reliable layer's per-(src,tag) sequencing must keep the in-flight slice
+  // window coherent, matching a clean depth-1 run bit for bit.
   const int world = 4;
   const std::size_t len = 257;
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg, ReduceOp::kMin,
@@ -757,11 +759,12 @@ TEST(PipelinedChaosTest, BitIdenticalUnderLosslessFaults) {
     spec.all_links.delay_prob = 0.25;
     spec.all_links.max_delay_ms = 2.0;
     transport::FaultyTransport chaotic(inner, spec);
+    transport::ReliableTransport reliable(chaotic);
     common::BufferPool pool;
     auto data = MakeRankData(world, len, seed);
     RunAllRanks(world, [&](int rank) {
-      Comm comm{&chaotic, rank,  world, /*tag_base=*/0, /*timeout_ms=*/0,
-                &pool,    /*pipeline_depth=*/4};
+      Comm comm{&reliable, rank,  world, /*tag_base=*/0, /*timeout_ms=*/0,
+                &pool,     /*pipeline_depth=*/4};
       EXPECT_TRUE(
           RingAllReduce(comm, data[static_cast<std::size_t>(rank)], op).ok());
     });

@@ -1,22 +1,27 @@
 // Fault-injection and failure-recovery tests.
 //
 // Layer by layer: the seeded FaultyTransport decorator (deterministic
-// schedules, lossless perturbations, drops, crashes, stragglers), heartbeat
-// failure detection in ThreadedAiaccEngine, and finally the chaos matrix —
+// schedules, lossless perturbations and drops under a reliable layer that
+// never resends, crashes, stragglers), heartbeat failure detection in
+// ThreadedAiaccEngine, and finally the chaos matrix —
 // a grid of seeded fault schedules driven through end-to-end MLP training
 // with checkpoint/restore recovery, asserting exact-or-non-OK semantics and
 // bounded wall-clock (the test binary's ctest TIMEOUT is the bound).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "collective/tags.h"
 #include "core/threaded_engine.h"
 #include "dnn/mlp.h"
+#include "telemetry/metrics.h"
 #include "trainer/recovery.h"
 #include "transport/faulty.h"
 #include "transport/inproc.h"
+#include "transport/reliable.h"
 
 namespace aiacc::transport {
 namespace {
@@ -59,9 +64,48 @@ TEST(FaultyTransportTest, SameSeedSameSchedule) {
   EXPECT_GT(a.reordered, 0u);
 }
 
-TEST(FaultyTransportTest, LosslessFaultsDeliverExactStream) {
-  // Duplication + reordering + delay but no drops: the strict receiver must
-  // reassemble the exact sent stream.
+TEST(FaultyTransportTest, RepeatsDoNotMoveFirstCopyDecisions) {
+  // A retransmitting sender puts repeats of earlier payloads between first
+  // copies. Each first copy's fate must not depend on how many repeats went
+  // out before it: decisions key on what a message carries, not on the
+  // channel's send count.
+  FaultSpec spec;
+  spec.seed = 5;
+  spec.all_links.drop_prob = 0.3;
+  spec.all_links.dup_prob = 0.3;
+  constexpr int kPayloads = 200;
+  // Per first copy, how many copies reached the receiver: 0 dropped, 1
+  // delivered, 2 duplicated.
+  const auto fates = [&](bool with_repeats) {
+    InProcTransport inner(2);
+    FaultyTransport tr(inner, spec);
+    std::vector<int> copies;
+    for (int i = 0; i < kPayloads; ++i) {
+      tr.Send(0, 1, 0, {static_cast<float>(i)});
+      copies.push_back(0);
+      while (tr.TryRecv(1, 0, 0)) ++copies.back();
+      if (with_repeats && i % 3 == 0) {
+        tr.Send(0, 1, 0, {static_cast<float>(i / 2)});
+        while (tr.TryRecv(1, 0, 0)) {
+        }
+      }
+    }
+    return copies;
+  };
+  const std::vector<int> plain = fates(false);
+  EXPECT_EQ(plain, fates(true));
+  EXPECT_GT(std::count(plain.begin(), plain.end(), 0), 0);
+  EXPECT_GT(std::count(plain.begin(), plain.end(), 2), 0);
+}
+
+TEST(FaultyTransportTest, LosslessFaultsDeliverExactStreamWithoutResend) {
+  // Duplication + reordering + delay but no drops, under a reliable layer
+  // that never resends (the engine's tier-1-off stack): it must still
+  // yield the exact sent stream, because dedup and resequencing alone
+  // repair these faults and a held reorder victim is always released. The
+  // sender sends pairs and waits for both: a reorder inside a pair swaps
+  // it on the wire, and a held second message has no next send to release
+  // it, so the receive must.
   FaultSpec spec;
   spec.seed = 7;
   spec.all_links.dup_prob = 0.3;
@@ -69,61 +113,39 @@ TEST(FaultyTransportTest, LosslessFaultsDeliverExactStream) {
   spec.all_links.delay_prob = 0.2;
   spec.all_links.max_delay_ms = 1.0;
   InProcTransport inner(2);
-  FaultyTransport tr(inner, spec);
+  FaultyTransport faulty(inner, spec);
+  ReliableTransport tr(faulty, WithoutResend({}));
   constexpr int kMessages = 200;
-  std::thread sender([&] {
-    for (int i = 0; i < kMessages; ++i) {
-      tr.Send(0, 1, 3, {static_cast<float>(i)});
+  for (int i = 0; i < kMessages; i += 2) {
+    tr.Send(0, 1, 3, {static_cast<float>(i)});
+    tr.Send(0, 1, 3, {static_cast<float>(i + 1)});
+    for (int j = i; j < i + 2; ++j) {
+      auto p = tr.RecvFor(1, 0, 3, std::chrono::milliseconds(5000));
+      ASSERT_TRUE(p.ok()) << "message " << j << ": " << p.status().message();
+      ASSERT_EQ((*p)[0], static_cast<float>(j)) << "stream corrupted at " << j;
     }
-  });
-  for (int i = 0; i < kMessages; ++i) {
-    auto p = tr.RecvFor(1, 0, 3, std::chrono::milliseconds(5000));
-    ASSERT_TRUE(p.ok()) << "message " << i << ": " << p.status().message();
-    ASSERT_EQ((*p)[0], static_cast<float>(i)) << "stream corrupted at " << i;
   }
-  sender.join();
-  const FaultStats s = tr.stats();
+  const FaultStats s = faulty.stats();
   EXPECT_GT(s.duplicated, 0u);
   EXPECT_GT(s.reordered, 0u);
   EXPECT_GT(s.delayed, 0u);
   EXPECT_EQ(s.dropped, 0u);
+  EXPECT_EQ(tr.stats().retransmits, 0u);
 }
 
-TEST(FaultyTransportTest, DropMakesStrictReceiverTimeOut) {
+TEST(FaultyTransportTest, DropWithoutResendTimesOutTheReceiver) {
   FaultSpec spec;
   spec.seed = 3;
   spec.all_links.drop_prob = 1.0;
   InProcTransport inner(2);
-  FaultyTransport tr(inner, spec);
+  FaultyTransport faulty(inner, spec);
+  ReliableTransport tr(faulty, WithoutResend({}));
   tr.Send(0, 1, 0, {1.0f});
   auto p = tr.RecvFor(1, 0, 0, std::chrono::milliseconds(30));
   ASSERT_FALSE(p.ok());
   EXPECT_EQ(p.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(tr.stats().dropped, 1u);
-}
-
-TEST(FaultyTransportTest, TryRecvSkipsGapsLikeADatagram) {
-  FaultSpec spec;
-  spec.seed = 17;
-  spec.all_links.drop_prob = 0.5;
-  InProcTransport inner(2);
-  FaultyTransport tr(inner, spec);
-  constexpr int kMessages = 40;
-  for (int i = 0; i < kMessages; ++i) {
-    tr.Send(0, 1, 0, {static_cast<float>(i)});
-  }
-  const FaultStats s = tr.stats();
-  ASSERT_GT(s.dropped, 0u);
-  ASSERT_LT(s.dropped, static_cast<std::uint64_t>(kMessages));
-  float last = -1.0f;
-  int delivered = 0;
-  while (auto p = tr.TryRecv(1, 0, 0)) {
-    EXPECT_GT((*p)[0], last) << "datagram delivery went backwards";
-    last = (*p)[0];
-    ++delivered;
-  }
-  EXPECT_EQ(delivered,
-            kMessages - static_cast<int>(s.dropped));
+  EXPECT_EQ(faulty.stats().dropped, 1u);
+  EXPECT_EQ(tr.stats().retransmits, 0u);
 }
 
 TEST(FaultyTransportTest, CrashBlackholesBothDirections) {
@@ -264,6 +286,58 @@ TEST(FailureDetectionTest, CollectiveDeadlineAbortsWithoutHeartbeats) {
   engine.Shutdown();
 }
 
+TEST(FailureDetectionTest, DroppedHeartbeatsAreGapsNotSilence) {
+  // Heartbeats run on the wire beneath the reliable layer, so a lost beat
+  // is a gap and the next beat refreshes the peer. Through a reliable
+  // layer that never resends (tier 1 off), the first lost beat would stall
+  // the in-order beat stream into a false suspicion. The run spans several
+  // heartbeat timeouts, so such a stall would abort it.
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable_transport on" : "reliable_transport off");
+    const int world = 3;
+    const int iters = 30;
+    CommConfig config;
+    config.num_streams = 2;
+    config.granularity_bytes = 128;
+    FailureConfig failure;
+    failure.detect_failures = true;
+    failure.heartbeat_interval_ms = 2.0;
+    failure.heartbeat_timeout_ms = 250.0;
+    failure.reliable_transport = reliable;
+    transport::FaultSpec faults;
+    faults.seed = 71;
+    transport::TagFaults beats;
+    beats.tag_lo = collective::kHeartbeatTag;
+    beats.tag_hi = collective::kHeartbeatTag;
+    beats.faults.drop_prob = 0.3;
+    faults.per_tag.push_back(beats);
+    failure.faults = faults;
+    ThreadedAiaccEngine engine(world, config, failure);
+
+    std::vector<std::thread> threads;
+    for (int r = 0; r < world; ++r) {
+      threads.emplace_back([&, r] {
+        auto& worker = engine.worker(r);
+        std::vector<float> grad(64);
+        ASSERT_TRUE(worker.Register("g", grad).ok());
+        worker.Finalize();
+        for (int iter = 0; iter < iters; ++iter) {
+          std::fill(grad.begin(), grad.end(), static_cast<float>(r));
+          worker.PushAll();
+          ASSERT_TRUE(worker.WaitIteration().ok()) << "iteration " << iter;
+          EXPECT_FLOAT_EQ(grad[0], 1.0f);  // kAvg over ranks 0, 1, 2
+          std::this_thread::sleep_for(std::chrono::milliseconds(25));
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_FALSE(engine.aborted());
+    EXPECT_TRUE(engine.SuspectedRanks().empty());
+    EXPECT_GT(engine.fault_injector()->stats().dropped, 0u);
+    engine.Shutdown();
+  }
+}
+
 TEST(FailureDetectionTest, HealthyRunStaysHealthyWithDetectionOn) {
   const int world = 2;
   CommConfig config;
@@ -343,8 +417,11 @@ std::vector<std::vector<float>> FaultFreeBaseline() {
 TEST(ChaosMatrixTest, LosslessSchedulesMatchFaultFreeExactly) {
   const auto baseline = FaultFreeBaseline();
   // Delay-only and dup+reorder schedules across several seeds: training
-  // must complete bit-identically to the fault-free run (the reliability
-  // layer hides every perturbation).
+  // must complete bit-identically to the fault-free run. Tier 1 is off, so
+  // the reliable layer hides every perturbation by dedup and resequencing
+  // alone, with no retransmit.
+  const telemetry::Counter& retransmits =
+      telemetry::MetricsRegistry::Global().GetCounter("reliable.retransmits");
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     for (const bool with_reorder : {false, true}) {
       RecoverySpec spec = BaseSpec();
@@ -357,19 +434,21 @@ TEST(ChaosMatrixTest, LosslessSchedulesMatchFaultFreeExactly) {
         faults.all_links.reorder_prob = 0.05;
       }
       spec.failure.faults = faults;
+      const std::uint64_t retransmits_before = retransmits.Value();
       const RecoveryReport report = TrainWithRecovery(spec);
       ASSERT_TRUE(report.final_status.ok())
           << "seed " << seed << ": " << report.final_status.message();
       EXPECT_EQ(report.recoveries, 0);
       ExpectParamsNear(report.final_parameters, baseline, 0.0f);
+      EXPECT_EQ(retransmits.Value(), retransmits_before);
     }
   }
 }
 
 TEST(ChaosMatrixTest, DropSchedulesFailCleanlyOrMatchExactly) {
   const auto baseline = FaultFreeBaseline();
-  // Message loss with a collective deadline: a dropped message makes the
-  // strict receiver miss its deadline — the run must either complete
+  // Message loss with a collective deadline: tier 1 is off, so a dropped
+  // message makes the receiver miss its deadline — the run must either complete
   // exactly (nothing essential was dropped) or return non-OK in bounded
   // time. No hangs, no silent corruption.
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {

@@ -115,7 +115,7 @@ TEST(TracingTransportTest, BindsRecvToSendViaFlowEvents) {
 }
 
 TEST(TracingTransportTest, CorruptedTrailerStillYieldsOriginalBody) {
-  // Raw chaos with no reliable layer: every frame has one bit flipped, and
+  // Chaos with no reliable layer: every frame has one bit flipped, and
   // with a 1-lane body four of every five flips land in the trailer. The
   // decorator must strip the lanes whether or not the stamp parses, so
   // every body comes out at its sent size.
@@ -123,7 +123,6 @@ TEST(TracingTransportTest, CorruptedTrailerStillYieldsOriginalBody) {
   transport::InProcTransport inner(2);
   transport::FaultSpec spec;
   spec.seed = 7;
-  spec.delivery = transport::FaultDelivery::kRaw;
   spec.all_links.corrupt_prob = 1.0;
   transport::FaultyTransport faulty(inner, spec);
   transport::TracingOptions opts;

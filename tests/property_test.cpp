@@ -22,6 +22,7 @@
 #include "net/network.h"
 #include "trainer/harness.h"
 #include "transport/faulty.h"
+#include "transport/reliable.h"
 
 namespace aiacc::trainer {
 namespace {
@@ -283,7 +284,11 @@ FaultOutcome RunUnderSchedule(int world, const transport::FaultSpec& faults,
                               std::vector<std::vector<float>>& data,
                               const CollectiveFn& op) {
   transport::InProcTransport inner(world);
-  transport::FaultyTransport tr(inner, faults);
+  transport::FaultyTransport faulty(inner, faults);
+  // Tier 1 off, as the engine stacks it over faults: the reliable layer
+  // dedups and resequences but never resends, so a drop surfaces as a
+  // receive deadline.
+  transport::ReliableTransport tr(faulty, transport::WithoutResend({}));
   std::vector<Status> status(static_cast<std::size_t>(world), Status::Ok());
   std::vector<std::thread> threads;
   for (int r = 0; r < world; ++r) {

@@ -30,11 +30,10 @@ Payload MakeBody(int i, std::size_t lanes) {
   return body;
 }
 
-/// Send `n` bodies 0 -> 1 through Reliable(Faulty-raw(spec)) and require the
+/// Send `n` bodies 0 -> 1 through Reliable(Faulty(spec)) and require the
 /// receiver to observe exactly the sent stream, in order. Returns the
 /// reliable layer's stats for mix-specific assertions.
 ReliableStats RunStream(FaultSpec spec, int n, ReliableOptions opts = {}) {
-  spec.delivery = FaultDelivery::kRaw;
   InProcTransport inner(2);
   FaultyTransport faulty(inner, spec);
   ReliableTransport rel(faulty, opts);
@@ -124,7 +123,6 @@ TEST(ReliableTransportTest, ExactlyOnceUnderCombinedChaos) {
 TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
   FaultSpec spec;
   spec.seed = 21;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 0.15;
   spec.all_links.dup_prob = 0.1;
   InProcTransport inner(2);
@@ -152,7 +150,6 @@ TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
 // lock, so frames reach the wire out of seq order even on a clean link.
 // Every body must still arrive exactly once, each sender's in its order.
 void RunConcurrentSenders(FaultSpec spec) {
-  spec.delivery = FaultDelivery::kRaw;
   InProcTransport inner(2);
   FaultyTransport faulty(inner, spec);
   ReliableTransport rel(faulty);
@@ -222,7 +219,6 @@ TEST(ReliableTransportTest, SenderReapsAcksWithoutDaemon) {
 TEST(ReliableTransportTest, TryRecvStaysStrictlyOrdered) {
   FaultSpec spec;
   spec.seed = 22;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 0.3;
   spec.all_links.reorder_prob = 0.3;
   InProcTransport inner(2);
@@ -251,7 +247,6 @@ TEST(ReliableTransportTest, TryRecvStaysStrictlyOrdered) {
 TEST(ReliableTransportTest, MessageDeadlineHandsOffToUpperTiers) {
   FaultSpec spec;
   spec.seed = 23;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.drop_prob = 1.0;  // nothing ever arrives
   InProcTransport inner(2);
   FaultyTransport faulty(inner, spec);
@@ -283,7 +278,6 @@ TEST(ReliableTransportTest, MessageDeadlineHandsOffToUpperTiers) {
 TEST(ReliableTransportTest, ZeroSteadyStateAllocations) {
   FaultSpec spec;
   spec.seed = 24;
-  spec.delivery = FaultDelivery::kRaw;
   spec.all_links.delay_prob = 0.3;
   spec.all_links.max_delay_ms = 15.0;  // >> rto: forces retransmits
   InProcTransport inner(2);
@@ -364,7 +358,6 @@ TEST(ReliableCollectiveTest, MultiChannelAllReduceBitExactThroughChaos) {
       // Chaos run: drop/dup/reorder/corrupt under the reliable layer.
       FaultSpec spec;
       spec.seed = 1000 + static_cast<std::uint64_t>(channels * 10 + depth);
-      spec.delivery = FaultDelivery::kRaw;
       spec.all_links.drop_prob = 0.03;
       spec.all_links.dup_prob = 0.03;
       spec.all_links.reorder_prob = 0.03;

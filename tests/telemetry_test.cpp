@@ -219,6 +219,21 @@ TEST(TracerTest, NestedSpansStayContainedAndCollectPortably) {
   EXPECT_TRUE(instants.empty());
 }
 
+TEST(TracerTest, ChromeJsonKeepsNanosecondsLateInARun) {
+  // 12.3456789 s after the origin, ts must still resolve to the ns (not the
+  // 10 us that 6 significant digits leave there), and so must dur.
+  telemetry::ChromeTraceDoc doc;
+  telemetry::SpanEvent span;
+  span.track = "t";
+  span.name = "late";
+  span.begin = 12.3456789;
+  span.end = 12.3456789 + 1.5e-6;
+  doc.spans.push_back(span);
+  const std::string json = telemetry::ToChromeJson(doc);
+  EXPECT_NE(json.find("\"ts\":12345678.900"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\":1.500"), std::string::npos) << json;
+}
+
 TEST(TracerTest, DisabledSpansRecordNothing) {
   RuntimeTracer tracer;  // never enabled
   {
