@@ -23,10 +23,7 @@ common::BufferPool& PoolOf(const Comm& comm) {
 Result<transport::Payload> TimedRecv(transport::Transport& tr,
                                      std::int64_t timeout_ms, int rank,
                                      int src, int tag) {
-  if (timeout_ms > 0) {
-    return tr.RecvFor(rank, src, tag, std::chrono::milliseconds(timeout_ms));
-  }
-  return tr.Recv(rank, src, tag);
+  return tr.RecvFor(rank, src, tag, std::chrono::milliseconds(timeout_ms));
 }
 
 Status CheckSize(const transport::Payload& received, std::size_t expected) {

@@ -13,6 +13,15 @@ std::size_t BitVector::Count() const noexcept {
 
 bool BitVector::All() const noexcept { return Count() == n_bits_; }
 
+void BitVector::SetAll() noexcept {
+  for (auto& w : words_) w = ~Word{0};
+  // Bits past n_bits_ stay 0 so Count, None and operator== see only real
+  // bits.
+  if (n_bits_ % kWordBits != 0) {
+    words_.back() = (Word{1} << (n_bits_ % kWordBits)) - 1;
+  }
+}
+
 bool BitVector::None() const noexcept {
   for (Word w : words_) {
     if (w != 0) return false;
@@ -24,6 +33,13 @@ void BitVector::MinCombine(const BitVector& other) noexcept {
   assert(n_bits_ == other.n_bits_);
   for (std::size_t i = 0; i < words_.size(); ++i) {
     words_[i] &= other.words_[i];
+  }
+}
+
+void BitVector::OrCombine(const BitVector& other) noexcept {
+  assert(n_bits_ == other.n_bits_);
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    words_[i] |= other.words_[i];
   }
 }
 

@@ -38,6 +38,8 @@ class BitVector {
   void Reset() noexcept {
     for (auto& w : words_) w = 0;
   }
+  /// Sets all n_bits_ bits to 1.
+  void SetAll() noexcept;
 
   /// Number of set bits.
   [[nodiscard]] std::size_t Count() const noexcept;
@@ -50,6 +52,9 @@ class BitVector {
   /// Element-wise min with `other` (bitwise AND): the all-reduce combine step
   /// of the decentralized gradient synchronization protocol. Sizes must match.
   void MinCombine(const BitVector& other) noexcept;
+  /// Element-wise max with `other` (bitwise OR): merges another set of
+  /// ready gradients into this one. Sizes must match.
+  void OrCombine(const BitVector& other) noexcept;
 
   /// Indices of all set bits, ascending. Gradient ids are assigned in sorted
   /// registration order, so this is also the implicit communication order.

@@ -75,7 +75,8 @@ inline constexpr int kEngineState = 100;    // per-rank engine state + finalize
 inline constexpr int kEngineAbort = 150;    // engine abort status/suspects
 inline constexpr int kChannelWorkers = 200; // multi-channel worker reservation
 inline constexpr int kChannelHealth = 250;  // channel health tracker state
-inline constexpr int kQueue = 300;          // Blocking/Bounded queue internals
+inline constexpr int kQueue = 300;          // BlockingQueue internals, engine
+                                            // gradient hand-off
 inline constexpr int kThreadPool = 400;     // ThreadPool threads/idle tracking
 inline constexpr int kReliableTransport = 450;  // reliable-delivery tx/rx maps
                                             // (bookkeeping only: no

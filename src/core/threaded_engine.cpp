@@ -96,7 +96,6 @@ ThreadedAiaccEngine::ThreadedAiaccEngine(int world_size, CommConfig config,
   for (int r = 0; r < world_size; ++r) {
     workers_.emplace_back(new Worker(this, r));
     auto state = std::make_unique<RankState>();
-    state->queue = std::make_unique<BoundedQueue<int>>(4096);
     // num_gradients is unknown until Finalize; BindGradientCount fixes the
     // urgent cutoff there, before any service loop can push a unit.
     state->scheduler = std::make_unique<ReadySetScheduler>(SchedulerPolicy{
@@ -144,8 +143,7 @@ void ThreadedAiaccEngine::MetricsDumpLoop() {
   using Clock = std::chrono::steady_clock;
   const auto period = std::chrono::milliseconds(metrics_dump_period_ms_);
   auto next_dump = Clock::now() + period;
-  while (!shutdown_.load(std::memory_order_acquire) &&
-         !aborted_.load(std::memory_order_acquire)) {
+  while (!stopped()) {
     // Sleep in short slices so engine teardown never waits a full period.
     const auto now = Clock::now();
     if (now < next_dump) {
@@ -167,18 +165,25 @@ ThreadedAiaccEngine::~ThreadedAiaccEngine() { Shutdown(); }
 
 void ThreadedAiaccEngine::Shutdown() {
   if (shutdown_.exchange(true)) return;
-  for (auto& state : ranks_) {
-    state->queue->Shutdown();
-    state->scheduler->Shutdown();
-  }
-  transport_->Shutdown();
-  for (auto& state : ranks_) {
-    common::MutexLock lock(state->mu);
-    state->cv.NotifyAll();
-  }
+  // An abort has already woken every waiter (or is about to, on the
+  // thread that stored `aborted_`), so only the join is left.
+  if (!aborted_.load(std::memory_order_acquire)) WakeAll();
   // Every service loop observes the signals above and returns; destroying
   // the pool joins its workers.
   service_pool_.reset();
+}
+
+void ThreadedAiaccEngine::WakeAll() {
+  for (auto& state : ranks_) state->scheduler->Shutdown();
+  transport_->Shutdown();
+  for (auto& state : ranks_) {
+    {
+      common::MutexLock lock(state->handoff_mu);
+      state->handoff_cv.NotifyAll();
+    }
+    common::MutexLock lock(state->mu);
+    state->cv.NotifyAll();
+  }
 }
 
 Status ThreadedAiaccEngine::health() const {
@@ -212,18 +217,11 @@ void ThreadedAiaccEngine::Abort(Status status, std::vector<int> suspected) {
     }
   }
   (void)flight.DumpToEnvDir("abort");  // best effort: logs on failure
-  // Wake every blocked party: queue sleepers, collective receivers, and the
-  // workers parked in WaitIteration. The engine is dead from here on —
-  // recovery means rebuilding a fresh one over the survivors.
-  for (auto& state : ranks_) {
-    state->queue->Shutdown();
-    state->scheduler->Shutdown();
-  }
-  transport_->Shutdown();
-  for (auto& state : ranks_) {
-    common::MutexLock lock(state->mu);
-    state->cv.NotifyAll();
-  }
+  // Wake every blocked party: the MPI processes waiting for pushes, comm
+  // streams, collective receivers, and the workers parked in WaitIteration.
+  // The engine is dead from here on — recovery means rebuilding a fresh one
+  // over the survivors.
+  WakeAll();
 }
 
 void ThreadedAiaccEngine::HandleCollectiveFailure(int rank,
@@ -265,11 +263,10 @@ void ThreadedAiaccEngine::Worker::Finalize() {
       state.residuals[static_cast<std::size_t>(*id)].assign(span.size(), 0.0f);
     }
   }
-  state.push_all_batch.resize(static_cast<std::size_t>(state.registry.size()));
-  for (int id = 0; id < state.registry.size(); ++id) {
-    state.push_all_batch[static_cast<std::size_t>(id)] = id;
+  {
+    common::MutexLock lock(state.handoff_mu);
+    state.pushed = BitVector(static_cast<std::size_t>(state.registry.size()));
   }
-  state.push_all_batch.push_back(kFlush);
   {
     common::MutexLock lock(state.mu);
     state.reduced_bytes.assign(
@@ -326,17 +323,30 @@ void ThreadedAiaccEngine::Worker::Push(const std::string& name) {
   auto id = state.registry.IdOf(name);
   AIACC_CHECK(id.ok());
   AIACC_TRACE_INSTANT("engine", "grad-ready");
-  state.queue->Push(*id);
+  {
+    common::MutexLock lock(state.handoff_mu);
+    state.pushed.Set(static_cast<std::size_t>(*id));
+  }
+  state.handoff_cv.NotifyOne();
 }
 
 void ThreadedAiaccEngine::Worker::FlushIteration() {
   RankState& state = *engine_->ranks_[static_cast<std::size_t>(rank_)];
-  state.queue->Push(kFlush);
+  {
+    common::MutexLock lock(state.handoff_mu);
+    state.flushed = true;
+  }
+  state.handoff_cv.NotifyOne();
 }
 
 void ThreadedAiaccEngine::Worker::PushAll() {
   RankState& state = *engine_->ranks_[static_cast<std::size_t>(rank_)];
-  state.queue->PushBatch(state.push_all_batch);
+  {
+    common::MutexLock lock(state.handoff_mu);
+    state.pushed.SetAll();
+    state.flushed = true;
+  }
+  state.handoff_cv.NotifyOne();
 }
 
 Status ThreadedAiaccEngine::Worker::WaitIteration() {
@@ -415,8 +425,7 @@ void ThreadedAiaccEngine::MpiProcessLoop(int rank) {
   // protocol — after the first round the engine's control plane allocates
   // nothing per iteration.
   std::vector<float> sync_scratch;
-  while (!shutdown_.load(std::memory_order_acquire) &&
-         !aborted_.load(std::memory_order_acquire)) {
+  while (!stopped()) {
     RunIterationProtocol(rank, sync_scratch);
   }
 }
@@ -437,8 +446,7 @@ void ThreadedAiaccEngine::HeartbeatLoop(int rank) {
   // behind one dropped beat when it does not resend.
   transport::Transport& wire =
       faulty_ ? static_cast<transport::Transport&>(*faulty_) : inproc_;
-  while (!shutdown_.load(std::memory_order_acquire) &&
-         !aborted_.load(std::memory_order_acquire)) {
+  while (!stopped()) {
     // Starvation guard: if *this* thread was descheduled for a large slice
     // of the suspicion window, its staleness view is invalid — peers may
     // have beaten the whole time. Refresh rather than falsely accuse.
@@ -522,14 +530,8 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   int agreed_total = 0;
   bool flush_seen = false;
 
-  // The first pop blocks until the worker produces something (or shutdown).
-  auto first = state.queue->Pop();
-  if (!first.has_value()) return;  // shutdown
-  if (*first != kFlush) {
-    local_ready.Set(static_cast<std::size_t>(*first));
-  } else {
-    flush_seen = true;
-  }
+  // Block until the worker produces something (or the engine stops).
+  if (!TakePushed(state, local_ready, flush_seen)) return;
 
   // Bit-packed sync payload: 32 readiness bits per float word (sync_bits.h)
   // instead of one 0/1 float per gradient — a 32x cut in per-round traffic.
@@ -537,17 +539,6 @@ void ThreadedAiaccEngine::RunIterationProtocol(
   sync_scratch.resize(sync_words);
   std::span<float> sync_vector(sync_scratch);
   while (agreed_total < n) {
-    // Drain whatever else has been produced.
-    while (!flush_seen) {
-      auto msg = state.queue->TryPop();
-      if (!msg.has_value()) break;
-      if (*msg == kFlush) {
-        flush_seen = true;
-      } else {
-        local_ready.Set(static_cast<std::size_t>(*msg));
-      }
-    }
-
     // Decentralized synchronization round: AND-all-reduce the bit-packed
     // readiness vector among the MPI processes (the intersection of every
     // rank's ready set, exactly what the old kMin over 0/1 floats
@@ -566,10 +557,7 @@ void ThreadedAiaccEngine::RunIterationProtocol(
       HandleCollectiveFailure(rank, st);
       return;
     }
-    if (shutdown_.load(std::memory_order_acquire) ||
-        aborted_.load(std::memory_order_acquire)) {
-      return;
-    }
+    if (stopped()) return;
     worker.sync_rounds_->Add();
     worker.sync_payload_floats_->Add(sync_words);
 
@@ -587,41 +575,27 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     while (packer.HasReadyUnit()) {
       state.scheduler->Push(packer.PopReadyUnit());
     }
-    // If nothing new was agreed and production continues, take one blocking
-    // message so the loop does not spin on empty rounds.
-    if (agreed_total < n && !flush_seen) {
-      auto msg = state.queue->Pop();
-      if (!msg.has_value()) return;  // shutdown
-      if (*msg == kFlush) {
-        flush_seen = true;
-      } else {
-        local_ready.Set(static_cast<std::size_t>(*msg));
-      }
+    // If production continues, wait for more so the loop does not spin on
+    // empty rounds.
+    if (agreed_total < n && !flush_seen &&
+        !TakePushed(state, local_ready, flush_seen)) {
+      return;
     }
   }
 
-  // Consume this iteration's flush marker if the blocking pops above raced
-  // ahead of it (all n ids can be agreed before the marker is read); a
-  // stale marker must never leak into the next iteration's protocol.
-  while (!flush_seen) {
-    auto msg = state.queue->Pop();
-    if (!msg.has_value()) return;  // shutdown
-    AIACC_CHECK(*msg == kFlush && "gradient pushed after all were agreed");
-    flush_seen = true;
+  // Take this iteration's flush if every gradient was agreed before it
+  // arrived; a stale flush must never leak into the next iteration.
+  if (!flush_seen) {
+    if (!TakePushed(state, local_ready, flush_seen)) return;
+    AIACC_CHECK(flush_seen && local_ready.None() &&
+                "gradient pushed after all were agreed");
   }
 
   // All units are in flight; wait for the stream pool to finish them.
   {
     common::MutexLock lock(state.mu);
-    while (state.gradients_remaining != 0 &&
-           !shutdown_.load(std::memory_order_acquire) &&
-           !aborted_.load(std::memory_order_acquire)) {
-      state.cv.Wait(lock);
-    }
-    if (shutdown_.load(std::memory_order_acquire) ||
-        aborted_.load(std::memory_order_acquire)) {
-      return;
-    }
+    while (state.gradients_remaining != 0 && !stopped()) state.cv.Wait(lock);
+    if (stopped()) return;
     // Close the iteration: zero the per-gradient progress *before* flipping
     // iteration_done, so once the worker is released every slot already
     // reads "nothing reduced yet" for the next iteration (WaitGradient
@@ -631,6 +605,20 @@ void ThreadedAiaccEngine::RunIterationProtocol(
     state.iteration_done = true;
   }
   state.cv.NotifyAll();
+}
+
+bool ThreadedAiaccEngine::TakePushed(RankState& state, BitVector& ready,
+                                     bool& flush_seen) {
+  common::MutexLock lock(state.handoff_mu);
+  while (state.pushed.None() && !state.flushed && !stopped()) {
+    state.handoff_cv.Wait(lock);
+  }
+  if (stopped()) return false;
+  ready.OrCombine(state.pushed);
+  state.pushed.Reset();
+  flush_seen = flush_seen || state.flushed;
+  state.flushed = false;
+  return true;
 }
 
 void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
@@ -784,9 +772,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
                                        collective::ReduceOp::kAvg);
       }
       if (st.ok()) break;
-      if (shutdown_.load(std::memory_order_acquire) ||
-          aborted_.load(std::memory_order_acquire) ||
-          st.code() == StatusCode::kUnavailable) {
+      if (stopped() || st.code() == StatusCode::kUnavailable) {
         break;  // teardown/abort — retrying a dead transport is pointless
       }
       if (attempt + 1 >= max_attempts) break;
@@ -825,8 +811,7 @@ void ThreadedAiaccEngine::CommThreadLoop(int rank, int stream_index) {
       HandleCollectiveFailure(rank, st);
       return;
     }
-    if (shutdown_.load(std::memory_order_acquire) ||
-        aborted_.load(std::memory_order_acquire)) {
+    if (stopped()) {
       release_buffers();
       leave_unit();
       return;

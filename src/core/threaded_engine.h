@@ -3,11 +3,14 @@
 //
 //   * each rank has a training-worker thread (the caller: computes real
 //     gradients) and a communication-servicing thread (the "MPI process");
-//   * the worker pushes ready gradients into a bounded gradient queue (the
-//     CUDA-MPI-aware message queue of §V-A-2);
-//   * the MPI process marks the gradient synchronization bit-vector and runs
-//     decentralized min-all-reduce rounds over it (as 0/1 floats through the
-//     real ring collective — a min over bits is the intersection);
+//   * the worker hands ready gradients to the MPI process as bits of a
+//     shared bit-vector plus an end-of-iteration flag (the gradient-ready
+//     messages of §V-A-2, whose only job is to mark the MPI process's
+//     synchronization bit-vector);
+//   * the MPI process moves those bits into its synchronization bit-vector
+//     and runs decentralized AND-all-reduce rounds over it (bit-packed
+//     through the real ring collective — the intersection of the ranks'
+//     ready sets);
 //   * agreed gradients stream through the packer into all-reduce units; a
 //     pool of `num_streams` communication threads runs one real ring
 //     all-reduce per unit concurrently (each on its own tag channel —
@@ -34,7 +37,7 @@
 // abort Status to the caller, and SuspectedRanks() names the peers that went
 // silent so a trainer can rebuild over the survivors (trainer/recovery.h).
 //
-// Everything is real: payloads, reductions, queues, thread concurrency. The
+// Everything is real: payloads, reductions, thread concurrency. The
 // integration tests train a real MLP through this engine and require exact
 // agreement with sequential full-batch training.
 #pragma once
@@ -49,7 +52,6 @@
 #include "common/sync.h"
 
 #include "common/bitvector.h"
-#include "common/queues.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/optimizer.h"
@@ -179,9 +181,9 @@ class ThreadedAiaccEngine {
     /// end-of-backward signal). Required before WaitIteration.
     void FlushIteration();
 
-    /// Convenience: push every registered gradient and flush in one queue
-    /// operation, so the MPI process agrees on all of them in a single sync
-    /// round.
+    /// Convenience: push every registered gradient and flush under one
+    /// hand-off lock hold, so the MPI process agrees on all of them in a
+    /// single sync round.
     void PushAll();
 
     /// Block until every registered gradient has been averaged across all
@@ -271,9 +273,6 @@ class ThreadedAiaccEngine {
     // disjointly — and a failed attempt re-gathers from here, so retries
     // never double-apply the residual.
     std::vector<std::vector<float>> residuals;  // NOLOCK(comm streams access disjoint unit segments; a commit happens-before the next gather via mu)
-    // Every gradient id then kFlush: PushAll's one queue batch.
-    std::vector<int> push_all_batch;  // NOLOCK(frozen before service threads start)
-
     // Optimizer/comm overlap (Worker::BindOptimizer): the comm streams
     // apply StepTensor under `mu` the moment a gradient completes, so the
     // optimizer runs hidden under the remaining collectives. Pointers and
@@ -282,9 +281,16 @@ class ThreadedAiaccEngine {
     std::vector<std::pair<std::string, std::span<float>>> pending_params;  // NOLOCK(registration phase only)
     std::vector<std::span<float>> params;  // NOLOCK(frozen before service threads start)
 
-    // Gradient message queue worker -> MPI process. Ids >= 0; kFlush ends
-    // an iteration's production.
-    std::unique_ptr<BoundedQueue<int>> queue;  // NOLOCK(set in ctor; queue is internally synchronized)
+    // Gradient hand-off worker -> MPI process: Push sets a gradient's bit,
+    // FlushIteration sets `flushed` (the end of the iteration's
+    // production); the MPI process moves both into its own iteration state
+    // and clears them. Its own mutex, not `mu`: comm streams hold `mu`
+    // across StepTensor, and a Push must not wait behind an optimizer step.
+    common::Mutex handoff_mu{"engine-gradient-handoff",
+                             common::lock_rank::kQueue};
+    common::CondVar handoff_cv;
+    BitVector pushed GUARDED_BY(handoff_mu);
+    bool flushed GUARDED_BY(handoff_mu) = false;
 
     // Completion signalling (MPI process -> worker).
     common::Mutex mu{"engine-rank-state", common::lock_rank::kEngineState};
@@ -319,8 +325,11 @@ class ThreadedAiaccEngine {
     std::map<std::uint64_t, int> unit_tag_epoch GUARDED_BY(mu);
   };
 
-  static constexpr int kFlush = -1;
-
+  /// Shut down or aborted: every service loop returns.
+  [[nodiscard]] bool stopped() const noexcept {
+    return shutdown_.load(std::memory_order_acquire) ||
+           aborted_.load(std::memory_order_acquire);
+  }
   void MpiProcessLoop(int rank);
   void CommThreadLoop(int rank, int stream_index);
   /// Service task dumping the engine registry every AIACC_METRICS_PERIOD_MS
@@ -330,11 +339,22 @@ class ThreadedAiaccEngine {
   /// `sync_scratch` is the caller's reusable bit-vector buffer (one per MPI
   /// process loop) so steady-state iterations allocate nothing.
   void RunIterationProtocol(int rank, std::vector<float>& sync_scratch);
+  /// Block until the worker handed over a pushed gradient or its flush,
+  /// then move the pushed bits into `ready` and the flush into
+  /// `flush_seen`, clearing both hand-off fields. False, taking nothing,
+  /// when the engine stopped (shutdown or abort) instead.
+  [[nodiscard]] bool TakePushed(RankState& state, BitVector& ready,
+                                bool& flush_seen);
   void HeartbeatLoop(int rank);
   /// Record the first failure, remember the suspects, and wake every
   /// blocked thread with an error. Never joins (callable from engine
   /// threads); Shutdown() still does the joining.
   void Abort(Status status, std::vector<int> suspected);
+  /// After `shutdown_` or `aborted_` was stored: shut the schedulers and
+  /// the transport down and wake every blocked service loop and waiter.
+  /// Each notify runs under the mutex its waiter tests that flag under, so
+  /// no wake-up falls between a waiter's check and its sleep.
+  void WakeAll();
   /// Collective returned non-OK: normal teardown is silent, anything else
   /// aborts the engine.
   void HandleCollectiveFailure(int rank, const Status& status);

@@ -170,10 +170,6 @@ bool FaultyTransport::ReleaseHeld(int src, int dst, int tag) {
   return true;
 }
 
-Result<Payload> FaultyTransport::Recv(int rank, int src, int tag) {
-  return RecvFor(rank, src, tag, kNoTimeout);
-}
-
 Result<Payload> FaultyTransport::RecvFor(int rank, int src, int tag,
                                          std::chrono::milliseconds timeout) {
   if (auto payload = TryRecv(rank, src, tag)) return *std::move(payload);

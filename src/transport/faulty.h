@@ -100,9 +100,9 @@ struct FaultSpec {
 
 /// Injection counters (what the schedule actually did — tests assert on
 /// these to prove the chaos layer was exercised). `delivered` counts
-/// messages handed to consumers on every receive path — blocking, deadline
-/// (RecvFor), and non-blocking (TryRecv) alike — so receive-path telemetry
-/// stays honest regardless of which primitive a caller drains with.
+/// messages handed to consumers on both receive paths — RecvFor and the
+/// non-blocking TryRecv alike — so receive-path telemetry stays honest
+/// regardless of which primitive a caller drains with.
 struct FaultStats {
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -125,7 +125,6 @@ class FaultyTransport final : public Transport {
   }
 
   void Send(int src, int dst, int tag, Payload payload) override;
-  Result<Payload> Recv(int rank, int src, int tag) override;
   Result<Payload> RecvFor(int rank, int src, int tag,
                           std::chrono::milliseconds timeout) override;
   std::optional<Payload> TryRecv(int rank, int src, int tag) override;
@@ -133,10 +132,6 @@ class FaultyTransport final : public Transport {
   void Shutdown() override { inner_.Shutdown(); }
   [[nodiscard]] bool IsShutdown() const noexcept override {
     return inner_.IsShutdown();
-  }
-  Status Barrier() override { return inner_.Barrier(); }
-  [[nodiscard]] std::uint64_t TotalMessages() const override {
-    return inner_.TotalMessages();
   }
 
   /// Manually blackhole a rank (in addition to the scheduled crash).

@@ -35,10 +35,6 @@ void InProcTransport::Send(int src, int dst, int tag, Payload payload) {
   slot->cv.NotifyOne();
 }
 
-Result<Payload> InProcTransport::Recv(int rank, int src, int tag) {
-  return RecvFor(rank, src, tag, kNoTimeout);
-}
-
 Result<Payload> InProcTransport::RecvFor(int rank, int src, int tag,
                                          std::chrono::milliseconds timeout) {
   AIACC_CHECK(rank >= 0 && rank < world_size_);

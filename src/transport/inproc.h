@@ -1,6 +1,6 @@
 // Real multi-threaded in-process transport. Each rank is driven by a caller
 // thread (as each GPU worker is driven by its MPI process in the paper);
-// Send/Recv match on (source, tag) like MPI point-to-point. Tags multiplex
+// Send/RecvFor match on (source, tag) like MPI point-to-point. Tags multiplex
 // logical channels, so one rank pair can run several concurrent
 // communication streams — the threaded analogue of the multi-CUDA-stream
 // design.
@@ -30,9 +30,9 @@ using Payload = std::vector<float>;
 inline constexpr std::chrono::milliseconds kNoTimeout{0};
 
 /// Abstract point-to-point transport: (src, tag)-matched channels between
-/// `world_size` ranks, plus a barrier. All methods are thread-safe; one
-/// logical channel (rank, src, tag) must have a single consumer thread at a
-/// time (MPI-style).
+/// `world_size` ranks. All methods are thread-safe; one logical channel
+/// (rank, src, tag) must have a single consumer thread at a time
+/// (MPI-style).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -43,14 +43,11 @@ class Transport {
   /// the receiver (fault decorators may add sender-side delay).
   virtual void Send(int src, int dst, int tag, Payload payload) = 0;
 
-  /// Block until a message from (src, tag) arrives at `rank`; returns its
-  /// payload, or Unavailable after Shutdown().
-  virtual Result<Payload> Recv(int rank, int src, int tag) = 0;
-
-  /// Deadline-aware receive: like Recv but returns kDeadlineExceeded if no
-  /// message arrives within `timeout`. `timeout <= 0` blocks like Recv.
-  /// This is what lets collectives abort instead of hanging when a peer has
-  /// crashed or the link is dropping messages.
+  /// Block until a message from (src, tag) arrives at `rank` and return
+  /// its payload; Unavailable after Shutdown(), kDeadlineExceeded if none
+  /// arrives within `timeout` (`timeout <= 0`, e.g. kNoTimeout, waits
+  /// forever). The deadline is what lets collectives abort instead of
+  /// hanging when a peer has crashed or the link is dropping messages.
   virtual Result<Payload> RecvFor(int rank, int src, int tag,
                                   std::chrono::milliseconds timeout) = 0;
 
@@ -64,16 +61,6 @@ class Transport {
   virtual void Shutdown() = 0;
 
   [[nodiscard]] virtual bool IsShutdown() const noexcept = 0;
-
-  /// Sense-reversing barrier over all ranks (each rank calls once).
-  /// Returns Ok when every rank arrived, or Unavailable when the wait was
-  /// cut short by Shutdown() — callers must not treat a failed barrier as
-  /// a completed one.
-  virtual Status Barrier() = 0;
-
-  /// Messages delivered so far (all ranks) — used by tests to assert traffic
-  /// shapes (e.g. ring all-reduce sends exactly 2(n-1) messages per rank).
-  [[nodiscard]] virtual std::uint64_t TotalMessages() const = 0;
 };
 
 /// Every (src, tag) slot owns its own condition variable, so a Send signals
@@ -89,7 +76,6 @@ class InProcTransport final : public Transport {
   }
 
   void Send(int src, int dst, int tag, Payload payload) override;
-  Result<Payload> Recv(int rank, int src, int tag) override;
   Result<Payload> RecvFor(int rank, int src, int tag,
                           std::chrono::milliseconds timeout) override;
   std::optional<Payload> TryRecv(int rank, int src, int tag) override;
@@ -99,14 +85,20 @@ class InProcTransport final : public Transport {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  Status Barrier() override;
+  /// Sense-reversing barrier over all ranks (each rank calls once).
+  /// Returns Ok when every rank arrived, or Unavailable when the wait was
+  /// cut short by Shutdown() — callers must not treat a failed barrier as
+  /// a completed one.
+  Status Barrier();
 
-  [[nodiscard]] std::uint64_t TotalMessages() const override;
+  /// Messages delivered so far (all ranks) — used by tests to assert traffic
+  /// shapes (e.g. ring all-reduce sends exactly 2(n-1) messages per rank).
+  [[nodiscard]] std::uint64_t TotalMessages() const;
 
   /// Signal/wakeup instrumentation for this transport instance. A futile
   /// wakeup is a blocked receiver that woke and found its slot still empty
   /// (per-slot CVs keep these to spurious wakeups). `receives` counts every message
-  /// actually delivered to a consumer, on the blocking (Recv/RecvFor) and
+  /// actually delivered to a consumer, on the blocking (RecvFor) and
   /// non-blocking (TryRecv) paths alike, so wake-stat ratios stay honest on
   /// heartbeat-heavy workloads that drain mailboxes with TryRecv.
   struct WakeStats {

@@ -251,10 +251,6 @@ std::optional<Payload> ReliableTransport::TakeExpectedLocked(RxChannel& ch) {
   return body;
 }
 
-Result<Payload> ReliableTransport::Recv(int rank, int src, int tag) {
-  return RecvFor(rank, src, tag, kNoTimeout);
-}
-
 Result<Payload> ReliableTransport::RecvFor(int rank, int src, int tag,
                                            std::chrono::milliseconds timeout) {
   const bool bounded = timeout > kNoTimeout;

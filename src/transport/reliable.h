@@ -116,7 +116,6 @@ class ReliableTransport final : public Transport {
   }
 
   void Send(int src, int dst, int tag, Payload payload) override;
-  Result<Payload> Recv(int rank, int src, int tag) override;
   Result<Payload> RecvFor(int rank, int src, int tag,
                           std::chrono::milliseconds timeout) override;
   /// Non-blocking, but still strict: delivers only the next in-order frame
@@ -128,10 +127,6 @@ class ReliableTransport final : public Transport {
   void Shutdown() override;
   [[nodiscard]] bool IsShutdown() const noexcept override {
     return inner_.IsShutdown();
-  }
-  Status Barrier() override { return inner_.Barrier(); }
-  [[nodiscard]] std::uint64_t TotalMessages() const override {
-    return inner_.TotalMessages();
   }
 
   [[nodiscard]] ReliableStats stats() const;
@@ -157,7 +152,7 @@ class ReliableTransport final : public Transport {
   struct RxChannel {
     std::uint64_t expected = 0;
     std::map<std::uint64_t, Payload> stash;  // out-of-order bodies
-    int consumers = 0;  // active Recv/RecvFor pullers (daemon skips if > 0)
+    int consumers = 0;  // active RecvFor pullers (daemon skips if > 0)
   };
 
   /// Feed one raw frame from the inner transport through the demux and send
@@ -166,7 +161,7 @@ class ReliableTransport final : public Transport {
   void ProcessRawFrame(int rank, int src, int tag, Payload frame);
   /// Demux everything pending in the inner (rank, src, tag) mailbox.
   void DrainMailbox(int rank, int src, int tag);
-  /// True while a Recv/RecvFor is pulling the (rank, src, tag) mailbox.
+  /// True while a RecvFor is pulling the (rank, src, tag) mailbox.
   [[nodiscard]] bool HasConsumerLocked(int rank, int src, int tag) const
       REQUIRES(mu_);
   /// Take the next in-order body if present.

@@ -68,12 +68,6 @@ void TracingTransport::Unstamp(Payload& payload) {
   parse_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Result<Payload> TracingTransport::Recv(int rank, int src, int tag) {
-  Result<Payload> result = inner_.Recv(rank, src, tag);
-  if (result.ok()) Unstamp(*result);
-  return result;
-}
-
 Result<Payload> TracingTransport::RecvFor(int rank, int src, int tag,
                                           std::chrono::milliseconds timeout) {
   Result<Payload> result = inner_.RecvFor(rank, src, tag, timeout);

@@ -6,7 +6,7 @@
 //   * Send appends the stamp trailer — origin rank and per-origin message
 //     id — and records a Chrome flow *start* event on the calling thread's
 //     lane;
-//   * Recv/RecvFor/TryRecv strip the trailer and record the matching flow
+//   * RecvFor/TryRecv strip the trailer and record the matching flow
 //     *end* — binding the recv span to the originating send span across
 //     ranks;
 //   * both ends derive the flow id from the stamp alone, so no side
@@ -62,7 +62,6 @@ class TracingTransport final : public Transport {
   }
 
   void Send(int src, int dst, int tag, Payload payload) override;
-  Result<Payload> Recv(int rank, int src, int tag) override;
   Result<Payload> RecvFor(int rank, int src, int tag,
                           std::chrono::milliseconds timeout) override;
   std::optional<Payload> TryRecv(int rank, int src, int tag) override;
@@ -70,10 +69,6 @@ class TracingTransport final : public Transport {
   void Shutdown() override { inner_.Shutdown(); }
   [[nodiscard]] bool IsShutdown() const noexcept override {
     return inner_.IsShutdown();
-  }
-  Status Barrier() override { return inner_.Barrier(); }
-  [[nodiscard]] std::uint64_t TotalMessages() const override {
-    return inner_.TotalMessages();
   }
 
   [[nodiscard]] TracingStats stats() const noexcept;

@@ -88,6 +88,26 @@ TEST(BitVectorTest, MinCombineIsIntersection) {
   EXPECT_EQ(a.SetIndices(), (std::vector<std::size_t>{3, 5}));
 }
 
+TEST(BitVectorTest, OrCombineIsUnion) {
+  BitVector a(70);
+  BitVector b(70);
+  a.Set(1); a.Set(64);
+  b.Set(1); b.Set(69);
+  a.OrCombine(b);
+  EXPECT_EQ(a.SetIndices(), (std::vector<std::size_t>{1, 64, 69}));
+}
+
+TEST(BitVectorTest, SetAllSetsOnlyRealBits) {
+  for (std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    BitVector v(n);
+    v.SetAll();
+    EXPECT_TRUE(v.All()) << n;
+    EXPECT_EQ(v.Count(), n);
+    v.Clear(n - 1);
+    EXPECT_FALSE(v.All()) << n;
+  }
+}
+
 TEST(BitVectorTest, AllAndReset) {
   BitVector v(65);
   for (std::size_t i = 0; i < 65; ++i) v.Set(i);
@@ -139,47 +159,6 @@ TEST(BlockingQueueTest, PopBlocksUntilPush) {
   });
   EXPECT_EQ(q.Pop(), 99);
   producer.join();
-}
-
-TEST(BoundedQueueTest, PushBlocksWhenFull) {
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.Push(3);
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.Pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueueTest, ShutdownUnblocksProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::thread producer([&] { EXPECT_FALSE(q.Push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Shutdown();
-  producer.join();
-}
-
-TEST(BoundedQueueTest, PushBatchResumesWhenFull) {
-  // A batch longer than the capacity fills the queue, wakes the consumer
-  // (already parked on the empty queue) and resumes as it drains; items
-  // arrive complete and in order.
-  BoundedQueue<int> q(3);
-  std::vector<int> popped;
-  std::thread consumer([&] {
-    for (int i = 0; i < 10; ++i) popped.push_back(*q.Pop());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  const std::vector<int> batch = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_TRUE(q.PushBatch(batch));
-  consumer.join();
-  EXPECT_EQ(popped, batch);
 }
 
 // ------------------------------------------------------------ ThreadPool ---

@@ -32,7 +32,7 @@ TEST(FaultyTransportTest, NoFaultsIsTransparent) {
   InProcTransport inner(2);
   FaultyTransport tr(inner, FaultSpec{});
   tr.Send(0, 1, 5, {1.0f, 2.0f});
-  auto p = tr.Recv(1, 0, 5);
+  auto p = tr.RecvFor(1, 0, 5, kNoTimeout);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(*p, (Payload{1.0f, 2.0f}));
   const FaultStats s = tr.stats();
@@ -159,7 +159,7 @@ TEST(FaultyTransportTest, CrashBlackholesBothDirections) {
   tr.Send(0, 2, 0, {3.0f});  // healthy pair still works
   EXPECT_FALSE(tr.TryRecv(1, 0, 0).has_value());
   EXPECT_FALSE(tr.TryRecv(0, 1, 0).has_value());
-  auto p = tr.Recv(2, 0, 0);
+  auto p = tr.RecvFor(2, 0, 0, kNoTimeout);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ((*p)[0], 3.0f);
   EXPECT_EQ(tr.stats().blackholed, 2u);

@@ -95,7 +95,7 @@ TEST(TracingTransportTest, BindsRecvToSendViaFlowEvents) {
   transport::TracingTransport tr(inner, opts);
 
   tr.Send(0, 1, 7, {1.0f, 2.0f, 3.0f});
-  const auto got = tr.Recv(1, 0, 7);
+  const auto got = tr.RecvFor(1, 0, 7, transport::kNoTimeout);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (transport::Payload{1.0f, 2.0f, 3.0f}));
 
@@ -132,7 +132,7 @@ TEST(TracingTransportTest, CorruptedTrailerStillYieldsOriginalBody) {
   constexpr int kSends = 200;
   for (int i = 0; i < kSends; ++i) {
     tr.Send(0, 1, 3, {static_cast<float>(i)});
-    const auto got = tr.Recv(1, 0, 3);
+    const auto got = tr.RecvFor(1, 0, 3, transport::kNoTimeout);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->size(), 1u) << "message " << i;
   }
@@ -161,7 +161,7 @@ TEST(TracingTransportTest, SteadyStateRecyclesBothSizeClasses) {
     transport::Payload body = pool.Acquire(kElems);
     std::fill(body.begin(), body.end(), 1.0f);
     tr.Send(0, 1, 5, std::move(body));
-    auto got = tr.Recv(1, 0, 5);
+    auto got = tr.RecvFor(1, 0, 5, transport::kNoTimeout);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), kElems);
     pool.Release(std::move(*got));

@@ -45,7 +45,7 @@ ReliableStats RunStream(FaultSpec spec, int n, ReliableOptions opts = {}) {
   });
   [&]() {
     for (int i = 0; i < n; ++i) {
-      auto p = rel.Recv(1, 0, 3);
+      auto p = rel.RecvFor(1, 0, 3, kNoTimeout);
       ASSERT_TRUE(p.ok()) << "message " << i << ": " << p.status().ToString();
       EXPECT_EQ(*p, MakeBody(i, lanes)) << "message " << i;
     }
@@ -134,7 +134,7 @@ TEST(ReliableTransportTest, BidirectionalTrafficOnOneTag) {
       for (int i = 0; i < n; ++i) rel.Send(me, peer, 9, MakeBody(i, 6));
     });
     for (int i = 0; i < n; ++i) {
-      auto p = rel.Recv(me, peer, 9);
+      auto p = rel.RecvFor(me, peer, 9, kNoTimeout);
       ASSERT_TRUE(p.ok());
       EXPECT_EQ(*p, MakeBody(i, 6));
     }
@@ -205,12 +205,12 @@ TEST(ReliableTransportTest, SenderReapsAcksWithoutDaemon) {
   opts.daemon_tick_ms = 60000;
   ReliableTransport rel(inner, opts);
   rel.Send(0, 1, 7, MakeBody(0, 4));
-  ASSERT_TRUE(rel.Recv(1, 0, 7).ok());  // acks before it returns
+  ASSERT_TRUE(rel.RecvFor(1, 0, 7, kNoTimeout).ok());  // acks before it returns
   for (int i = 1; i <= 3; ++i) {
     const std::uint64_t before = rel.stats().acks_received;
     rel.Send(0, 1, 7, MakeBody(i, 4));
     EXPECT_EQ(rel.stats().acks_received, before + 1) << "send " << i;
-    ASSERT_TRUE(rel.Recv(1, 0, 7).ok());
+    ASSERT_TRUE(rel.RecvFor(1, 0, 7, kNoTimeout).ok());
   }
 }
 
@@ -303,7 +303,7 @@ TEST(ReliableTransportTest, ZeroSteadyStateAllocations) {
       body[j] = static_cast<float>(i + static_cast<int>(j));
     }
     rel.Send(0, 1, 6, std::move(body));
-    auto p = rel.Recv(1, 0, 6);
+    auto p = rel.RecvFor(1, 0, 6, kNoTimeout);
     ASSERT_TRUE(p.ok());
     pool.Release(std::move(*p));
   };

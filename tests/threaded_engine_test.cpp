@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <span>
 #include <string>
 #include <thread>
@@ -130,11 +132,11 @@ TEST(ThreadedEngineTest, StatsReflectProtocolActivity) {
   config.num_streams = 2;
   config.granularity_bytes = 128;
   const int steps = 5;
-  // The MLP's 4 gradients, and 2000 two-float tensors: PushAll enqueues
-  // every id and the flush marker as one batch, so the MPI process agrees
-  // on all of them in one sync round however many there are. The MLP runs
-  // once more over a top-k codec, and once on 4 ranks with the
-  // hierarchical all-reduce; both reduce on a work copy.
+  // The MLP's 4 gradients, and 2000 two-float tensors: PushAll hands over
+  // every gradient's bit and the flush under one lock hold, so the MPI
+  // process agrees on all of them in one sync round however many there
+  // are. The MLP runs once more over a top-k codec, and once on 4 ranks
+  // with the hierarchical all-reduce; both reduce on a work copy.
   struct Case {
     std::size_t many;
     bool sparse;
@@ -264,6 +266,79 @@ TEST(ThreadedEngineTest, HierarchicalAlgorithmAlsoCorrect) {
   for (const auto& replica : replicas) {
     EXPECT_TRUE(replica->ParametersEqual(reference, 2e-4f));
   }
+}
+
+TEST(ThreadedEngineTest, ShutdownWakesMpiProcessesBeforeAnyPush) {
+  // Every rank finalizes and pushes nothing, so each MPI process waits for
+  // its worker's first push; Shutdown must wake and join them all.
+  constexpr int kWorld = 2;
+  ThreadedAiaccEngine engine(kWorld, CommConfig{});
+  std::vector<std::vector<float>> grads(kWorld, std::vector<float>(8, 1.0f));
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kWorld; ++r) {
+    threads.emplace_back([&, r] {
+      auto& worker = engine.worker(r);
+      auto& grad = grads[static_cast<std::size_t>(r)];
+      ASSERT_TRUE(worker.Register("g", grad).ok());
+      worker.Finalize();
+    });
+  }
+  for (auto& t : threads) t.join();
+  engine.Shutdown();
+  EXPECT_FALSE(engine.aborted());
+}
+
+TEST(ThreadedEngineTest, AbortWakesMpiProcessesWaitingForMorePushes) {
+  // Every rank pushes "a" but neither "b" nor the flush, and waits until
+  // "a" is reduced; each MPI process then waits for more pushes. A crash
+  // aborts the engine from the heartbeat thread: WaitIteration returns the
+  // abort status, and the parked MPI processes wake and return.
+  constexpr int kWorld = 3;
+  constexpr std::size_t kLen = 64;
+  CommConfig config;
+  config.num_streams = 1;
+  config.granularity_bytes = kLen * sizeof(float);  // "a" is a unit alone
+  FailureConfig failure;
+  failure.detect_failures = true;
+  failure.heartbeat_interval_ms = 2.0;
+  failure.heartbeat_timeout_ms = 200.0;
+  failure.faults = transport::FaultSpec{};  // injector on, no faults
+  ThreadedAiaccEngine engine(kWorld, config, failure);
+
+  std::atomic<int> a_reduced{0};
+  std::vector<Status> results(kWorld, Status::Ok());
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kWorld; ++r) {
+    threads.emplace_back([&, r] {
+      auto& worker = engine.worker(r);
+      std::vector<float> a(kLen, static_cast<float>(r));
+      std::vector<float> b(kLen, 1.0f);
+      ASSERT_TRUE(worker.Register("a", a).ok());
+      ASSERT_TRUE(worker.Register("b", b).ok());
+      worker.Finalize();
+      worker.Push("a");
+      ASSERT_TRUE(worker.WaitGradient("a").ok());
+      EXPECT_EQ(a[0], 1.0f);  // mean of ranks 0, 1, 2
+      a_reduced.fetch_add(1);
+      results[static_cast<std::size_t>(r)] = worker.WaitIteration();
+    });
+  }
+  while (a_reduced.load() < kWorld) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  engine.fault_injector()->CrashRank(1);
+  for (auto& t : threads) t.join();
+
+  EXPECT_TRUE(engine.aborted());
+  for (int r = 0; r < kWorld; ++r) {
+    const Status& st = results[static_cast<std::size_t>(r)];
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "rank " << r;
+    EXPECT_EQ(st.ToString(), engine.health().ToString()) << "rank " << r;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  engine.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 }  // namespace

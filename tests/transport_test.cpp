@@ -16,9 +16,9 @@ TEST(InProcTransportTest, DeliversToMatchingSourceAndTag) {
   tr.Send(0, 2, /*tag=*/7, {1.0f});
   tr.Send(1, 2, /*tag=*/7, {2.0f});
   tr.Send(0, 2, /*tag=*/9, {3.0f});
-  EXPECT_EQ((*tr.Recv(2, 0, 7))[0], 1.0f);
-  EXPECT_EQ((*tr.Recv(2, 1, 7))[0], 2.0f);
-  EXPECT_EQ((*tr.Recv(2, 0, 9))[0], 3.0f);
+  EXPECT_EQ((*tr.RecvFor(2, 0, 7, kNoTimeout))[0], 1.0f);
+  EXPECT_EQ((*tr.RecvFor(2, 1, 7, kNoTimeout))[0], 2.0f);
+  EXPECT_EQ((*tr.RecvFor(2, 0, 9, kNoTimeout))[0], 3.0f);
 }
 
 TEST(InProcTransportTest, FifoWithinChannel) {
@@ -27,7 +27,7 @@ TEST(InProcTransportTest, FifoWithinChannel) {
     tr.Send(0, 1, 0, {static_cast<float>(i)});
   }
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ((*tr.Recv(1, 0, 0))[0], static_cast<float>(i));
+    EXPECT_EQ((*tr.RecvFor(1, 0, 0, kNoTimeout))[0], static_cast<float>(i));
   }
 }
 
@@ -35,7 +35,7 @@ TEST(InProcTransportTest, RecvBlocksUntilSend) {
   InProcTransport tr(2);
   std::atomic<bool> got{false};
   std::thread receiver([&] {
-    auto p = tr.Recv(1, 0, 5);
+    auto p = tr.RecvFor(1, 0, 5, kNoTimeout);
     ASSERT_TRUE(p.ok());
     got.store(true);
   });
@@ -51,7 +51,7 @@ TEST(InProcTransportTest, DifferentTagsDoNotCross) {
   tr.Send(0, 1, /*tag=*/1, {1.0f});
   std::atomic<bool> wrong_tag_received{false};
   std::thread receiver([&] {
-    auto p = tr.Recv(1, 0, /*tag=*/2);  // must NOT match tag 1
+    auto p = tr.RecvFor(1, 0, /*tag=*/2, kNoTimeout);  // must NOT match tag 1
     if (p.ok()) wrong_tag_received.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -64,7 +64,7 @@ TEST(InProcTransportTest, DifferentTagsDoNotCross) {
 TEST(InProcTransportTest, ShutdownUnblocksReceivers) {
   InProcTransport tr(2);
   std::thread receiver([&] {
-    auto p = tr.Recv(1, 0, 0);
+    auto p = tr.RecvFor(1, 0, 0, kNoTimeout);
     EXPECT_FALSE(p.ok());
     EXPECT_EQ(p.status().code(), StatusCode::kUnavailable);
   });
@@ -197,7 +197,7 @@ TEST(InProcTransportTest, ReceiveAndByteCountersCoverBothRecvPaths) {
   // used to skip the counters entirely).
   ASSERT_TRUE(tr.TryRecv(1, 0, 0).has_value());
   EXPECT_EQ(tr.wake_counters().receives, 1u);
-  ASSERT_TRUE(tr.Recv(1, 0, 0).ok());
+  ASSERT_TRUE(tr.RecvFor(1, 0, 0, kNoTimeout).ok());
   EXPECT_EQ(tr.wake_counters().receives, 2u);
   // An empty-handed TryRecv is not a delivery.
   EXPECT_FALSE(tr.TryRecv(1, 0, 0).has_value());
@@ -226,7 +226,7 @@ TEST(InProcTransportTest, ConcurrentStress) {
       // Per-tag FIFOs: drain each tag's expected share.
       for (int tag = 0; tag < 4; ++tag) {
         for (int i = 0; i < kMessages / 4; ++i) {
-          auto p = tr.Recv(receiver, sender, tag);
+          auto p = tr.RecvFor(receiver, sender, tag, kNoTimeout);
           ASSERT_TRUE(p.ok());
           sum += static_cast<long long>((*p)[0]);
         }
@@ -248,7 +248,7 @@ TEST(WakeupTest, SendWakesOnlyTheMatchingReceiver) {
   std::vector<std::thread> receivers;
   for (int tag = 0; tag < kReceivers; ++tag) {
     receivers.emplace_back([&tr, tag] {
-      auto p = tr.Recv(1, 0, tag);
+      auto p = tr.RecvFor(1, 0, tag, kNoTimeout);
       ASSERT_TRUE(p.ok());
       EXPECT_EQ((*p)[0], static_cast<float>(tag));
     });
