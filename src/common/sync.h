@@ -78,10 +78,11 @@ inline constexpr int kChannelHealth = 250;  // channel health tracker state
 inline constexpr int kQueue = 300;          // BlockingQueue internals, engine
                                             // gradient hand-off
 inline constexpr int kThreadPool = 400;     // ThreadPool threads/idle tracking
-inline constexpr int kReliableTransport = 450;  // reliable-delivery tx/rx maps
-                                            // (bookkeeping only: no
+inline constexpr int kReliableTransport = 450;  // per-rank reliable-delivery
+                                            // shards (bookkeeping only: no
                                             // transport or pool call runs
-                                            // under it outside teardown)
+                                            // under one outside teardown;
+                                            // never two held at once)
 inline constexpr int kTransport = 500;      // transport decorators (faulty)
 inline constexpr int kMailbox = 600;        // inproc mailboxes + barrier
 inline constexpr int kBufferPool = 700;     // buffer-pool size classes

@@ -2,14 +2,15 @@
 // appends to every frame so a recv on one rank can be causally bound to
 // the send that produced it on another (DESIGN.md §7 "Causal tracing").
 //
-// The stamp is a *trailer* of float lanes after the body, mirroring how
-// transport/reliable.{h,cpp} packs seq+CRC into header lanes: every lane
-// holds a small non-negative integer that is exactly representable as a
-// float (ints < 2^24 are exact; the 32-bit message id is split into 16-bit
+// The stamp is a *trailer* of float lanes after the body, like the
+// kind/seq/CRC trailer of transport/reliable.{h,cpp}: every lane holds a
+// small non-negative integer that is exactly representable as a float
+// (ints < 2^24 are exact; the 32-bit message id is split into 16-bit
 // limbs). A trailer — rather than a header — keeps body lane indices
-// unchanged for every layer below, and because the tracing decorator is
-// the *topmost* layer of the stack (inproc -> faulty -> reliable ->
-// tracing), the reliable layer's CRC covers the stamp like any other body
+// unchanged for every layer below and strips with a resize. Because the
+// tracing decorator is the *topmost* layer of the stack (inproc -> faulty
+// -> reliable -> tracing), the stamp sits just before the reliable trailer
+// on the wire, and the reliable layer's CRC covers it like any other body
 // bytes.
 //
 //   [n+0] magic       kStampMagic — guards against stripping a frame that
@@ -36,8 +37,8 @@ inline constexpr std::size_t kStampLanes = 4;
 
 /// Magic marking a stamped frame. Chosen to be exactly float-representable
 /// (< 2^24) and disjoint from the reliable layer's frame-kind lane values
-/// (1 = data, 2 = ack) so a stamp lane can never be misread as a reliable
-/// header even if a bug strips layers in the wrong order
+/// (1 = data, 2 = ack) so a stamp can never be misread as a reliable
+/// trailer even if a bug strips layers in the wrong order
 /// (tools/aiacc_analyzer cross-checks this against transport/reliable.cpp).
 inline constexpr std::uint32_t kStampMagic = 0xA1ACC;
 

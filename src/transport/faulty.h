@@ -32,7 +32,9 @@
 // transmission's fate does not depend on how many retransmits raced it
 // onto the channel. On a channel without repeats the index is the send
 // count. What stays timing-dependent is the order of first copies that
-// different threads put on one channel (a 2-rank ring's data and acks).
+// different threads put on one channel (a 2-rank ring's data and acks),
+// and how many acks there are (the reliable layer acks once per drained
+// batch).
 #pragma once
 
 #include <map>

@@ -123,7 +123,7 @@ if p.returncode != 0 or "suppressed" not in p.stdout + p.stderr:
          f"exit {p.returncode}\n{p.stdout}{p.stderr}")
 
 
-def header_lane_audit_pass(fake_repo: str) -> None:
+def trailer_lane_audit_pass(fake_repo: str) -> None:
     """Layer 3: synthetic repo — real tags.h (so the tag relations stay
     green), a minimal reliable.cpp, and a trace_context.h whose stamp
     magic varies per sub-case. The audit keys off repo files, not the
@@ -136,7 +136,7 @@ def header_lane_audit_pass(fake_repo: str) -> None:
                 os.path.join(fake_repo, "src", "collective", "tags.h"))
     with open(os.path.join(fake_repo, "src", "transport", "reliable.cpp"),
               "w", encoding="utf-8") as f:
-        f.write("constexpr std::size_t kHeaderLanes = 4;\n"
+        f.write("constexpr std::size_t kTrailerLanes = 4;\n"
                 "constexpr float kKindData = 1.0f;\n"
                 "constexpr float kKindAck = 2.0f;\n")
     stamp_h = os.path.join(fake_repo, "src", "telemetry", "trace_context.h")
@@ -153,7 +153,7 @@ def header_lane_audit_pass(fake_repo: str) -> None:
     p = run(["--repo", fake_repo, "--no-baseline", "--check",
              "tag-collision", probe])
     if p.returncode != 1 or "masquerade" not in p.stdout + p.stderr:
-        fail(f"header-lane audit: expected exit 1 + masquerade finding for "
+        fail(f"trailer-lane audit: expected exit 1 + masquerade finding for "
              f"colliding stamp magic, got exit {p.returncode}\n"
              f"{p.stdout}{p.stderr}")
 
@@ -161,7 +161,7 @@ def header_lane_audit_pass(fake_repo: str) -> None:
     p = run(["--repo", fake_repo, "--no-baseline", "--check",
              "tag-collision", probe])
     if p.returncode != 1 or "float-representable" not in p.stdout + p.stderr:
-        fail(f"header-lane audit: expected exit 1 + float-representable "
+        fail(f"trailer-lane audit: expected exit 1 + float-representable "
              f"finding for wide stamp magic, got exit {p.returncode}\n"
              f"{p.stdout}{p.stderr}")
 
@@ -169,7 +169,7 @@ def header_lane_audit_pass(fake_repo: str) -> None:
     p = run(["--repo", fake_repo, "--no-baseline", "--check",
              "tag-collision", probe])
     if p.returncode != 0:
-        fail(f"header-lane audit: repaired repo not clean "
+        fail(f"trailer-lane audit: repaired repo not clean "
              f"(exit {p.returncode})\n{p.stdout}{p.stderr}")
 
 
@@ -216,9 +216,9 @@ def line_rule_scope_pass(fake_repo: str) -> None:
             fail(f"line-rule scope: {check} flagged {got}, want {want}")
 
 
-# --- 3. header-lane audit -------------------------------------------------
+# --- 3. trailer-lane audit -------------------------------------------------
 with tempfile.TemporaryDirectory() as td:
-    header_lane_audit_pass(td)
+    trailer_lane_audit_pass(td)
 
 # --- 4. line-rule scopes --------------------------------------------------
 with tempfile.TemporaryDirectory() as td:

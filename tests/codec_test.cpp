@@ -1,5 +1,6 @@
 // Gradient-compression codec tests: exhaustive fp16/bf16 scalar roundtrips
-// (NaN/Inf/denormal-safe), cast wire packing at odd lengths, 1-bit and
+// (NaN/Inf/denormal-safe), the branch-free casts against branchy reference
+// conversions, cast wire packing at odd lengths, 1-bit and
 // top-k wire-format units including malformed-record rejection, the
 // error-feedback residual property, a ring bit-exactness matrix over
 // codec x op x world x odd lengths x pipeline depth x channels, the
@@ -41,6 +42,146 @@ bool IsNanBf16(std::uint16_t b) {
 }
 
 // ------------------------------------------------------- scalar casts ----
+
+// Reference conversions: the plain branchy case analysis of each format,
+// written for reading rather than speed. The library's branch-free casts
+// must match them bit for bit.
+namespace reference {
+
+std::uint16_t FloatToHalf(float value) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
+  const std::uint32_t sign = (bits >> 16) & 0x8000u;
+  const std::uint32_t exponent = (bits >> 23) & 0xFFu;
+  std::uint32_t mantissa = bits & 0x7FFFFFu;
+  if (exponent == 0xFF) {  // inf, or NaN with a quiet-bit payload
+    return static_cast<std::uint16_t>(
+        sign | 0x7C00u | (mantissa != 0 ? 0x200u : 0u));
+  }
+  const int new_exp = static_cast<int>(exponent) - 127 + 15;
+  if (new_exp >= 0x1F) return static_cast<std::uint16_t>(sign | 0x7C00u);
+  if (new_exp <= 0) {  // subnormal half, or underflow to zero
+    if (new_exp < -10) return static_cast<std::uint16_t>(sign);
+    mantissa |= 0x800000u;
+    const int shift = 14 - new_exp;  // 14..24
+    std::uint32_t half_mant = mantissa >> shift;
+    const std::uint32_t remainder = mantissa & ((1u << shift) - 1u);
+    const std::uint32_t halfway = 1u << (shift - 1);
+    if (remainder > halfway ||
+        (remainder == halfway && (half_mant & 1u) != 0)) {
+      ++half_mant;  // may promote to the smallest normal, which is right
+    }
+    return static_cast<std::uint16_t>(sign | half_mant);
+  }
+  std::uint32_t half = sign | (static_cast<std::uint32_t>(new_exp) << 10) |
+                       (mantissa >> 13);
+  const std::uint32_t round_bit = mantissa & 0x1000u;
+  const std::uint32_t sticky = mantissa & 0x0FFFu;
+  if (round_bit && (sticky || (half & 1u))) ++half;  // may carry to inf
+  return static_cast<std::uint16_t>(half);
+}
+
+float HalfToFloat(std::uint16_t half) {
+  const std::uint32_t sign = (static_cast<std::uint32_t>(half) & 0x8000u)
+                             << 16;
+  const std::uint32_t exponent = (half >> 10) & 0x1Fu;
+  const std::uint32_t mantissa = half & 0x3FFu;
+  std::uint32_t bits;
+  if (exponent == 0) {
+    if (mantissa == 0) {
+      bits = sign;
+    } else {  // subnormal half -> normalized float
+      int e = -1;
+      std::uint32_t m = mantissa;
+      do {
+        ++e;
+        m <<= 1;
+      } while ((m & 0x400u) == 0);
+      bits = sign | ((127 - 15 - e) << 23) | ((m & 0x3FFu) << 13);
+    }
+  } else if (exponent == 0x1F) {
+    bits = sign | 0x7F800000u | (mantissa << 13);  // inf / NaN
+  } else {
+    bits = sign | ((exponent - 15 + 127) << 23) | (mantissa << 13);
+  }
+  return std::bit_cast<float>(bits);
+}
+
+std::uint16_t FloatToBf16(float value) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
+  if ((bits & 0x7F800000u) == 0x7F800000u && (bits & 0x7FFFFFu) != 0) {
+    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);  // NaN
+  }
+  const std::uint32_t round_bit = bits & 0x8000u;
+  const std::uint32_t sticky = bits & 0x7FFFu;
+  std::uint32_t upper = bits >> 16;
+  if (round_bit && (sticky || (upper & 1u))) ++upper;
+  return static_cast<std::uint16_t>(upper);
+}
+
+}  // namespace reference
+
+/// Float bit patterns that exercise every rounding decision: each sign and
+/// exponent crossed with mantissas that sit on, next to and between the
+/// rounding boundaries of every dropped-bit width (1..23 bits covers the
+/// 13-bit fp16 normal case, the 14..24-bit fp16 subnormal shifts and the
+/// 16-bit bf16 case), single-bit NaN payloads, and a stride over all 2^32.
+std::vector<std::uint32_t> CastProbeFloats() {
+  std::vector<std::uint32_t> mantissas;
+  for (std::uint32_t shift = 1; shift <= 23; ++shift) {
+    const std::uint32_t halfway = 1u << (shift - 1);
+    const std::uint32_t kept_max = 0x7FFFFFu >> shift;
+    for (const std::uint32_t kept :
+         {0u, 1u, 2u, 3u, kept_max - 1, kept_max}) {
+      for (const std::uint32_t dropped :
+           {0u, 1u, halfway - 1, halfway, halfway + 1, 2 * halfway - 1}) {
+        mantissas.push_back(((kept << shift) | dropped) & 0x7FFFFFu);
+      }
+    }
+  }
+  for (std::uint32_t b = 0; b < 23; ++b) mantissas.push_back(1u << b);
+  mantissas.push_back(0x7FFFFFu);
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t sign_exp = 0; sign_exp < 512; ++sign_exp) {
+    for (const std::uint32_t m : mantissas) out.push_back((sign_exp << 23) | m);
+  }
+  for (std::uint64_t bits = 0; bits <= 0xFFFFFFFFull; bits += 65537) {
+    out.push_back(static_cast<std::uint32_t>(bits));
+  }
+  return out;
+}
+
+TEST(ScalarCastTest, EncodeMatchesReferenceAtRoundingBoundaries) {
+  int mismatches = 0;
+  for (const std::uint32_t bits : CastProbeFloats()) {
+    const float f = std::bit_cast<float>(bits);
+    if (compress::FloatToHalf(f) != reference::FloatToHalf(f) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "fp16 encode of 0x" << std::hex << bits << ": 0x"
+                    << compress::FloatToHalf(f) << " want 0x"
+                    << reference::FloatToHalf(f);
+    }
+    if (compress::FloatToBf16(f) != reference::FloatToBf16(f) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "bf16 encode of 0x" << std::hex << bits << ": 0x"
+                    << compress::FloatToBf16(f) << " want 0x"
+                    << reference::FloatToBf16(f);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ScalarCastTest, DecodeMatchesReferenceExhaustively) {
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    const auto half = static_cast<std::uint16_t>(h);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(compress::HalfToFloat(half)),
+              std::bit_cast<std::uint32_t>(reference::HalfToFloat(half)))
+        << "fp16 decode of 0x" << std::hex << h;
+    // bf16 is the top half of a float: decoding is a shift.
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(compress::Bf16ToFloat(half)),
+              h << 16)
+        << "bf16 decode of 0x" << std::hex << h;
+  }
+}
 
 // half -> float -> half is the identity for every non-NaN pattern
 // (float32 represents every half exactly); NaN patterns must stay NaN with

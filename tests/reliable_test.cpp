@@ -1,12 +1,14 @@
 // ReliableTransport tests: exactly-once in-order delivery through every
 // fault mix the chaos layer can throw (drop/dup/reorder/corrupt/straggler,
 // separately and combined), bidirectional traffic on one tag, concurrent
-// senders on one channel, acks reaped by the sender, strict TryRecv,
+// senders on one channel, acks reaped by the sender, one cumulative ack
+// per drained burst, a lost ack covered by the next one, strict TryRecv,
 // deadline hand-off to the upper tiers, zero steady-state buffer
 // allocations, and collectives running bit-exact through chaos at every
 // pipeline depth and channel count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -212,6 +214,92 @@ TEST(ReliableTransportTest, SenderReapsAcksWithoutDaemon) {
     EXPECT_EQ(rel.stats().acks_received, before + 1) << "send " << i;
     ASSERT_TRUE(rel.RecvFor(1, 0, 7, kNoTimeout).ok());
   }
+}
+
+/// Wait (bounded) until every frame sent has been acked and retired.
+void WaitNothingInFlight(const ReliableTransport& rel) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rel.stats().in_flight != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << rel.stats().in_flight << " frames never acked";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Acks are per drained batch: a burst already queued when the receiver
+// first pulls is taken in one drain and answered by one cumulative ack,
+// which still retires every frame of the burst.
+TEST(ReliableTransportTest, BurstEarnsFewerAcksThanFrames) {
+  InProcTransport inner(2);
+  ReliableOptions opts;
+  opts.rto_initial_ms = 5000;  // no retransmit muddies the count
+  opts.rto_max_ms = 5000;
+  ReliableTransport rel(inner, opts);
+  constexpr int kBurst = 32;
+  for (int i = 0; i < kBurst; ++i) rel.Send(0, 1, 8, MakeBody(i, 6));
+  for (int i = 0; i < kBurst; ++i) {
+    auto p = rel.RecvFor(1, 0, 8, kNoTimeout);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(*p, MakeBody(i, 6));
+  }
+  WaitNothingInFlight(rel);
+  const ReliableStats s = rel.stats();
+  EXPECT_LT(s.acks_sent, static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(s.acks_received, s.acks_sent);
+  EXPECT_EQ(s.retransmits, 0u);
+}
+
+/// Loses the first ack frame sent through it; everything else passes.
+/// Frames end in [kind, seq, crc hi, crc lo], and an ack's kind lane is 2.
+class DropFirstAck final : public Transport {
+ public:
+  explicit DropFirstAck(Transport& inner) : inner_(inner) {}
+  [[nodiscard]] int world_size() const noexcept override {
+    return inner_.world_size();
+  }
+  void Send(int src, int dst, int tag, Payload payload) override {
+    const bool ack = payload.size() >= 4 && payload[payload.size() - 4] == 2.0f;
+    if (ack && !dropped_.exchange(true)) return;
+    inner_.Send(src, dst, tag, std::move(payload));
+  }
+  Result<Payload> RecvFor(int rank, int src, int tag,
+                          std::chrono::milliseconds timeout) override {
+    return inner_.RecvFor(rank, src, tag, timeout);
+  }
+  std::optional<Payload> TryRecv(int rank, int src, int tag) override {
+    return inner_.TryRecv(rank, src, tag);
+  }
+  void Shutdown() override { inner_.Shutdown(); }
+  [[nodiscard]] bool IsShutdown() const noexcept override {
+    return inner_.IsShutdown();
+  }
+
+ private:
+  Transport& inner_;
+  std::atomic<bool> dropped_{false};
+};
+
+// A lost ack costs no retransmit when another frame follows before the
+// rto: the next ack is cumulative and retires both frames.
+TEST(ReliableTransportTest, CumulativeAckCoversALostAck) {
+  InProcTransport inner(2);
+  DropFirstAck lossy(inner);
+  ReliableOptions opts;
+  opts.rto_initial_ms = 5000;
+  opts.rto_max_ms = 5000;
+  ReliableTransport rel(lossy, opts);
+  for (int i = 0; i < 2; ++i) {
+    rel.Send(0, 1, 3, MakeBody(i, 4));
+    auto p = rel.RecvFor(1, 0, 3, kNoTimeout);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(*p, MakeBody(i, 4));
+  }
+  WaitNothingInFlight(rel);
+  const ReliableStats s = rel.stats();
+  EXPECT_EQ(s.acks_sent, 2u);
+  EXPECT_EQ(s.acks_received, 1u);
+  EXPECT_EQ(s.retransmits, 0u);
 }
 
 // Reliable TryRecv never skips a gap: a dropped-but-retransmitting frame

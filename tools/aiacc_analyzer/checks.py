@@ -553,9 +553,10 @@ _TAG_ARITH = re.compile(r"\btag_base\s*\+\s*")
 _TAGS_REL = os.path.join("src", "collective", "tags.h")
 
 # Lane-layout constants live next to the framing code, not in tags.h:
-# the reliable layer's header lanes (frame kind in lane 0) and the
-# tracing layer's stamp trailer (magic in its lane 0). Both identify
-# themselves by an in-band lane value, so the values must be disjoint.
+# the reliable layer's frame trailer (frame kind in its first lane) and
+# the tracing layer's stamp trailer (magic in its first lane). Both
+# identify themselves by an in-band lane value, so the values must be
+# disjoint.
 _RELIABLE_REL = os.path.join("src", "transport", "reliable.cpp")
 _STAMP_REL = os.path.join("src", "telemetry", "trace_context.h")
 
@@ -588,14 +589,15 @@ def _parse_lane_consts(repo: str, rel: str):
     return env
 
 
-def _header_lane_audit(repo: str) -> list[Finding]:
-    """The tracing stamp is a float-lane trailer whose first lane holds
-    kStampMagic; a reliable frame is float lanes whose first lane holds a
-    kind (kKindData/kKindAck). If the magic ever equaled a kind value, a
-    stamp misread as a header — layers stripped in the wrong order, a
-    truncated frame — would silently parse as a valid reliable frame
-    instead of being rejected. Cross-check the two layouts whenever the
-    tracing layer exists."""
+def _trailer_lane_audit(repo: str) -> list[Finding]:
+    """The tracing stamp is a four-lane trailer whose first lane holds
+    kStampMagic; a reliable frame ends in a four-lane trailer whose first
+    lane holds a kind (kKindData/kKindAck). Both trailers sit at the end
+    of the frame, one directly before the other. If the magic ever equaled
+    a kind value, a stamp misread as a reliable trailer — layers stripped
+    in the wrong order, a truncated frame — would silently parse as a
+    valid reliable frame instead of being rejected. Cross-check the two
+    layouts whenever the tracing layer exists."""
     out: list[Finding] = []
     stamp = _parse_lane_consts(repo, _STAMP_REL)
     if stamp is None:  # no tracing layer in this tree: nothing to collide
@@ -626,12 +628,12 @@ def _header_lane_audit(repo: str) -> list[Finding]:
                 symbol="kStampMagic",
                 message=f"kStampMagic ({magic}) equals the reliable layer's "
                         f"{kind_name} ({kind}) — a trace-stamp trailer "
-                        f"could masquerade as a reliable frame header"))
+                        f"could masquerade as a reliable frame trailer"))
     return out
 
 
 def check_tag_collision(project, ctx) -> list[Finding]:
-    out: list[Finding] = _header_lane_audit(ctx.repo)
+    out: list[Finding] = _trailer_lane_audit(ctx.repo)
     env = ctx.tag_env
     required = ("kHeartbeatTag", "kSyncTag", "kTagsPerCollective",
                 "kChannelTagStride", "kUnitTagBase", "kUnitTagStride")
